@@ -19,7 +19,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .diffusion import NoiseSchedule
@@ -181,7 +181,3 @@ def arch_from_meta(meta: dict) -> tuple[ArcnConfig, DparnConfig]:
         return ArcnConfig(**a), DparnConfig(**meta["dparn"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid architecture metadata: {exc}") from exc
-
-
-def spec_field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}

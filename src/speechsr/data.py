@@ -23,7 +23,7 @@ from .errors import WavFormatError
 from .resample import (
     UpsamplingRatio,
     decimate,
-    design_cheby1_lowpass,
+    design_lowpass,
     iir_apply_zero_phase,
     simulate_lr,
 )
@@ -161,8 +161,7 @@ def preprocess(w: Waveform, target_rate: int) -> Waveform:
             f"unsupported resampling {w.sample_rate} -> {target_rate} Hz (non-integer factor)"
         )
     factor = w.sample_rate // target_rate
-    lowpass = design_cheby1_lowpass(cutoff_norm=1.0 / factor)
-    filtered = iir_apply_zero_phase(lowpass, w)
+    filtered = iir_apply_zero_phase(design_lowpass("chebyshev", 1.0 / factor), w)
     down = decimate(filtered, UpsamplingRatio(factor))
     return normalize(down)[0]
 
@@ -287,8 +286,7 @@ class Batcher:
     """
 
     def __init__(self, manifest: Manifest, batch_size: int, crop_s: float,
-                 ratio: UpsamplingRatio, kind: str, sample_rate: int = 16000,
-                 zero_phase: bool = True):
+                 ratio: UpsamplingRatio, kind: str, sample_rate: int = 16000):
         if len(manifest) == 0:
             raise ValueError("empty manifest")
         if batch_size < 1:
@@ -299,7 +297,6 @@ class Batcher:
         self.ratio = ratio
         self.kind = kind
         self.sample_rate = sample_rate
-        self.zero_phase = zero_phase
         self._cache: dict[str, np.ndarray] = {}
 
     def _load(self, entry: ManifestEntry) -> np.ndarray:
@@ -321,10 +318,7 @@ class Batcher:
                     crop = x[off:off + self.crop_len]
                 else:
                     crop = x
-                _, inp = simulate_lr(
-                    Waveform(crop, self.sample_rate), self.ratio, self.kind,
-                    zero_phase=self.zero_phase,
-                )
+                _, inp = simulate_lr(Waveform(crop, self.sample_rate), self.ratio, self.kind)
                 pad = self.crop_len - crop.size
                 mask = np.ones(crop.size)
                 rows_hr.append(np.pad(crop, (0, pad)))
@@ -341,7 +335,7 @@ class Batcher:
 
 
 def validation_items(manifest: Manifest, sample_rate: int, ratio: UpsamplingRatio,
-                     kind: str, max_s: float = 8.0, zero_phase: bool = True):
+                     kind: str, max_s: float = 8.0):
     """Full (center-cropped to <= max_s) utterances for validation."""
     out = []
     limit = int(round(max_s * sample_rate))
@@ -350,7 +344,6 @@ def validation_items(manifest: Manifest, sample_rate: int, ratio: UpsamplingRati
         if x.size > limit:
             start = (x.size - limit) // 2
             x = x[start:start + limit]
-        _, inp = simulate_lr(Waveform(x, sample_rate), ratio, kind,
-                             zero_phase=zero_phase)
+        _, inp = simulate_lr(Waveform(x, sample_rate), ratio, kind)
         out.append((entry.utt_id, x, inp.samples))
     return out

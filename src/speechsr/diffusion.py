@@ -82,24 +82,8 @@ def inference_time_grid(sched: NoiseSchedule) -> np.ndarray:
     return np.linspace(t_max, 0.0, sched.inference_steps)
 
 
-@dataclass(frozen=True)
-class DiffusionState:
-    """One reverse-loop iterate: clean estimate, noisy latent, current time."""
-
-    x0: np.ndarray
-    x_t: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        if self.x0.shape != self.x_t.shape:
-            raise ValueError(f"length mismatch: {self.x0.shape} vs {self.x_t.shape}")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"diffusion time {self.t} outside [0, 1]")
-
-
 def repaint(x0t: np.ndarray, s_inp: np.ndarray, sample_rate: int,
-            ratio: UpsamplingRatio, kind: str = "chebyshev",
-            zero_phase: bool = True) -> np.ndarray:
+            ratio: UpsamplingRatio, kind: str = "chebyshev") -> np.ndarray:
     """Keep the estimate's high band, replace its low band with s_inp.
 
     x0t' = s_inp + (x0t - Resample(x0t)).
@@ -108,7 +92,7 @@ def repaint(x0t: np.ndarray, s_inp: np.ndarray, sample_rate: int,
     s_inp = np.asarray(s_inp, dtype=np.float64)
     if x0t.shape != s_inp.shape:
         raise ValueError(f"length mismatch: {x0t.shape} vs {s_inp.shape}")
-    low = resample_chain(Waveform(x0t, sample_rate), ratio, kind, zero_phase=zero_phase)
+    low = resample_chain(Waveform(x0t, sample_rate), ratio, kind)
     return s_inp + (x0t - low.samples)
 
 
@@ -191,8 +175,7 @@ def validation_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
 
 def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
                   ratio: UpsamplingRatio, kind: str = "chebyshev",
-                  rng: np.random.Generator | None = None,
-                  zero_phase: bool = True) -> Waveform:
+                  rng: np.random.Generator | None = None) -> Waveform:
     """Generate the super-resolved signal from a low-rate input.
 
     Shallow-diffusion initialization (start from the predictive estimate)
@@ -211,12 +194,11 @@ def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
         t_frames = n_frames_for(n, frame_len, hop)
         lossmap = build_lossmap(t_frames, model.arcn.cfg.network_bins, ratio,
                                 frame_len, rate)
-        state = DiffusionState(s_pred.copy(), s_pred.copy(), 1.0)
+        x0 = s_pred
         for t in inference_time_grid(sched):
             z = rng.standard_normal(n)
-            x_t = mean_mu(state.x0, inp, t, sched.gamma) + sigma(t, sched) * z
+            x_t = mean_mu(x0, inp, t, sched.gamma) + sigma(t, sched) * z
             x0 = model.arcn.forward(x_t, s_pred, inp, lossmap.mask,
                                     t * sched.total_steps, rate).data
-            x0 = repaint(x0, inp, rate, ratio, kind, zero_phase=zero_phase)
-            state = DiffusionState(x0, x_t, float(t))
-    return Waveform(state.x0, rate)
+            x0 = repaint(x0, inp, rate, ratio, kind)
+    return Waveform(x0, rate)

@@ -75,10 +75,6 @@ class Spectrogram:
     def n_bins(self) -> int:
         return self.values.shape[1]
 
-    def bin_frequency(self, f: int) -> float:
-        """Center frequency in Hz of bin ``f``."""
-        return f * self.sample_rate / self.frame_len
-
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
@@ -126,26 +122,28 @@ def n_frames_for(length: int, frame_len: int, hop: int) -> int:
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Zero-pad ``frame_len - hop`` on both sides and slice into overlapping frames.
 
-    Returns a (T, frame_len) copy; T = ceil((len + frame - hop) / hop).
+    Frames the leading axis of an (N, ...) array and returns a
+    (T, frame_len, ...) copy; T = ceil((N + frame - hop) / hop).
     """
     x = np.asarray(x, dtype=np.float64)
     pad = frame_len - hop
-    n_frames = n_frames_for(x.size, frame_len, hop)
+    n_frames = n_frames_for(x.shape[0], frame_len, hop)
     total = (n_frames - 1) * hop + frame_len
-    buf = np.zeros(total, dtype=np.float64)
-    buf[pad:pad + x.size] = x
-    stride = buf.strides[0]
+    buf = np.zeros((total,) + x.shape[1:], dtype=np.float64)
+    buf[pad:pad + x.shape[0]] = x
     frames = np.lib.stride_tricks.as_strided(
-        buf, shape=(n_frames, frame_len), strides=(hop * stride, stride)
+        buf, shape=(n_frames, frame_len) + x.shape[1:],
+        strides=(hop * buf.strides[0],) + buf.strides,
     )
     return frames.copy()
 
 
 def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     """Inverse of the slicing in :func:`frame_signal` (no window, no unpadding)."""
-    n_frames, frame_len = frames.shape
+    n_frames, frame_len = frames.shape[:2]
+    tail = frames.shape[2:]
     total = (n_frames - 1) * hop + frame_len
-    out = np.zeros(total, dtype=frames.dtype)
+    out = np.zeros((total,) + tail, dtype=frames.dtype)
     # Frames k, k + g, k + 2g, ... with g = frame/hop do not overlap each other,
     # so the sum needs only g strided block-adds.
     groups = frame_len // hop
@@ -154,7 +152,7 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
         if not sub.shape[0]:
             continue
         block = out[g * hop:g * hop + sub.shape[0] * frame_len]
-        block += sub.reshape(-1)
+        block += sub.reshape((-1,) + tail)
     return out
 
 

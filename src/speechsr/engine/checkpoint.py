@@ -12,12 +12,14 @@ Layout (documented for external consumers):
                    ``offset`` counts elements from the start of the payload.
 
 Arrays are stored sorted by name, so identical state produces identical
-bytes.
+bytes. A save goes to ``<path>.tmp`` first and replaces ``path`` only once
+fully written, so a crash mid-save leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -40,12 +42,20 @@ def save_state(path, meta: dict, arrays: dict[str, np.ndarray]):
         {"format_version": FORMAT_VERSION, "meta": meta, "arrays": entries},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_state(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dsp import hann_window, n_frames_for, window_sum_squares
+from ..dsp import frame_signal, hann_window, overlap_add, window_sum_squares
 from .tensor import Tensor, as_tensor, make_result, unbroadcast
 
 # ---------------------------------------------------------------------------
@@ -279,27 +279,6 @@ def pointwise_channels(x, w, b=None):
 # ---------------------------------------------------------------------------
 
 
-def _ola_numpy(frames: np.ndarray, hop: int) -> np.ndarray:
-    n_frames, frame_len = frames.shape[0], frames.shape[1]
-    total = (n_frames - 1) * hop + frame_len
-    tail = frames.shape[2:]
-    out = np.zeros((total,) + tail, dtype=np.float64)
-    groups = frame_len // hop
-    for gi in range(groups):
-        sub = frames[gi::groups]
-        if sub.shape[0]:
-            out[gi * hop:gi * hop + sub.shape[0] * frame_len] += sub.reshape(
-                (-1,) + tail
-            )
-    return out
-
-
-def _gather_numpy(buf: np.ndarray, n_frames: int, frame_len: int, hop: int) -> np.ndarray:
-    strides = (hop * buf.strides[0], buf.strides[0]) + buf.strides[1:]
-    shape = (n_frames, frame_len) + buf.shape[1:]
-    return np.lib.stride_tricks.as_strided(buf, shape=shape, strides=strides).copy()
-
-
 def frame_rows(x, frame_len: int, hop: int):
     """Slice a (N, ...) tensor into overlapping (T, frame_len, ...) frames.
 
@@ -311,15 +290,10 @@ def frame_rows(x, frame_len: int, hop: int):
         raise ValueError("frame_len must be a multiple of hop")
     n = x.shape[0]
     pad = frame_len - hop
-    n_frames = n_frames_for(n, frame_len, hop)
-    total = (n_frames - 1) * hop + frame_len
-    buf = np.zeros((total,) + x.shape[1:], dtype=np.float64)
-    buf[pad:pad + n] = x.data
-    data = _gather_numpy(buf, n_frames, frame_len, hop)
+    data = frame_signal(x.data, frame_len, hop)
 
     def vjp(g):
-        acc = _ola_numpy(g, hop)
-        return (acc[pad:pad + n],)
+        return (overlap_add(g, hop)[pad:pad + n],)
 
     return make_result(data, (x,), vjp)
 
@@ -331,16 +305,15 @@ def overlap_add_rows(frames, hop: int, out_len: int):
     if frame_len % hop != 0:
         raise ValueError("frame_len must be a multiple of hop")
     pad = frame_len - hop
-    acc = _ola_numpy(frames.data, hop)
-    if pad + out_len > acc.shape[0]:
-        raise ValueError(f"out_len {out_len} exceeds synthesizable span")
-    data = acc[pad:pad + out_len]
-    n_frames = frames.shape[0]
+    span = frames.shape[0] * hop - pad
+    if out_len > span:
+        raise ValueError(f"out_len {out_len} exceeds synthesizable span {span}")
+    data = overlap_add(frames.data, hop)[pad:pad + out_len]
+    tail_pad = [(0, span - out_len)] + [(0, 0)] * (frames.ndim - 2)
 
     def vjp(g):
-        buf = np.zeros(acc.shape, dtype=np.float64)
-        buf[pad:pad + out_len] = g
-        return (_gather_numpy(buf, n_frames, frame_len, hop),)
+        # Zero-padded to ``span`` samples, g frames back into exactly T frames.
+        return (frame_signal(np.pad(g, tail_pad), frame_len, hop),)
 
     return make_result(data, (frames,), vjp)
 

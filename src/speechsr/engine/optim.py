@@ -91,11 +91,6 @@ class Ema:
             s *= d
             s += (1.0 - d) * p.data
 
-    def copy_to(self, params: list[Parameter] | None = None):
-        """Write the shadow values into the parameters (for inference)."""
-        for p in (self.params if params is None else params):
-            p.data[...] = self.shadow[p.name]
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {f"ema/{name}": arr for name, arr in sorted(self.shadow.items())}
 

@@ -2,75 +2,29 @@
 
 The simulation chain is: IIR lowpass at the target Nyquist, decimation by
 an integer ratio, then natural-cubic-spline interpolation back to the
-original grid. Filters are designed from analog prototypes (Chebyshev
-type I poles in closed form; Bessel poles from the reverse Bessel
-polynomial) via the bilinear transform with frequency pre-warping, and
-realized as cascaded biquads.
+original grid. The lowpass is a Chebyshev type I or a Bessel design from
+:mod:`scipy.signal` (bilinear transform, pre-warped so the cutoff lands
+exactly), held as second-order sections.
 
-The chain defaults to zero-phase (forward-backward) filtering so that its
-low band is a near-identity in the time domain, which the repainting step
-of the inference loop relies on; ``iir_apply`` itself is causal
-single-pass.
+Filtering is zero-phase (forward-backward), so the chain's low band is a
+near-identity in the time domain, which the repainting step of the
+inference loop relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import sosfilt
+from scipy import signal
+from scipy.interpolate import CubicSpline
 
 from .dsp import Waveform
 
 CHEBY_ORDER = 8
 CHEBY_RIPPLE_DB = 0.05
 BESSEL_ORDER = 5
-
-
-@dataclass(frozen=True)
-class BiquadSection:
-    """Second-order section y[n] = b0 x + b1 x1 + b2 x2 - a1 y1 - a2 y2."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-
-@dataclass(frozen=True)
-class IirFilter:
-    """Cascade of biquads with a single scalar gain applied up front."""
-
-    sections: tuple[BiquadSection, ...]
-    gain: float
-
-    def __post_init__(self):
-        for s in self.sections:
-            vals = (s.b0, s.b1, s.b2, s.a1, s.a2)
-            if not all(np.isfinite(v) for v in vals):
-                raise ValueError("non-finite biquad coefficient")
-        if not np.isfinite(self.gain):
-            raise ValueError("non-finite filter gain")
-        mags = self.pole_magnitudes()
-        if mags.size and mags.max() >= 1.0:
-            raise ValueError(f"unstable filter: pole magnitude {mags.max():.6f}")
-
-    def pole_magnitudes(self) -> np.ndarray:
-        mags = []
-        for s in self.sections:
-            mags.extend(np.abs(np.roots([1.0, s.a1, s.a2])))
-        return np.asarray(mags)
-
-    def response(self, freqs_norm) -> np.ndarray:
-        """Complex response at frequencies given as fractions of Nyquist."""
-        z = np.exp(1j * np.pi * np.asarray(freqs_norm, dtype=np.float64))
-        h = np.full(z.shape, self.gain, dtype=np.complex128)
-        for s in self.sections:
-            num = s.b0 + s.b1 / z + s.b2 / z**2
-            den = 1.0 + s.a1 / z + s.a2 / z**2
-            h *= num / den
-        return h
 
 
 @dataclass(frozen=True)
@@ -100,176 +54,39 @@ class Lossmap:
             raise ValueError("lossmap entries must be 0 or 1")
 
 
-def _bilinear_from_analog(poles, zeros, gain, warped):
-    """Scale an analog prototype to ``warped`` rad/s and map it to z-domain.
+@lru_cache(maxsize=None)
+def design_lowpass(kind: str, cutoff_norm: float) -> np.ndarray:
+    """Digital lowpass as an ``(n_sections, 6)`` second-order-section array.
 
-    Uses s = (z-1)/(z+1) (bilinear with T = 2), under which an analog pole p
-    maps to (1 + p)/(1 - p) and each analog zero at infinity lands at z = -1.
-    Returns the digital poles and the leading gain k_z such that
-    H(z) = k_z * (z+1)^(n_p - n_z) * prod(z - z_d) / prod(z - p_d).
+    ``cutoff_norm`` is a fraction of Nyquist: the Chebyshev passband edge or
+    the Bessel -3 dB point. Designs are memoised per ``(kind, cutoff_norm)``;
+    callers must not modify the returned array.
     """
-    poles = np.asarray(poles, dtype=np.complex128) * warped
-    zeros = np.asarray(zeros, dtype=np.complex128) * warped
-    gain = gain * warped ** (len(poles) - len(zeros))
-    zp = (1.0 + poles) / (1.0 - poles)
-    kz = gain * np.prod(1.0 - zeros) / np.prod(1.0 - poles)
-    return zp, float(np.real(kz))
-
-
-def _pair_conjugates(roots) -> list[tuple[complex, complex | None]]:
-    """Group roots into conjugate pairs (plus at most one lone real root)."""
-    roots = sorted(roots, key=lambda r: (round(r.real, 12), round(abs(r.imag), 12)))
-    complex_roots = [r for r in roots if abs(r.imag) > 1e-12 and r.imag > 0]
-    real_roots = [r for r in roots if abs(r.imag) <= 1e-12]
-    pairs: list[tuple[complex, complex | None]] = [(r, np.conj(r)) for r in complex_roots]
-    while len(real_roots) >= 2:
-        pairs.append((real_roots.pop(), real_roots.pop()))
-    if real_roots:
-        pairs.append((real_roots.pop(), None))
-    return pairs
-
-
-def _sos_from_zpk(zp, n_zeros: int, gain: float) -> IirFilter:
-    """Build biquad sections from z-domain poles plus ``n_zeros`` zeros at z = -1."""
-    pole_pairs = _pair_conjugates(zp)
-    sections = []
-    # Sort so the least-damped pole pair comes last; with a single up-front
-    # gain this keeps intermediate stages bounded.
-    pole_pairs.sort(key=lambda pr: max(abs(pr[0]), abs(pr[1]) if pr[1] is not None else 0.0))
-    zeros_left = n_zeros
-    for p1, p2 in pole_pairs:
-        if p2 is not None:
-            a1 = float(np.real(-(p1 + p2)))
-            a2 = float(np.real(p1 * p2))
-            take = min(2, zeros_left)
-        else:
-            a1 = float(np.real(-p1))
-            a2 = 0.0
-            take = min(1, zeros_left)
-        zeros_left -= take
-        if take == 2:
-            b = (1.0, 2.0, 1.0)  # (1 + z^-1)^2
-        elif take == 1:
-            b = (1.0, 1.0, 0.0)
-        else:
-            b = (1.0, 0.0, 0.0)
-        sections.append(BiquadSection(b[0], b[1], b[2], a1, a2))
-    return IirFilter(tuple(sections), float(gain))
-
-
-def _chebyshev1_prototype(order: int, ripple_db: float):
-    """Analog Chebyshev-I poles (passband edge at 1 rad/s) and DC-matching gain."""
-    eps = np.sqrt(10.0 ** (ripple_db / 10.0) - 1.0)
-    mu = np.arcsinh(1.0 / eps) / order
-    k = np.arange(1, order + 1)
-    theta = np.pi * (2.0 * k - 1.0) / (2.0 * order)
-    poles = -np.sinh(mu) * np.sin(theta) + 1j * np.cosh(mu) * np.cos(theta)
-    gain = np.real(np.prod(-poles))
-    if order % 2 == 0:
-        gain /= np.sqrt(1.0 + eps**2)  # even order: DC sits at the ripple floor
-    return poles, np.empty(0, dtype=np.complex128), gain
-
-
-def _reverse_bessel_coeffs(order: int) -> np.ndarray:
-    """Coefficients of the reverse Bessel polynomial theta_n(s), highest first."""
-    from math import factorial
-
-    coeffs = []
-    for k in range(order + 1):
-        c = factorial(2 * order - k) / (2 ** (order - k) * factorial(k) * factorial(order - k))
-        coeffs.append(c)
-    return np.asarray(coeffs[::-1], dtype=np.float64)  # index 0 == s^order
-
-
-def _bessel_prototype(order: int):
-    """Analog Bessel poles normalized so |H| is -3 dB at 1 rad/s."""
-    poles = np.roots(_reverse_bessel_coeffs(order))
-
-    def mag2(w):
-        return abs(np.prod(-poles) / np.prod(1j * w - poles)) ** 2
-
-    # The delay-normalized prototype has its -3 dB point above 1 rad/s; find
-    # it by bisection and rescale the poles.
-    lo, hi = 0.1, 10.0 * order
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mag2(mid) > 0.5:
-            lo = mid
-        else:
-            hi = mid
-    w3 = 0.5 * (lo + hi)
-    poles = poles / w3
-    gain = float(np.real(np.prod(-poles)))
-    return poles, np.empty(0, dtype=np.complex128), gain
-
-
-def _validate_cutoff(cutoff_norm: float):
     if not 0.0 < cutoff_norm < 1.0:
         raise ValueError(f"cutoff must lie in (0, 1) as a fraction of Nyquist, got {cutoff_norm}")
-
-
-def design_cheby1_lowpass(order: int = CHEBY_ORDER, ripple_db: float = CHEBY_RIPPLE_DB,
-                          cutoff_norm: float = 0.5) -> IirFilter:
-    """Digital Chebyshev type I lowpass as cascaded biquads.
-
-    ``cutoff_norm`` is the passband edge as a fraction of Nyquist; the
-    bilinear transform is pre-warped so the edge lands exactly there.
-    """
-    _validate_cutoff(cutoff_norm)
-    if ripple_db <= 0:
-        raise ValueError(f"ripple must be positive, got {ripple_db}")
-    poles, zeros, gain = _chebyshev1_prototype(order, ripple_db)
-    warped = np.tan(np.pi * cutoff_norm / 2.0)
-    zp, kz = _bilinear_from_analog(poles, zeros, gain, warped)
-    return _sos_from_zpk(zp, n_zeros=order, gain=kz)
-
-
-def design_bessel_lowpass(order: int = BESSEL_ORDER, cutoff_norm: float = 0.5) -> IirFilter:
-    """Digital Bessel lowpass (-3 dB at ``cutoff_norm``) as cascaded biquads."""
-    _validate_cutoff(cutoff_norm)
-    poles, zeros, gain = _bessel_prototype(order)
-    warped = np.tan(np.pi * cutoff_norm / 2.0)
-    zp, kz = _bilinear_from_analog(poles, zeros, gain, warped)
-    return _sos_from_zpk(zp, n_zeros=order, gain=kz)
-
-
-def design_lowpass(kind: str, cutoff_norm: float) -> IirFilter:
     if kind == "chebyshev":
-        return design_cheby1_lowpass(cutoff_norm=cutoff_norm)
+        return signal.cheby1(CHEBY_ORDER, CHEBY_RIPPLE_DB, cutoff_norm, output="sos")
     if kind == "bessel":
-        return design_bessel_lowpass(cutoff_norm=cutoff_norm)
+        return signal.bessel(BESSEL_ORDER, cutoff_norm, norm="mag", output="sos")
     raise ValueError(f"unknown filter kind {kind!r} (expected 'chebyshev' or 'bessel')")
 
 
-def iir_apply(f: IirFilter, w: Waveform) -> Waveform:
-    """Causal single-pass filtering through the biquad cascade (zero state)."""
-    if not f.sections:
-        return Waveform(w.samples * f.gain, w.sample_rate)
-    sos = np.array(
-        [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in f.sections], dtype=np.float64
-    )
-    y = sosfilt(sos, w.samples * f.gain)
-    return Waveform(y, w.sample_rate)
-
-
-def iir_apply_zero_phase(f: IirFilter, w: Waveform) -> Waveform:
+def iir_apply_zero_phase(sos: np.ndarray, w: Waveform) -> Waveform:
     """Forward-backward filtering (magnitude squared, zero phase).
 
-    The signal is extended by odd reflection at both ends before each pass
-    to suppress start-up transients.
+    The signal is extended by odd reflection at both ends, then filtered
+    forward and backward from zero state; the reflection suppresses
+    start-up transients. Unlike ``scipy.signal.sosfiltfilt``, neither pass
+    starts from steady-state initial conditions, which would change the
+    output of inputs shorter than the extension.
     """
     x = w.samples
     pad = min(max(x.size - 1, 0), 512)
+    ext = x
     if pad:
-        head = 2.0 * x[0] - x[pad:0:-1]
-        tail = 2.0 * x[-1] - x[-2:-pad - 2:-1]
-        ext = np.concatenate([head, x, tail])
-    else:
-        ext = x
-    fwd = iir_apply(f, Waveform(ext, w.sample_rate)).samples
-    bwd = iir_apply(f, Waveform(fwd[::-1], w.sample_rate)).samples[::-1]
-    out = bwd[pad:pad + x.size] if pad else bwd
-    return Waveform(out, w.sample_rate)
+        ext = np.concatenate([2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2:-pad - 2:-1]])
+    y = signal.sosfilt(sos, signal.sosfilt(sos, ext)[::-1])[::-1]
+    return Waveform(y[pad:pad + x.size], w.sample_rate)
 
 
 def decimate(w: Waveform, ratio: UpsamplingRatio) -> Waveform:
@@ -294,43 +111,13 @@ def cubic_spline_upsample(w: Waveform, ratio: UpsamplingRatio) -> Waveform:
         return w
     if len(w) < 4:
         raise ValueError(f"spline upsampling needs at least 4 samples, got {len(w)}")
-    y = w.samples
-    m = _natural_spline_second_derivs(y)
-    n = y.size
-    t = np.arange(n * r, dtype=np.float64) / r
-    i = np.minimum(np.floor(t).astype(np.int64), n - 2)
-    u = t - i
-    h = 1.0  # unit knot spacing
-    a = (y[i + 1] - y[i]) - h * h * (2.0 * m[i] + m[i + 1]) / 6.0
-    out = y[i] + u * a + u * u * (m[i] / 2.0) + u**3 * (m[i + 1] - m[i]) / 6.0
-    return Waveform(out, w.sample_rate * r)
+    n = len(w)
+    spline = CubicSpline(np.arange(n), w.samples, bc_type="natural")
+    return Waveform(spline(np.arange(n * r) / r), w.sample_rate * r)
 
 
-def _natural_spline_second_derivs(y: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic spline on a unit grid (Thomas)."""
-    n = y.size
-    m = np.zeros(n, dtype=np.float64)
-    if n < 3:
-        return m
-    rhs = 6.0 * (y[2:] - 2.0 * y[1:-1] + y[:-2])
-    # Tridiagonal system with diag 4, off-diag 1, natural ends m[0] = m[-1] = 0.
-    k = n - 2
-    cp = np.empty(k)
-    dp = np.empty(k)
-    cp[0] = 1.0 / 4.0
-    dp[0] = rhs[0] / 4.0
-    for j in range(1, k):
-        denom = 4.0 - cp[j - 1]
-        cp[j] = 1.0 / denom
-        dp[j] = (rhs[j] - dp[j - 1]) / denom
-    m[k] = dp[k - 1]
-    for j in range(k - 2, -1, -1):
-        m[j + 1] = dp[j] - cp[j] * m[j + 2]
-    return m
-
-
-def simulate_lr(hr: Waveform, ratio: UpsamplingRatio, kind: str = "chebyshev",
-                zero_phase: bool = True) -> tuple[Waveform, Waveform]:
+def simulate_lr(hr: Waveform, ratio: UpsamplingRatio,
+                kind: str = "chebyshev") -> tuple[Waveform, Waveform]:
     """Produce the low-rate signal and its spline-interpolated version.
 
     Returns (s_lr at the reduced rate, s_inp back at the original rate with
@@ -346,9 +133,7 @@ def simulate_lr(hr: Waveform, ratio: UpsamplingRatio, kind: str = "chebyshev",
         # ripple floor onto the whole band.
         copy = Waveform(hr.samples.copy(), hr.sample_rate)
         return copy, Waveform(hr.samples.copy(), hr.sample_rate)
-    filt = design_lowpass(kind, cutoff_norm=1.0 / r)
-    apply = iir_apply_zero_phase if zero_phase else iir_apply
-    filtered = apply(filt, hr)
+    filtered = iir_apply_zero_phase(design_lowpass(kind, 1.0 / r), hr)
     s_lr = decimate(filtered, ratio)
     s_up = cubic_spline_upsample(s_lr, ratio)
     out = s_up.samples
@@ -357,14 +142,14 @@ def simulate_lr(hr: Waveform, ratio: UpsamplingRatio, kind: str = "chebyshev",
     return s_lr, Waveform(out[:len(hr)], hr.sample_rate)
 
 
-def resample_chain(w: Waveform, ratio: UpsamplingRatio, kind: str = "chebyshev",
-                   zero_phase: bool = True) -> Waveform:
+def resample_chain(w: Waveform, ratio: UpsamplingRatio,
+                   kind: str = "chebyshev") -> Waveform:
     """Filter -> decimate -> spline-upsample, back at the caller's rate.
 
     This is the operator the repainting step subtracts to split a signal
     into its low-band (kept) and high-band (replaced) parts.
     """
-    _, s_inp = simulate_lr(w, ratio, kind, zero_phase=zero_phase)
+    _, s_inp = simulate_lr(w, ratio, kind)
     return s_inp
 
 

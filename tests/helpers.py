@@ -46,23 +46,38 @@ def fd_gradient_check(build_loss, params, rng, n_probes=32, h=1e-5,
     return worst
 
 
-def response_mp(filt, freqs_norm, dps=40):
-    """High-precision |H| of an IirFilter on a grid of Nyquist fractions.
+def response_mp(sos, freqs_norm, dps=40):
+    """High-precision |H| of a second-order-section cascade on a grid of Nyquist fractions.
 
-    Evaluates the biquad cascade in mpmath arithmetic, independent of the
-    float64 path in ``IirFilter.response``.
+    Evaluates the rows ``(b0, b1, b2, a0, a1, a2)`` in mpmath arithmetic,
+    independent of any float64 frequency-response routine.
     """
     out = []
     with mp.workdps(dps):
         for nu in freqs_norm:
             z = mp.expjpi(mp.mpf(nu))
-            h = mp.mpc(filt.gain)
-            for s in filt.sections:
-                num = mp.mpc(s.b0) + mp.mpc(s.b1) / z + mp.mpc(s.b2) / z**2
-                den = 1 + mp.mpc(s.a1) / z + mp.mpc(s.a2) / z**2
+            h = mp.mpc(1)
+            for b0, b1, b2, a0, a1, a2 in sos:
+                num = mp.mpc(b0) + mp.mpc(b1) / z + mp.mpc(b2) / z**2
+                den = mp.mpc(a0) + mp.mpc(a1) / z + mp.mpc(a2) / z**2
                 h *= num / den
             out.append(float(abs(h)))
     return np.asarray(out)
+
+
+def sosfilt_py(sos, x) -> np.ndarray:
+    """Zero-state biquad cascade as a plain-Python direct-form-I recursion."""
+    y = [float(v) for v in x]
+    for b0, b1, b2, a0, a1, a2 in sos:
+        x1 = x2 = y1 = y2 = 0.0
+        out = []
+        for v in y:
+            w = (b0 * v + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2) / a0
+            x1, x2 = v, x1
+            y1, y2 = w, y1
+            out.append(w)
+        y = out
+    return np.asarray(y)
 
 
 def band_lsd(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float, f_hi: float,

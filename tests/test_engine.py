@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import fd_gradient_check
+from speechsr.engine import checkpoint
 from speechsr.engine import (
     Adam,
     Ema,
@@ -460,6 +461,43 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) - 50])
         with pytest.raises(ValueError):
             load_state(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A save that dies partway through a blob leaves the old file loadable."""
+        path = tmp_path / "last.ckpt"
+        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.full(4, 0.5)}
+        save_state(path, {"step": 1}, arrays)
+        real_open = open
+
+        class DiesInSecondBlob:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                self.writes += 1  # magic, header length, header, blob a, blob b
+                if self.writes == 5:
+                    self.fh.write(data[:len(data) // 2])
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiesInSecondBlob(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_state(path, {"step": 2}, {"a": np.zeros((2, 3)), "b": np.zeros(4)})
+        meta, loaded = load_state(path)
+        assert meta == {"step": 1}
+        for k, v in arrays.items():
+            np.testing.assert_array_equal(loaded[k], v)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
 
 
 class TestDeterminism:

@@ -2,60 +2,63 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
-from helpers import band_energy_fraction, band_lsd, response_mp, speechlike
+from helpers import band_energy_fraction, band_lsd, response_mp, sosfilt_py, speechlike
 from speechsr import dsp, resample
 from speechsr.resample import Lossmap, UpsamplingRatio
 
 
 class TestChebyshevDesign:
     def test_dc_gain_within_ripple_band(self):
-        f = resample.design_cheby1_lowpass(8, 0.05, 0.5)
+        f = resample.design_lowpass("chebyshev", 0.5)
         h0 = response_mp(f, [0.0])[0]
         assert 10 ** (-0.05 / 20) - 1e-12 <= h0 <= 1.0 + 1e-12
 
     def test_passband_ripple_bound(self):
-        f = resample.design_cheby1_lowpass(8, 0.05, 0.5)
+        f = resample.design_lowpass("chebyshev", 0.5)
         grid = np.linspace(0.0, 0.5, 400)
         h = response_mp(f, grid)
         assert np.all(h <= 1.0 + 1e-9)
         assert np.all(h >= 10 ** (-0.05 / 20) - 1e-9)
 
     def test_stopband_attenuation(self):
-        f = resample.design_cheby1_lowpass(8, 0.05, 0.5)
+        f = resample.design_lowpass("chebyshev", 0.5)
         h = response_mp(f, [0.99])[0]
         assert h <= 10 ** (-60 / 20)
 
     def test_poles_strictly_stable(self):
         for cutoff in (0.1, 0.25, 0.5, 0.8):
-            f = resample.design_cheby1_lowpass(8, 0.05, cutoff)
-            assert f.pole_magnitudes().max() < 1.0
+            f = resample.design_lowpass("chebyshev", cutoff)
+            mags = np.concatenate([np.abs(np.roots(row[3:])) for row in f])
+            assert mags.max() < 1.0
 
     def test_deterministic_coefficients(self):
-        f1 = resample.design_cheby1_lowpass(8, 0.05, 0.5)
-        f2 = resample.design_cheby1_lowpass(8, 0.05, 0.5)
-        assert f1 == f2
+        f1 = resample.design_lowpass("chebyshev", 0.5)
+        resample.design_lowpass.cache_clear()  # redesign instead of a cache hit
+        f2 = resample.design_lowpass("chebyshev", 0.5)
+        np.testing.assert_array_equal(f1, f2)
 
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ValueError):
-            resample.design_cheby1_lowpass(8, 0.05, 1.5)
+            resample.design_lowpass("chebyshev", 1.5)
         with pytest.raises(ValueError):
-            resample.design_cheby1_lowpass(8, 0.05, 0.0)
+            resample.design_lowpass("chebyshev", 0.0)
 
 
 class TestBesselDesign:
     def test_minus_3db_at_cutoff(self):
-        f = resample.design_bessel_lowpass(5, 0.5)
+        f = resample.design_lowpass("bessel", 0.5)
         h = response_mp(f, [0.5])[0]
         db = 20 * np.log10(h)
         assert -3.5 <= db <= -2.5
 
     def test_unity_dc_gain(self):
-        f = resample.design_bessel_lowpass(5, 0.5)
+        f = resample.design_lowpass("bessel", 0.5)
         assert abs(response_mp(f, [0.0])[0] - 1.0) <= 1e-6
 
     def test_monotone_magnitude(self):
-        f = resample.design_bessel_lowpass(5, 0.5)
+        f = resample.design_lowpass("bessel", 0.5)
         grid = np.linspace(0.001, 0.999, 600)
         h = response_mp(f, grid)
         assert np.all(np.diff(h) < 0)
@@ -63,36 +66,53 @@ class TestBesselDesign:
 
 class TestIirApply:
     def test_identity_filter(self):
-        f = resample.IirFilter(
-            (resample.BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0),), 1.0
-        )
+        sos = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
         x = np.random.default_rng(0).standard_normal(100)
-        y = resample.iir_apply(f, dsp.Waveform(x, 16000))
+        y = resample.iir_apply_zero_phase(sos, dsp.Waveform(x, 16000))
         np.testing.assert_array_equal(y.samples, x)
 
     def test_zeros_in_zeros_out(self):
-        f = resample.design_cheby1_lowpass(8, 0.05, 0.5)
-        y = resample.iir_apply(f, dsp.Waveform(np.zeros(500), 16000))
+        f = resample.design_lowpass("chebyshev", 0.5)
+        y = resample.iir_apply_zero_phase(f, dsp.Waveform(np.zeros(500), 16000))
         assert np.all(y.samples == 0)
 
     def test_steady_state_sinusoid_attenuation(self):
         """RMS after the transient matches |H| from the grid oracle."""
-        f = resample.design_cheby1_lowpass(8, 0.05, 0.5)
+        f = resample.design_lowpass("chebyshev", 0.5)
         nu = 0.9  # 0.9 * Nyquist
         n = 16000
         x = np.sin(np.pi * nu * np.arange(n))
-        y = resample.iir_apply(f, dsp.Waveform(x, 16000)).samples
+        y = signal.sosfilt(f, x)
         gain = response_mp(f, [nu])[0]
         rms_ratio = np.sqrt(np.mean(y[4000:] ** 2)) / np.sqrt(np.mean(x[4000:] ** 2))
         assert abs(rms_ratio - gain) <= 0.02 * max(gain, 1e-6) + 1e-6
 
     def test_zero_phase_preserves_passband_alignment(self):
-        f = resample.design_cheby1_lowpass(8, 0.05, 0.5)
+        f = resample.design_lowpass("chebyshev", 0.5)
         n = 8000
         x = np.sin(np.pi * 0.2 * np.arange(n))
         y = resample.iir_apply_zero_phase(f, dsp.Waveform(x, 16000)).samples
         err = np.linalg.norm((y - x)[500:-500]) / np.linalg.norm(x[500:-500])
         assert err < 0.05
+
+    @pytest.mark.parametrize("kind", ["chebyshev", "bessel"])
+    @pytest.mark.parametrize("ratio", [2, 4])
+    @pytest.mark.parametrize("n", [2, 20, 100, 600])
+    def test_zero_phase_matches_zero_state_recursion(self, kind, ratio, n):
+        """Both passes start from zero state over the odd extension, at any length.
+
+        Steady-state initial conditions (as in ``scipy.signal.sosfiltfilt``)
+        would change inputs shorter than the 512-sample extension.
+        """
+        sos = resample.design_lowpass(kind, 1.0 / ratio)
+        x = np.random.default_rng(n).standard_normal(n)
+        pad = min(n - 1, 512)
+        head = [2.0 * x[0] - x[i] for i in range(pad, 0, -1)]
+        tail = [2.0 * x[-1] - x[n - 2 - i] for i in range(pad)]
+        fwd = sosfilt_py(sos, head + list(x) + tail)
+        ref = sosfilt_py(sos, fwd[::-1])[::-1][pad:pad + n]
+        y = resample.iir_apply_zero_phase(sos, dsp.Waveform(x, 16000)).samples
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12)
 
 
 class TestDecimate:
