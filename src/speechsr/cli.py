@@ -128,6 +128,10 @@ def _cmd_enhance(args) -> int:
     model, meta = load_model(args.ckpt, use_ema=True)
     sched = NoiseSchedule(**meta["schedule"])
     w = read_wav(args.wav_in)
+    rate = meta["train_config"]["sample_rate"]
+    if w.sample_rate * args.ratio != rate:
+        raise ValueError(f"input is {w.sample_rate} Hz at --ratio {args.ratio}; this checkpoint"
+                         f" needs {rate / args.ratio:g} Hz input (trained at {rate} Hz)")
     normalized, mean, std = normalize(w)
     rng = np.random.default_rng(args.seed)
     out = reverse_infer(normalized, model, sched, UpsamplingRatio(args.ratio),

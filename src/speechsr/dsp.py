@@ -1,10 +1,12 @@
 """Time-frequency analysis and signal normalization.
 
-All arithmetic is 64-bit. The STFT uses a periodic Hann window; with the
-default hop of a quarter frame the squared-window overlap-add sum is
-exactly constant over every real sample, so analysis followed by
-window-sum-normalized overlap-add reconstructs the input to FFT rounding
-error.
+The package's one STFT lives here: the rfft kernels ``stft_values`` and
+``istft_values`` serve the metrics (``stft``/``istft``) and the engine's
+differentiable ``stft_pair``/``istft_pair``. All arithmetic is 64-bit. The
+STFT uses a periodic Hann window; with the default hop of a quarter frame
+the squared-window overlap-add sum is exactly constant over every real
+sample, so analysis followed by ``synthesis_gain``-normalized overlap-add
+reconstructs the input to FFT rounding error.
 
 Framing pads ``frame_len - hop`` zeros on each side of the signal before
 slicing so that every input sample is covered by a full complement of
@@ -66,10 +68,6 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("spectrogram contains non-finite entries")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_bins(self) -> int:
@@ -156,10 +154,35 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def window_sum_squares(n_frames: int, frame_len: int, hop: int) -> np.ndarray:
-    """Per-sample sum of squared analysis/synthesis windows over all frames."""
+def stft_values(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Hann-windowed rfft of the :func:`frame_signal` frames: (T, frame_len // 2 + 1)."""
+    frames = frame_signal(x, frame_len, hop)
+    frames *= hann_window(frame_len)
+    return np.fft.rfft(frames, axis=1)
+
+
+def synthesis_gain(n_frames: int, frame_len: int, hop: int, target_len: int) -> np.ndarray:
+    """1 / squared-window sum over the first ``target_len`` synthesized samples."""
+    pad = frame_len - hop
+    synthesizable = n_frames * hop - pad
+    if target_len < 0 or target_len > synthesizable:
+        raise ValueError(
+            f"target_len {target_len} outside synthesizable range [0, {synthesizable}]"
+        )
     w2 = hann_window(frame_len) ** 2
-    return overlap_add(np.tile(w2, (n_frames, 1)), hop)
+    wsum = overlap_add(np.tile(w2, (n_frames, 1)), hop)[pad:pad + target_len]
+    if np.any(wsum <= 1e-12):
+        raise RuntimeError("window normalization vanished on a real sample; non-COLA framing")
+    return 1.0 / wsum
+
+
+def istft_values(values: np.ndarray, frame_len: int, hop: int, target_len: int) -> np.ndarray:
+    """Windowed irfft overlap-add of (T, bins) values, normalized to ``target_len`` samples."""
+    gain = synthesis_gain(values.shape[0], frame_len, hop, target_len)
+    frames = np.fft.irfft(values, n=frame_len, axis=1)
+    frames *= hann_window(frame_len)
+    pad = frame_len - hop
+    return overlap_add(frames, hop)[pad:pad + target_len] * gain
 
 
 def stft(w: Waveform, cfg: FrameConfig = FrameConfig()) -> Spectrogram:
@@ -168,10 +191,7 @@ def stft(w: Waveform, cfg: FrameConfig = FrameConfig()) -> Spectrogram:
         raise ValueError("cannot take the STFT of an empty waveform")
     frame_len = cfg.frame_len(w.sample_rate)
     hop = cfg.hop(w.sample_rate)
-    frames = frame_signal(w.samples, frame_len, hop)
-    frames *= hann_window(frame_len)
-    values = np.fft.rfft(frames, axis=1)
-    return Spectrogram(values, frame_len, hop, w.sample_rate)
+    return Spectrogram(stft_values(w.samples, frame_len, hop), frame_len, hop, w.sample_rate)
 
 
 def istft(s: Spectrogram, target_len: int) -> Waveform:
@@ -180,22 +200,7 @@ def istft(s: Spectrogram, target_len: int) -> Waveform:
     ``target_len`` selects the leading samples of the reconstruction; it must
     not exceed the span the frames can synthesize.
     """
-    frame_len, hop = s.frame_len, s.hop
-    pad = frame_len - hop
-    synthesizable = (s.n_frames - 1) * hop + frame_len - 2 * pad
-    if target_len < 0 or target_len > synthesizable:
-        raise ValueError(
-            f"target_len {target_len} outside synthesizable range [0, {synthesizable}]"
-        )
-    frames = np.fft.irfft(s.values, n=frame_len, axis=1)
-    frames *= hann_window(frame_len)
-    acc = overlap_add(frames, hop)
-    wsum = window_sum_squares(s.n_frames, frame_len, hop)
-    region = slice(pad, pad + target_len)
-    if np.any(wsum[region] <= 1e-12):
-        raise RuntimeError("window normalization vanished on a real sample; non-COLA framing")
-    out = acc[region] / wsum[region]
-    return Waveform(out, s.sample_rate)
+    return Waveform(istft_values(s.values, s.frame_len, s.hop, target_len), s.sample_rate)
 
 
 def normalize(w: Waveform) -> tuple[Waveform, float, float]:

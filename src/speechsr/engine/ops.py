@@ -1,15 +1,17 @@
 """Differentiable operations: primitives, conv/framing kernels, layers.
 
-Primitives carry hand-written vjps; layers (group norm, SiLU, GRU cell,
-frequency-axis FIR resampling, windowed DFT analysis/synthesis) are built
-by composition so their gradients follow from the chain rule.
+Primitives carry hand-written vjps, among them the STFT/iSTFT pair, which
+runs on :mod:`speechsr.dsp`'s rfft kernels; layers (group norm, SiLU, GRU
+cell, frequency-axis FIR resampling) are built by composition so their
+gradients follow from the chain rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dsp import frame_signal, hann_window, overlap_add, window_sum_squares
+from ..dsp import (frame_signal, hann_window, istft_values, overlap_add, stft_values,
+                   synthesis_gain)
 from .tensor import Tensor, as_tensor, make_result, unbroadcast
 
 # ---------------------------------------------------------------------------
@@ -446,44 +448,49 @@ def fir_resample_freq(x, direction: str):
 
 
 # ---------------------------------------------------------------------------
-# differentiable STFT / iSTFT (matmul DFT, shared framing with speechsr.dsp)
+# differentiable STFT / iSTFT on speechsr.dsp's rfft kernels; the adjoint of a
+# real-input rfft is a bin-weighted irfft, and vice versa
 # ---------------------------------------------------------------------------
 
-_DFT_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
 
-
-def _dft_matrices(frame_len: int):
-    if frame_len not in _DFT_CACHE:
-        n_bins = frame_len // 2 + 1
-        k = np.arange(frame_len)[:, None]
-        f = np.arange(n_bins)[None, :]
-        ang = 2.0 * np.pi * k * f / frame_len
-        fwd_c = np.cos(ang)
-        fwd_s = -np.sin(ang)
-        scale = np.full(n_bins, 2.0 / frame_len)
-        scale[0] = 1.0 / frame_len
-        if frame_len % 2 == 0:
-            scale[-1] = 1.0 / frame_len
-        inv_c = (fwd_c * scale).T  # (F, L): x = re @ inv_c - im @ inv_s
-        inv_s = (fwd_s * scale).T
-        _DFT_CACHE[frame_len] = (fwd_c, fwd_s, inv_c, inv_s)
-    return _DFT_CACHE[frame_len]
+def _bin_multiplicity(frame_len: int) -> np.ndarray:
+    """How often each rfft bin occurs in the full spectrum: 1 at DC and Nyquist, else 2."""
+    k = np.arange(frame_len // 2 + 1)
+    return np.where((k == 0) | (2 * k == frame_len), 1.0, 2.0)
 
 
 def stft_pair(x, frame_len: int, hop: int):
     """Differentiable STFT of a 1-D tensor -> (real, imag), each (T, F)."""
-    fwd_c, fwd_s, _, _ = _dft_matrices(frame_len)
-    frames = frame_rows(x, frame_len, hop)
-    windowed = mul(frames, Tensor(hann_window(frame_len)))
-    return matmul(windowed, Tensor(fwd_c)), matmul(windowed, Tensor(fwd_s))
+    x = as_tensor(x)
+    n = x.shape[0]
+    pad = frame_len - hop
+    values = stft_values(x.data, frame_len, hop)
+    scale = frame_len * hann_window(frame_len)
+    mult = _bin_multiplicity(frame_len)
+
+    def adjoint(g):
+        frames = np.fft.irfft(g / mult, n=frame_len, axis=1) * scale
+        return (overlap_add(frames, hop)[pad:pad + n],)
+
+    re = make_result(values.real.copy(), (x,), adjoint)
+    im = make_result(values.imag.copy(), (x,), lambda g: adjoint(1j * g))
+    return re, im
 
 
 def istft_pair(re, im, frame_len: int, hop: int, target_len: int):
-    """Differentiable inverse of :func:`stft_pair`, truncated to target_len."""
-    _, _, inv_c, inv_s = _dft_matrices(frame_len)
-    frames = add(matmul(re, Tensor(inv_c)), matmul(im, Tensor(inv_s)))
-    frames = mul(frames, Tensor(hann_window(frame_len)))
-    acc = overlap_add_rows(frames, hop, target_len)
-    wsum = window_sum_squares(re.shape[0], frame_len, hop)
-    pad = frame_len - hop
-    return mul(acc, Tensor(1.0 / wsum[pad:pad + target_len]))
+    """Differentiable inverse of :func:`stft_pair`, truncated to target_len.
+
+    Like ``np.fft.irfft``, bins missing above ``re.shape[1]`` count as zero.
+    """
+    re, im = as_tensor(re), as_tensor(im)
+    n_frames, n_bins = re.shape
+    data = istft_values(re.data + 1j * im.data, frame_len, hop, target_len)
+    tail = n_frames * hop - (frame_len - hop) - target_len
+
+    def vjp(g):
+        g = g * synthesis_gain(n_frames, frame_len, hop, target_len)
+        spec = stft_values(np.pad(g, (0, tail)), frame_len, hop)
+        spec *= _bin_multiplicity(frame_len) / frame_len
+        return spec.real[:, :n_bins], spec.imag[:, :n_bins]
+
+    return make_result(data, (re, im), vjp)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import FrameConfig, hann_window, n_frames_for, window_sum_squares
+from .dsp import FrameConfig, hann_window, n_frames_for, synthesis_gain
 from .engine import Parameter, Tensor, ops
 from .engine.tensor import as_tensor
 
@@ -385,10 +385,8 @@ class Arcn:
             h = block(h, temb, Tensor(lm_levels[scale]))
         h = self.final(h, temb, Tensor(lm_levels[0]))
         out = self.out_conv(h)
-        zeros = Tensor(np.zeros((t_frames, 1)))
-        re = ops.concat([out[0], zeros], axis=1)
-        im = ops.concat([out[1], zeros], axis=1)
-        residual = ops.istft_pair(re, im, frame_len, hop, n)
+        # The Nyquist bin, which the network does not model, is synthesized as zero.
+        residual = ops.istft_pair(out[0], out[1], frame_len, hop, n)
         return ops.add(s_inp, residual)
 
     def params(self):
@@ -486,9 +484,8 @@ class Dparn:
         h = ops.mul(h, cfg.chunk_hop / cfg.chunk_len)  # constant overlap count
         out_frames = ops.mul(self.out_proj(h), window)
         acc = ops.overlap_add_rows(out_frames, cfg.frame_hop, n)
-        wsum = window_sum_squares(t_frames, cfg.frame_size, cfg.frame_hop)
-        pad = cfg.frame_size - cfg.frame_hop
-        net = ops.mul(acc, Tensor(1.0 / wsum[pad:pad + n]))
+        gain = synthesis_gain(t_frames, cfg.frame_size, cfg.frame_hop, n)
+        net = ops.mul(acc, Tensor(gain))
         return ops.add(s_inp, net)
 
     def params(self):

@@ -2,8 +2,9 @@
 
 The predictive loss is an L1 over magnitude, real, and imaginary STFT
 differences; the diffusion loss mixes time-domain and magnitude L1 with a
-fixed 0.85/0.15 weighting. Losses are means over valid cells only, so
-zero-padded samples and the frames they spawn never contribute.
+fixed 0.85/0.15 weighting. Losses are plain means over every cell of one
+unpadded utterance. The spectra come from the engine's STFT, which runs on
+the same rfft kernel as the metrics.
 
 Metrics are plain float functions: scale-invariant SNR (projection form)
 and the frame-averaged RMS log-power spectral distance.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, n_frames_for
+from .dsp import Spectrogram
 from .engine import Tensor, ops
 from .engine.tensor import as_tensor
 
@@ -54,31 +55,10 @@ class MetricReport:
             raise ValueError(f"LSD cannot be negative, got {self.lsd_db}")
 
 
-def frame_mask_for(n_valid: int, n_total: int, frame_len: int, hop: int) -> np.ndarray:
-    """1.0 for STFT frames that touch the valid prefix of a padded signal."""
-    t_frames = n_frames_for(n_total, frame_len, hop)
-    pad = frame_len - hop
-    t = np.arange(t_frames)
-    return (t * hop < pad + n_valid).astype(np.float64)
-
-
-def _masked_mean(cells, mask_rows: np.ndarray | None, n_cols: int):
-    """Mean over valid rows of a (T, F) tensor of per-cell values."""
-    if mask_rows is None:
-        return ops.mean_(cells.reshape(-1))
-    m = Tensor(mask_rows.reshape(-1, 1))
-    total = ops.sum_(ops.mul(cells, m))
-    count = float(mask_rows.sum()) * n_cols
-    if count == 0:
-        raise ValueError("loss mask selects no cells")
-    return ops.mul(total, 1.0 / count)
-
-
-def loss_pred(sp_re, sp_im, s_re, s_im, frame_mask: np.ndarray | None = None) -> Tensor:
+def loss_pred(sp_re, sp_im, s_re, s_im) -> Tensor:
     """L1 of magnitude + real + imaginary differences, averaged per cell.
 
-    Inputs are (T, F) tensors (or arrays) of STFT real/imaginary parts;
-    ``frame_mask`` marks valid (non-padding) frames.
+    Inputs are (T, F) tensors (or arrays) of STFT real/imaginary parts.
     """
     sp_re, sp_im = as_tensor(sp_re), as_tensor(sp_im)
     s_re, s_im = as_tensor(s_re), as_tensor(s_im)
@@ -89,35 +69,23 @@ def loss_pred(sp_re, sp_im, s_re, s_im, frame_mask: np.ndarray | None = None) ->
     cells = ops.abs_(ops.sub(mag_p, mag_s))
     cells = ops.add(cells, ops.abs_(ops.sub(sp_re, s_re)))
     cells = ops.add(cells, ops.abs_(ops.sub(sp_im, s_im)))
-    return _masked_mean(cells, frame_mask, sp_re.shape[1])
+    return ops.mean_(cells.reshape(-1))
 
 
-def loss_tf(s_hat, s_ref, frame_len: int, hop: int,
-            sample_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
+def loss_tf(s_hat, s_ref, frame_len: int, hop: int) -> tuple[Tensor, Tensor, Tensor]:
     """Time L1 and STFT-magnitude L1, mixed as alpha*time + (1-alpha)*freq.
 
-    Returns (l_time, l_freq, l_diff). ``sample_mask``, when given, must be a
-    contiguous 0/1 prefix mask of the signal length.
+    Returns (l_time, l_freq, l_diff).
     """
     s_hat, s_ref = as_tensor(s_hat), as_tensor(s_ref)
     if s_hat.shape != s_ref.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s_ref.shape}")
-    n = s_hat.shape[0]
-    diff = ops.abs_(ops.sub(s_hat, s_ref))
-    if sample_mask is None:
-        l_time = ops.mean_(diff)
-        frame_mask = None
-    else:
-        n_valid = int(sample_mask.sum())
-        if n_valid == 0:
-            raise ValueError("sample mask selects nothing")
-        l_time = ops.mul(ops.sum_(ops.mul(diff, Tensor(sample_mask))), 1.0 / n_valid)
-        frame_mask = frame_mask_for(n_valid, n, frame_len, hop)
+    l_time = ops.mean_(ops.abs_(ops.sub(s_hat, s_ref)))
     hre, him = ops.stft_pair(s_hat, frame_len, hop)
     rre, rim = ops.stft_pair(s_ref, frame_len, hop)
     cells = ops.abs_(ops.sub(ops.complex_magnitude(hre, him),
                              ops.complex_magnitude(rre, rim)))
-    l_freq = _masked_mean(cells, frame_mask, cells.shape[1])
+    l_freq = ops.mean_(cells.reshape(-1))
     l_diff = ops.add(ops.mul(l_time, ALPHA), ops.mul(l_freq, 1.0 - ALPHA))
     return l_time, l_freq, l_diff
 

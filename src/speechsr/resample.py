@@ -81,6 +81,8 @@ def iir_apply_zero_phase(sos: np.ndarray, w: Waveform) -> Waveform:
     output of inputs shorter than the extension.
     """
     x = w.samples
+    if not x.size:
+        raise ValueError("cannot filter an empty waveform")
     pad = min(max(x.size - 1, 0), 512)
     ext = x
     if pad:

@@ -70,19 +70,13 @@ class RunLog:
                    "lambda_weight", "total", "clip_scale")
     EPOCH_FIELDS = ("epoch", "val_loss", "lr", "wall_clock_s")
 
-    def __init__(self, out_dir, resume: bool = False):
+    def __init__(self, out_dir, resume: tuple[int, int] | None = None):
+        """``resume``: (epoch, global_step) of a resumed checkpoint; later rows are dropped."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        self.steps_path = out / "runlog_steps.csv"
-        self.epochs_path = out / "runlog_epochs.csv"
-        mode = "a" if resume else "w"
-        self._steps = open(self.steps_path, mode, newline="")
-        self._epochs = open(self.epochs_path, mode, newline="")
-        self._steps_csv = csv.writer(self._steps)
-        self._epochs_csv = csv.writer(self._epochs)
-        if not resume:
-            self._steps_csv.writerow(self.STEP_FIELDS)
-            self._epochs_csv.writerow(self.EPOCH_FIELDS)
+        epoch, step = resume if resume is not None else (None, None)
+        self._steps, self._steps_csv = _open_log(out / "runlog_steps.csv", self.STEP_FIELDS, step)
+        self._epochs, self._epochs_csv = _open_log(out / "runlog_epochs.csv", self.EPOCH_FIELDS, epoch)
 
     def step(self, step, epoch, report, clip_scale):
         self._steps_csv.writerow(
@@ -98,6 +92,18 @@ class RunLog:
     def close(self):
         self._steps.close()
         self._epochs.close()
+
+
+def _open_log(path: Path, fields, last: int | None):
+    """Rewrite a CSV log as its header plus the rows keyed at most ``last`` (none if None)."""
+    rows = []
+    if last is not None and path.exists():
+        with open(path, newline="") as fh:
+            rows = [r for r in list(csv.reader(fh))[1:] if int(r[0]) <= last]
+    fh = open(path, "w", newline="")
+    writer = csv.writer(fh)
+    writer.writerows([fields] + rows)
+    return fh, writer
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     valid = validation_items(valid_manifest, cfg.sample_rate, ratio, cfg.filter_kind)
     draws = _validation_draws(cfg, sched, valid)
 
-    runlog = RunLog(out, resume=resume_from is not None)
+    runlog = RunLog(out, resume=None if resume_from is None else (start_epoch, global_step))
     best_path = out / "best.ckpt"
     last_path = out / "last.ckpt"
     lr_trace: list[float] = []
@@ -246,9 +252,9 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         diag = out / "diagnostic.ckpt"
         _save_checkpoint(diag, model, opt, ema, scheduler, rng, cfg, sched,
                          arcn_cfg, dparn_cfg, -1, global_step)
-        runlog.close()
         raise
-    runlog.close()
+    finally:
+        runlog.close()
     if not best_path.exists():
         _save_checkpoint(best_path, model, opt, ema, scheduler, rng, cfg, sched,
                          arcn_cfg, dparn_cfg, 0, global_step)

@@ -80,6 +80,23 @@ def sosfilt_py(sos, x) -> np.ndarray:
     return np.asarray(y)
 
 
+def stft_matrix_oracle(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """STFT by an explicit e^(-2 pi i k n / N) matrix on Hann-windowed frames.
+
+    Frames are sliced from ``frame_len - hop`` zeros of left padding and
+    enough right padding for complete coverage, independently of ``dsp``.
+    """
+    pad = frame_len - hop
+    n_frames = -(-(x.size + pad) // hop)
+    buf = np.zeros((n_frames - 1) * hop + frame_len)
+    buf[pad:pad + x.size] = x
+    n = np.arange(frame_len)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / frame_len))
+    basis = np.exp(-2j * np.pi * np.outer(n, np.arange(frame_len // 2 + 1)) / frame_len)
+    frames = np.stack([buf[t * hop:t * hop + frame_len] for t in range(n_frames)])
+    return (frames * window) @ basis
+
+
 def band_lsd(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float, f_hi: float,
              cfg: dsp.FrameConfig = dsp.FrameConfig()) -> float:
     """Log-spectral distance restricted to bins with center freq in [f_lo, f_hi]."""

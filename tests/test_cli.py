@@ -113,6 +113,16 @@ class TestEnhance:
         assert len(sr) == 2 * len(lr)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rate_mismatch_names_needed_rate(self, cli_run, cli_corpus, tmp_path, capsys):
+        """A 16 kHz input at ratio 2 against a 16 kHz model is a data error."""
+        code = main(["enhance", "--ckpt", str(cli_run / "best.ckpt"),
+                     "--in", str(cli_corpus / "utt0000.wav"),
+                     "--ratio", "2", "--out", str(tmp_path / "sr.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "16000 Hz" in err and "--ratio 2" in err and "8000 Hz" in err
+        assert not (tmp_path / "sr.wav").exists()
+
 
 class TestEvaluateCli:
     def test_reports_for_both_filters(self, cli_run, cli_corpus, tmp_path):

@@ -129,15 +129,18 @@ class TestPreprocess:
         with pytest.raises(ValueError):
             preprocess(Waveform(np.zeros(100), 44100), 16000)
 
+    def test_empty_input_says_so(self):
+        with pytest.raises(ValueError, match="empty waveform"):
+            preprocess(Waveform(np.zeros(0), 32000), 16000)
+
 
 class TestSynthCorpus:
     def test_deterministic_files(self, tmp_path):
         m1 = synth_corpus(tmp_path / "a", 2, 0.5, seed=9)
         m2 = synth_corpus(tmp_path / "b", 2, 0.5, seed=9)
         for e1, e2 in zip(m1.entries, m2.entries):
-            b1 = open(e1.path, "rb").read()
-            b2 = open(e2.path, "rb").read()
-            assert b1 == b2
+            with open(e1.path, "rb") as f1, open(e2.path, "rb") as f2:
+                assert f1.read() == f2.read()
 
     def test_high_band_energy_guarantee(self, tmp_path):
         m = synth_corpus(tmp_path, 3, 1.0, seed=4)

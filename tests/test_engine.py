@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import fd_gradient_check
+from helpers import fd_gradient_check, stft_matrix_oracle
+from speechsr import dsp
 from speechsr.engine import checkpoint
 from speechsr.engine import (
     Adam,
@@ -328,6 +329,80 @@ class TestFramingOps:
             return ops.add(ops.sum_(mag2), ops.sum_(ops.abs_(y)))
 
         fd_gradient_check(build, [xin], rng)
+
+
+# (frame_ms, hop_ms) at 16 kHz and the (frame_len, hop) they give.
+FRAMINGS = [((4.0, 1.0), (64, 16)), ((8.0, 2.0), (128, 32)), ((32.0, 8.0), (512, 128))]
+
+
+class TestStftPair:
+    @pytest.mark.parametrize("ms, samples", FRAMINGS)
+    def test_equals_metric_stft_bitwise(self, ms, samples):
+        x = np.random.default_rng(30).standard_normal(2000)
+        re, im = ops.stft_pair(Tensor(x), *samples)
+        ref = dsp.stft(dsp.Waveform(x, 16000), dsp.FrameConfig(*ms)).values
+        np.testing.assert_array_equal(re.data, ref.real)
+        np.testing.assert_array_equal(im.data, ref.imag)
+
+    def test_matches_explicit_dft_matrix(self):
+        x = np.random.default_rng(31).standard_normal(3000)
+        re, im = ops.stft_pair(Tensor(x), 512, 128)
+        ref = stft_matrix_oracle(x, 512, 128)
+        assert np.abs(re.data - ref.real).max() <= 1e-10
+        assert np.abs(im.data - ref.imag).max() <= 1e-10
+
+    @pytest.mark.parametrize("frame_len, hop", [s for _, s in FRAMINGS])
+    def test_stft_pair_is_adjoint(self, frame_len, hop):
+        """<S x, g> == <x, S^T g> with S the (real, imag) STFT."""
+        rng = np.random.default_rng(32)
+        x = Parameter("x", rng.standard_normal(1500))
+        re, im = ops.stft_pair(x, frame_len, hop)
+        gr, gi = rng.standard_normal(re.shape), rng.standard_normal(im.shape)
+        ops.add(ops.sum_(ops.mul(re, Tensor(gr))), ops.sum_(ops.mul(im, Tensor(gi)))).backward()
+        lhs = np.sum(re.data * gr) + np.sum(im.data * gi)
+        np.testing.assert_allclose(lhs, np.dot(x.grad, x.data), rtol=1e-12)
+
+    @pytest.mark.parametrize("frame_len, hop", [s for _, s in FRAMINGS])
+    @pytest.mark.parametrize("short", [0, 37])
+    def test_istft_pair_is_adjoint(self, frame_len, hop, short):
+        """<B (re, im), y> == <(re, im), B^T y>, also below the synthesizable span."""
+        rng = np.random.default_rng(33)
+        n_frames = 20
+        target_len = n_frames * hop - (frame_len - hop) - short
+        re = Parameter("re", rng.standard_normal((n_frames, frame_len // 2 + 1)))
+        im = Parameter("im", rng.standard_normal((n_frames, frame_len // 2 + 1)))
+        out = ops.istft_pair(re, im, frame_len, hop, target_len)
+        y = rng.standard_normal(target_len)
+        ops.sum_(ops.mul(out, Tensor(y))).backward()
+        rhs = np.sum(re.grad * re.data) + np.sum(im.grad * im.data)
+        np.testing.assert_allclose(np.dot(out.data, y), rhs, rtol=1e-12)
+
+    def test_istft_pair_missing_nyquist_is_zero(self):
+        rng = np.random.default_rng(34)
+        re = Parameter("re", rng.standard_normal((12, 64)))
+        im = Parameter("im", rng.standard_normal((12, 64)))
+        y = rng.standard_normal(280)
+        zero = Tensor(np.zeros((12, 1)))
+        padded = ops.istft_pair(ops.concat([re, zero], axis=1), ops.concat([im, zero], axis=1),
+                                128, 32, 280)
+        ops.sum_(ops.mul(padded, Tensor(y))).backward()
+        grads = re.grad, im.grad
+        re.grad = im.grad = None
+        cropped = ops.istft_pair(re, im, 128, 32, 280)
+        ops.sum_(ops.mul(cropped, Tensor(y))).backward()
+        np.testing.assert_array_equal(cropped.data, padded.data)
+        np.testing.assert_array_equal(re.grad, grads[0])
+        np.testing.assert_array_equal(im.grad, grads[1])
+
+    def test_istft_pair_rejects_target_beyond_span_like_istft(self):
+        spec = dsp.stft(dsp.Waveform(np.ones(300), 16000), dsp.FrameConfig(8.0, 2.0))
+        span = spec.values.shape[0] * 32 - 96
+        with pytest.raises(ValueError) as metric:
+            dsp.istft(spec, span + 1)
+        with pytest.raises(ValueError) as engine:
+            ops.istft_pair(spec.values.real, spec.values.imag, 128, 32, span + 1)
+        assert str(engine.value) == str(metric.value)
+        assert f"[0, {span}]" in str(engine.value)
 
 
 class TestSoftmax:

@@ -9,7 +9,6 @@ from speechsr.engine import Parameter, Tensor, ops
 from speechsr.objectives import (
     LossReport,
     MetricReport,
-    frame_mask_for,
     lambda_weight,
     loss_pred,
     loss_tf,
@@ -49,16 +48,6 @@ class TestLossPred:
                 ms = np.hypot(sre[t, f], sim[t, f])
                 acc += abs(mp_ - ms) + abs(pre[t, f] - sre[t, f]) + abs(pim[t, f] - sim[t, f])
         assert abs(val - acc / 77.0) < 1e-12
-
-    def test_masked_frames_excluded(self):
-        rng = np.random.default_rng(2)
-        pre, pim = _spec_pair(rng, (6, 4))
-        sre, sim = _spec_pair(rng, (6, 4))
-        base = loss_pred(pre[:4], pim[:4], sre[:4], sim[:4]).item()
-        mask = np.array([1.0, 1, 1, 1, 0, 0])
-        # junk in masked frames must not matter
-        masked = loss_pred(pre, pim, sre, sim, frame_mask=mask).item()
-        assert abs(base - masked) < 1e-12
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(3)
@@ -111,20 +100,6 @@ class TestLossTf:
         np.testing.assert_allclose(
             l_diff.item(), 0.85 * ref_time + 0.15 * ref_freq, rtol=1e-10
         )
-
-    def test_padding_leaves_losses_unchanged(self):
-        rng = np.random.default_rng(8)
-        s = rng.standard_normal(640)
-        s_hat = s + 0.2 * rng.standard_normal(640)
-        base = [v.item() for v in loss_tf(s_hat, s, 128, 32)]
-        pad = 256
-        mask = np.concatenate([np.ones(640), np.zeros(pad)])
-        padded = [
-            v.item()
-            for v in loss_tf(np.pad(s_hat, (0, pad)), np.pad(s, (0, pad)), 128, 32,
-                             sample_mask=mask)
-        ]
-        np.testing.assert_allclose(base, padded, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -220,16 +195,3 @@ class TestReports:
         with pytest.raises(ValueError):
             MetricReport(sisnr_db=1.0, lsd_db=-0.1)
 
-
-class TestFrameMask:
-    def test_full_signal_all_frames_valid(self):
-        m = frame_mask_for(640, 640, 128, 32)
-        assert m.shape[0] == dsp.n_frames_for(640, 128, 32)
-        assert np.all(m == 1.0)
-
-    def test_padding_only_frames_invalid(self):
-        m = frame_mask_for(320, 640, 128, 32)
-        pad = 128 - 32
-        t = np.arange(m.size)
-        np.testing.assert_array_equal(m, (t * 32 < pad + 320).astype(float))
-        assert m.sum() < m.size

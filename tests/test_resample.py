@@ -196,6 +196,16 @@ class TestSimulateLr:
         _, s_inp = resample.simulate_lr(hr, UpsamplingRatio(2))
         assert band_energy_fraction(s_inp, 4000.0) <= 0.01
 
+    def test_empty_input_says_so(self):
+        empty = dsp.Waveform(np.zeros(0), 16000)
+        with pytest.raises(ValueError, match="empty waveform"):
+            resample.simulate_lr(empty, UpsamplingRatio(2))
+        with pytest.raises(ValueError, match="empty waveform"):
+            resample.resample_chain(empty, UpsamplingRatio(2))
+        sos = resample.design_lowpass("chebyshev", 0.5)
+        one = resample.iir_apply_zero_phase(sos, dsp.Waveform(np.ones(1), 16000))
+        assert len(one) == 1
+
 
 class TestResampleChain:
     def test_lowband_signal_passes(self):

@@ -106,6 +106,38 @@ class TestFit:
         for p1, p2 in zip(m_full.params(), m_res.params()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    def test_resume_after_crash_logs_each_step_once(self, tmp_path, micro_corpus, monkeypatch):
+        """A run killed mid-epoch 2 and resumed from last.ckpt logs what an unbroken run does."""
+        arcn, dparn = micro_arch()
+        cfg = micro_train_config(epochs=3, batch_size=1, seed=9)
+        full = tmp_path / "full"
+        fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, full)
+        real_step = train_mod.train_step
+        calls = []
+
+        def crash_in_epoch_two(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:  # two steps per epoch: the second step of epoch 2
+                raise RuntimeError("killed")
+            return real_step(*args, **kwargs)
+
+        part = tmp_path / "part"
+        monkeypatch.setattr(train_mod, "train_step", crash_in_epoch_two)
+        with pytest.raises(RuntimeError):
+            fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, part)
+        monkeypatch.setattr(train_mod, "train_step", real_step)
+        fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, part,
+            resume_from=part / "last.ckpt")
+        steps = (part / "runlog_steps.csv").read_bytes()
+        assert steps == (full / "runlog_steps.csv").read_bytes()
+
+        def epoch_rows(run):
+            with open(run / "runlog_epochs.csv", newline="") as fh:
+                return [row[:3] for row in csv.reader(fh)]
+
+        assert epoch_rows(part) == epoch_rows(full)
+        assert len(epoch_rows(full)) == 4
+
     def test_validation_does_not_mutate_state(self, micro_run):
         result, _ = micro_run
         model, _ = load_model(result.last_path, use_ema=False)
