@@ -125,6 +125,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
+    ratio = UpsamplingRatio(args.ratio)
     model, meta = load_model(args.ckpt, use_ema=True)
     sched = NoiseSchedule(**meta["schedule"])
     w = read_wav(args.wav_in)
@@ -134,7 +135,7 @@ def _cmd_enhance(args) -> int:
                          f" needs {rate / args.ratio:g} Hz input (trained at {rate} Hz)")
     normalized, mean, std = normalize(w)
     rng = np.random.default_rng(args.seed)
-    out = reverse_infer(normalized, model, sched, UpsamplingRatio(args.ratio),
+    out = reverse_infer(normalized, model, sched, ratio,
                         meta["train_config"]["filter_kind"], rng)
     restored = Waveform(out.samples * std + mean, out.sample_rate)
     write_wav(args.out, restored)

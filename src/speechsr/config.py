@@ -19,7 +19,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .diffusion import NoiseSchedule
@@ -93,9 +93,6 @@ def parse_kv_text(text: str) -> dict[str, object]:
         key, value = stripped.split("=", 1)
         out[key.strip()] = _coerce(value)
     return out
-
-
-_ARCN_EXTRA = {"frame_ms", "hop_ms", "temb_dim", "temb_out"}
 
 
 def _build_arcn(items: dict) -> ArcnConfig:

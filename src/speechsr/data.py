@@ -108,7 +108,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[ManifestEntry, ...]
-    split: str | None = None
 
     def __post_init__(self):
         ids = [e.utt_id for e in self.entries]
@@ -129,7 +128,7 @@ def write_manifest(path, manifest: Manifest, relative: bool = False):
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_manifest(path, split: str | None = None, check_files: bool = True) -> Manifest:
+def read_manifest(path) -> Manifest:
     entries = []
     base = Path(path).parent
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -141,10 +140,10 @@ def read_manifest(path, split: str | None = None, check_files: bool = True) -> M
         utt_id, wav_path, rate, n = parts
         if not Path(wav_path).is_absolute():
             wav_path = str(base / wav_path)
-        if check_files and not Path(wav_path).exists():
+        if not Path(wav_path).exists():
             raise FileNotFoundError(f"{path}:{ln}: missing file {wav_path}")
         entries.append(ManifestEntry(utt_id, wav_path, int(rate), int(n)))
-    return Manifest(tuple(entries), split=split)
+    return Manifest(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

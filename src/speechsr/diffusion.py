@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, n_frames_for
+from .dsp import Waveform
 from .engine import Tensor, clip_global_norm, no_grad, ops
 from .errors import NumericsError
 from .networks import TwoStageModel
 from .objectives import LossReport, lambda_weight, loss_pred, loss_tf
-from .resample import UpsamplingRatio, build_lossmap, cubic_spline_upsample, resample_chain
+from .resample import UpsamplingRatio, cubic_spline_upsample, resample_chain
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,7 @@ def _utterance_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
     frame_len, hop = model.arcn.frame_geometry(sample_rate)
     s_pred = model.dparn.forward(Tensor(inp))
     x_t = forward_sample(hr, inp, t, z, sched)
-    t_frames = n_frames_for(hr.size, frame_len, hop)
-    lossmap = build_lossmap(t_frames, model.arcn.cfg.network_bins, ratio,
-                            frame_len, sample_rate)
-    s_hat = model.arcn.forward(x_t, s_pred, inp, lossmap.mask,
-                               t * sched.total_steps, sample_rate)
+    s_hat = model.arcn.forward(x_t, s_pred, inp, ratio, t * sched.total_steps, sample_rate)
     pre_re, pre_im = ops.stft_pair(s_pred, frame_len, hop)
     ref_re, ref_im = ops.stft_pair(Tensor(hr), frame_len, hop)
     l_pred = loss_pred(pre_re, pre_im, ref_re, ref_im)
@@ -190,15 +186,9 @@ def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
     inp = s_inp.samples
     with no_grad():
         s_pred = model.dparn.forward(Tensor(inp)).data
-        frame_len, hop = model.arcn.frame_geometry(rate)
-        t_frames = n_frames_for(n, frame_len, hop)
-        lossmap = build_lossmap(t_frames, model.arcn.cfg.network_bins, ratio,
-                                frame_len, rate)
         x0 = s_pred
         for t in inference_time_grid(sched):
-            z = rng.standard_normal(n)
-            x_t = mean_mu(x0, inp, t, sched.gamma) + sigma(t, sched) * z
-            x0 = model.arcn.forward(x_t, s_pred, inp, lossmap.mask,
-                                    t * sched.total_steps, rate).data
+            x_t = forward_sample(x0, inp, t, rng.standard_normal(n), sched)
+            x0 = model.arcn.forward(x_t, s_pred, inp, ratio, t * sched.total_steps, rate).data
             x0 = repaint(x0, inp, rate, ratio, kind)
     return Waveform(x0, rate)

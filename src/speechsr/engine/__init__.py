@@ -3,7 +3,7 @@
 from . import ops
 from .checkpoint import load_state, save_state
 from .optim import Adam, Ema, clip_global_norm
-from .tensor import Parameter, Tensor, as_tensor, grad_enabled, no_grad
+from .tensor import Parameter, Tensor, as_tensor, no_grad
 
 __all__ = [
     "Adam",
@@ -12,7 +12,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "clip_global_norm",
-    "grad_enabled",
     "load_state",
     "no_grad",
     "ops",

@@ -138,23 +138,6 @@ def mean_(a, axis=None, keepdims=False):
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def exp(a):
-    a = as_tensor(a)
-    data = np.exp(a.data)
-    return make_result(data, (a,), lambda g: (g * data,))
-
-
-def log(a):
-    a = as_tensor(a)
-    return make_result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-    return make_result(data, (a,), lambda g: (g * (0.5 / data),))
-
-
 def abs_(a):
     a = as_tensor(a)
     return make_result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))

@@ -17,10 +17,6 @@ import numpy as np
 _GRAD_ENABLED = True
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class no_grad:
     """Context manager that disables graph recording (inference mode)."""
 

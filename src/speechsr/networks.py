@@ -7,7 +7,8 @@ sub-stage residual, and is residual around its input at the top level.
 ARCN is a UNet-style encoder/decoder over cropped complex spectrograms
 (real/imaginary parts as channels) whose attentional residual blocks are
 conditioned on the diffusion-step embedding and the lossmap; its output
-is added to the interpolated low-resolution input.
+is added to the interpolated low-resolution input. ARCN derives its lossmap,
+a row per scale marking the bins above the low-rate Nyquist, from the ratio.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import FrameConfig, hann_window, n_frames_for, synthesis_gain
+from .dsp import FrameConfig, hann_window, synthesis_gain
 from .engine import Parameter, Tensor, ops
 from .engine.tensor import as_tensor
+from .resample import UpsamplingRatio
 
 
 def _init(rng, shape, fan_in) -> np.ndarray:
@@ -262,10 +264,11 @@ class ResidualLayer:
         self.skip = Pointwise(f"{name}.skip", c_in, c_out, rng) if c_in != c_out else None
 
     def __call__(self, x, temb, lossmap):
+        """``lossmap`` is a (F,) row; its (C, 1, F) gate broadcasts over frames."""
         c_out = self.conv1.w.shape[0]
         h = self.conv1(x)
         h = ops.add(h, self.temb_proj(temb).reshape(c_out, 1, 1))
-        h = ops.mul(h, self.lossmap_conv(lossmap.reshape(1, *lossmap.shape)))
+        h = ops.mul(h, self.lossmap_conv(lossmap.reshape(1, 1, -1)))
         h = ops.silu(self.norm1(h))
         h = ops.silu(self.norm2(self.conv2(h)))
         base = x if self.skip is None else self.skip(x)
@@ -341,15 +344,21 @@ class Arcn:
             )
         return frame_len, self.cfg.stft.hop(sample_rate)
 
-    def lossmap_pyramid(self, mask: np.ndarray) -> list[np.ndarray]:
-        """Max-pool the (T, F_net) lossmap along frequency, one level per scale."""
-        levels = [mask]
+    def lossmap_pyramid(self, ratio: UpsamplingRatio) -> list[np.ndarray]:
+        """Lossmap rows, one per scale: ones mark bins above the low-rate Nyquist.
+
+        Bin f of the ``2 * network_bins``-sample frame is centred at
+        f * rate / (2 * network_bins), which exceeds the low-rate Nyquist
+        rate / (2 * r) exactly when f * r > network_bins. Each coarser level
+        max-pools pairs of bins of the level above.
+        """
+        f_net = self.cfg.network_bins
+        levels = [(np.arange(f_net) * ratio.ratio > f_net).astype(np.float64)]
         for _ in range(self.cfg.encoder_blocks):
-            m = levels[-1]
-            levels.append(m.reshape(m.shape[0], -1, 2).max(axis=2))
+            levels.append(levels[-1].reshape(-1, 2).max(axis=1))
         return levels
 
-    def forward(self, x_t, s_pred, s_inp, lossmap: np.ndarray, step: float,
+    def forward(self, x_t, s_pred, s_inp, ratio: UpsamplingRatio, step: float,
                 sample_rate: int) -> Tensor:
         """Estimate the clean signal; returns s_inp + synthesized residual."""
         x_t, s_pred, s_inp = as_tensor(x_t), as_tensor(s_pred), as_tensor(s_inp)
@@ -366,10 +375,7 @@ class Arcn:
             chans.append(re[:, :f_net].reshape(1, -1, f_net))
             chans.append(im[:, :f_net].reshape(1, -1, f_net))
         x = ops.concat(chans, axis=0)
-        t_frames = x.shape[1]
-        if lossmap.shape != (t_frames, f_net):
-            raise ValueError(f"lossmap shape {lossmap.shape} != {(t_frames, f_net)}")
-        lm_levels = self.lossmap_pyramid(lossmap)
+        lm_levels = self.lossmap_pyramid(ratio)
         temb = self.time_embedding(step)
 
         h = self.in_conv(x)

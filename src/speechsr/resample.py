@@ -8,7 +8,8 @@ exactly), held as second-order sections.
 
 Filtering is zero-phase (forward-backward), so the chain's low band is a
 near-identity in the time domain, which the repainting step of the
-inference loop relies on.
+inference loop relies on. ARCN marks the bins the ratio removes itself
+(:meth:`speechsr.networks.Arcn.lossmap_pyramid`).
 """
 
 from __future__ import annotations
@@ -37,21 +38,6 @@ class UpsamplingRatio:
         if int(self.ratio) < 1:
             raise ValueError(f"upsampling ratio must be >= 1, got {self.ratio}")
         object.__setattr__(self, "ratio", int(self.ratio))
-
-
-@dataclass(frozen=True)
-class Lossmap:
-    """Binary (frames, bins) mask; ones mark T-F units to be synthesized."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=np.float64)
-        object.__setattr__(self, "mask", mask)
-        if mask.ndim != 2:
-            raise ValueError("lossmap must be 2-D")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
-            raise ValueError("lossmap entries must be 0 or 1")
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +123,9 @@ def simulate_lr(hr: Waveform, ratio: UpsamplingRatio,
         return copy, Waveform(hr.samples.copy(), hr.sample_rate)
     filtered = iir_apply_zero_phase(design_lowpass(kind, 1.0 / r), hr)
     s_lr = decimate(filtered, ratio)
+    # The spline yields ceil(n / r) * r >= n samples; keep the first n.
     s_up = cubic_spline_upsample(s_lr, ratio)
-    out = s_up.samples
-    if out.size < len(hr):
-        out = np.concatenate([out, np.zeros(len(hr) - out.size)])
-    return s_lr, Waveform(out[:len(hr)], hr.sample_rate)
+    return s_lr, Waveform(s_up.samples[:len(hr)], hr.sample_rate)
 
 
 def resample_chain(w: Waveform, ratio: UpsamplingRatio,
@@ -153,14 +137,3 @@ def resample_chain(w: Waveform, ratio: UpsamplingRatio,
     """
     _, s_inp = simulate_lr(w, ratio, kind)
     return s_inp
-
-
-def build_lossmap(frames: int, bins: int, ratio: UpsamplingRatio,
-                  frame_len: int, sample_rate: int) -> Lossmap:
-    """Ones for bins whose center frequency exceeds the low-rate Nyquist."""
-    if frames < 0 or bins < 0:
-        raise ValueError("lossmap dimensions must be nonnegative")
-    f = np.arange(bins, dtype=np.float64)
-    centers = f * sample_rate / frame_len
-    row = (centers > sample_rate / (2.0 * ratio.ratio)).astype(np.float64)
-    return Lossmap(np.tile(row, (frames, 1)))

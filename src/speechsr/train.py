@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import __version__
 from .config import TrainConfig, arch_from_meta, arch_meta
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import NoiseSchedule, reverse_infer, train_step, validation_loss
-from .dsp import FrameConfig, Waveform, stft
+from .dsp import FrameConfig, stft
 from .engine import Adam, Ema, load_state, save_state
 from .errors import ConfigError, NumericsError
 from .networks import ArcnConfig, DparnConfig, TwoStageModel
@@ -308,19 +308,13 @@ def evaluate_model(model, manifest: Manifest, ratio: UpsamplingRatio,
 
 
 def evaluate(ckpt_path, manifest: Manifest, ratio: UpsamplingRatio,
-             eval_kind: str, sched: NoiseSchedule | None = None,
-             sample_rate: int | None = None, seed: int = 0,
-             use_ema: bool = True) -> list[EvalRow]:
-    """Checkpoint-level evaluation; schedule and rates default to the
-    values stored at training time."""
-    model, meta = load_model(ckpt_path, use_ema=use_ema)
+             eval_kind: str, seed: int = 0) -> list[EvalRow]:
+    """Checkpoint-level evaluation of the EMA weights, with the schedule,
+    sample rate and repainting filter stored at training time."""
+    model, meta = load_model(ckpt_path)
     train_cfg = meta["train_config"]
-    if sched is None:
-        sched = NoiseSchedule(**meta["schedule"])
-    if sample_rate is None:
-        sample_rate = train_cfg["sample_rate"]
-    return evaluate_model(model, manifest, ratio, eval_kind,
-                          train_cfg["filter_kind"], sched, sample_rate, seed)
+    return evaluate_model(model, manifest, ratio, eval_kind, train_cfg["filter_kind"],
+                          NoiseSchedule(**meta["schedule"]), train_cfg["sample_rate"], seed)
 
 
 def write_report(path, rows: list[EvalRow]):

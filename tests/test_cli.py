@@ -123,6 +123,17 @@ class TestEnhance:
         assert "16000 Hz" in err and "--ratio 2" in err and "8000 Hz" in err
         assert not (tmp_path / "sr.wav").exists()
 
+    @pytest.mark.parametrize("ratio", ["0", "-2"])
+    def test_nonpositive_ratio_is_a_data_error(self, cli_run, cli_corpus, tmp_path, capsys,
+                                               ratio):
+        code = main(["enhance", "--ckpt", str(cli_run / "best.ckpt"),
+                     "--in", str(cli_corpus / "utt0000.wav"),
+                     "--ratio", ratio, "--out", str(tmp_path / "sr.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "upsampling ratio must be >= 1" in err
+        assert not (tmp_path / "sr.wav").exists()
+
 
 class TestEvaluateCli:
     def test_reports_for_both_filters(self, cli_run, cli_corpus, tmp_path):

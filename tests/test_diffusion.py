@@ -237,12 +237,7 @@ class _OracleModel:
         outer = self
 
         class _ArcnProxy:
-            cfg = template.cfg
-
-            def frame_geometry(self, rate):
-                return template.frame_geometry(rate)
-
-            def forward(self, x_t, s_pred, s_inp, lossmap, step, rate):
+            def forward(self, x_t, s_pred, s_inp, ratio, step, rate):
                 return Tensor(outer._target.copy())
 
         class _DparnProxy:

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import fd_gradient_check
 from speechsr import networks, resample
-from speechsr.dsp import FrameConfig, n_frames_for
+from speechsr.dsp import FrameConfig
 from speechsr.engine import Tensor, ops
 from speechsr.networks import (
     Arcn,
@@ -19,7 +19,7 @@ from speechsr.networks import (
     tiny_arcn_config,
     tiny_dparn_config,
 )
-from speechsr.resample import UpsamplingRatio, build_lossmap
+from speechsr.resample import UpsamplingRatio
 
 
 def micro_arcn_config():
@@ -116,8 +116,7 @@ class TestResidualBlock:
         # zeroes the residual branch entirely, which is the point here.
         x = Tensor(np.random.default_rng(8).standard_normal((cfg.base_channels, 3, 16)))
         temb = Tensor(np.zeros(cfg.temb.out))
-        lm = np.ones((3, 16))
-        out = block(x, temb, Tensor(lm))
+        out = block(x, temb, Tensor(np.ones(16)))
         ref = ops.fir_resample_freq(x, "down")
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
 
@@ -127,7 +126,7 @@ class TestResidualBlock:
         block = ResidualBlock("b", cfg.base_channels, cfg.base_channels, cfg,
                               "encoder", rng)
         x = Tensor(rng.standard_normal((cfg.base_channels, 5, 16)))
-        out = block(x, Tensor(np.zeros(cfg.temb.out)), Tensor(np.ones((5, 16))))
+        out = block(x, Tensor(np.zeros(cfg.temb.out)), Tensor(np.ones(16)))
         assert out.shape == (cfg.base_channels, 5, 8)
 
     def test_gradients_match_fd(self):
@@ -136,7 +135,7 @@ class TestResidualBlock:
         block = ResidualBlock("b", 4, 4, cfg, "bottleneck", rng)
         x = Tensor(rng.standard_normal((4, 3, 8)))
         temb = Tensor(0.5 * rng.standard_normal(cfg.temb.out))
-        lm = Tensor((rng.uniform(size=(3, 8)) > 0.5).astype(float))
+        lm = Tensor((rng.uniform(size=8) > 0.5).astype(float))
 
         def build():
             out = block(x, temb, lm)
@@ -156,8 +155,7 @@ class TestArcn:
         x_t = rng.standard_normal(n)
         s_pred = rng.standard_normal(n)
         s_inp = rng.standard_normal(n)
-        lm = _lossmap_for(net, n, 16000)
-        out = net.forward(x_t, s_pred, s_inp, lm, 500.0, 16000)
+        out = net.forward(x_t, s_pred, s_inp, UpsamplingRatio(2), 500.0, 16000)
         np.testing.assert_array_equal(out.data, s_inp)
 
     def test_variable_length_contract(self):
@@ -166,8 +164,7 @@ class TestArcn:
         net = Arcn(cfg, rng)
         for n in (16000, 24000):
             x = rng.standard_normal(n)
-            lm = _lossmap_for(net, n, 16000)
-            out = net.forward(x, x, x, lm, 10.0, 16000)
+            out = net.forward(x, x, x, UpsamplingRatio(2), 10.0, 16000)
             assert out.shape == (n,)
 
     def test_lossmap_conditioning_is_live(self):
@@ -178,20 +175,32 @@ class TestArcn:
         x_t = rng.standard_normal(n)
         s_pred = rng.standard_normal(n)
         s_inp = rng.standard_normal(n)
-        frame_len, hop = net.frame_geometry(16000)
-        t_frames = n_frames_for(n, frame_len, hop)
-        lm0 = np.zeros((t_frames, cfg.network_bins))
-        lm1 = np.ones((t_frames, cfg.network_bins))
-        out0 = net.forward(x_t, s_pred, s_inp, lm0, 100.0, 16000)
-        out1 = net.forward(x_t, s_pred, s_inp, lm1, 100.0, 16000)
+        out0 = net.forward(x_t, s_pred, s_inp, UpsamplingRatio(1), 100.0, 16000)
+        out1 = net.forward(x_t, s_pred, s_inp, UpsamplingRatio(2), 100.0, 16000)
         assert np.linalg.norm(out0.data - out1.data) > 0
+
+    @pytest.mark.parametrize("r, first_one", [(1, None), (2, 33), (4, 17)])
+    def test_lossmap_marks_bins_above_low_rate_nyquist(self, r, first_one):
+        """Bin f of the 128-sample frame lies above rate / (2r) iff f * r > 64."""
+        net = Arcn(tiny_arcn_config(), np.random.default_rng(21))
+        levels = net.lossmap_pyramid(UpsamplingRatio(r))
+        assert len(levels) == net.cfg.encoder_blocks + 1
+        row = levels[0]
+        assert row.shape == (64,)
+        if first_one is None:
+            assert np.all(row == 0)
+        else:
+            assert np.all(row[:first_one] == 0)
+            assert np.all(row[first_one:] == 1)
+        for fine, coarse in zip(levels, levels[1:]):
+            np.testing.assert_array_equal(coarse, np.maximum(fine[0::2], fine[1::2]))
 
     def test_mismatched_lengths_rejected(self):
         cfg = micro_arcn_config()
         net = Arcn(cfg, np.random.default_rng(14))
         with pytest.raises(ValueError):
             net.forward(np.zeros(600), np.zeros(600), np.zeros(601),
-                        np.zeros((1, 16)), 0.0, 16000)
+                        UpsamplingRatio(2), 0.0, 16000)
 
     def test_gradients_match_fd(self):
         cfg = micro_arcn_config()
@@ -202,10 +211,9 @@ class TestArcn:
         s_pred = rng.standard_normal(n)
         s_inp = rng.standard_normal(n)
         target = rng.standard_normal(n)
-        lm = _lossmap_for(net, n, 16000)
 
         def build():
-            out = net.forward(x_t, s_pred, s_inp, lm, 371.0, 16000)
+            out = net.forward(x_t, s_pred, s_inp, UpsamplingRatio(2), 371.0, 16000)
             return ops.mean_(ops.abs_(ops.sub(out, Tensor(target))))
 
         fd_gradient_check(build, net.params(), rng, n_probes=48, atol=1e-8)
@@ -257,8 +265,8 @@ class TestTwoStageModel:
         s_inp = rng.standard_normal(n)
         hr = rng.standard_normal(n)
         s_pred = model.dparn.forward(Tensor(s_inp))
-        lm = _lossmap_for(model.arcn, n, 16000)
-        out = model.arcn.forward(rng.standard_normal(n), s_pred, s_inp, lm, 137.5, 16000)
+        out = model.arcn.forward(rng.standard_normal(n), s_pred, s_inp, UpsamplingRatio(2),
+                                 137.5, 16000)
         loss = ops.mean_(ops.abs_(ops.sub(out, Tensor(hr))))
         loss.backward()
         assert loss.item() > 0
@@ -278,13 +286,6 @@ class TestTwoStageModel:
         model2.load_param_arrays(arrays)
         for p1, p2 in zip(model.params(), model2.params()):
             np.testing.assert_array_equal(p1.data, p2.data)
-
-
-def _lossmap_for(net: Arcn, n: int, rate: int) -> np.ndarray:
-    frame_len, hop = net.frame_geometry(rate)
-    t_frames = n_frames_for(n, frame_len, hop)
-    return build_lossmap(t_frames, net.cfg.network_bins, UpsamplingRatio(2),
-                         frame_len, rate).mask
 
 
 class TestConfigValidation:

@@ -1,4 +1,4 @@
-"""Tests for filter design, resampling, LR simulation, and the lossmap."""
+"""Tests for filter design, resampling and LR simulation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from scipy import signal
 
 from helpers import band_energy_fraction, band_lsd, response_mp, sosfilt_py, speechlike
 from speechsr import dsp, resample
-from speechsr.resample import Lossmap, UpsamplingRatio
+from speechsr.resample import UpsamplingRatio
 
 
 class TestChebyshevDesign:
@@ -236,27 +236,3 @@ class TestResampleChain:
         once = resample.resample_chain(w, UpsamplingRatio(2))
         twice = resample.resample_chain(once, UpsamplingRatio(2))
         assert band_lsd(once, twice, 0.0, 0.8 * 4000.0) < 0.15
-
-
-class TestLossmap:
-    def test_ratio_one_all_zero(self):
-        lm = resample.build_lossmap(10, 257, UpsamplingRatio(1), 512, 16000)
-        assert np.all(lm.mask == 0)
-
-    def test_ratio_two_threshold_bin(self):
-        lm = resample.build_lossmap(5, 257, UpsamplingRatio(2), 512, 16000)
-        assert np.all(lm.mask[:, 129:] == 1)
-        assert np.all(lm.mask[:, :129] == 0)
-
-    def test_ratio_four_threshold_bin(self):
-        lm = resample.build_lossmap(5, 257, UpsamplingRatio(4), 512, 16000)
-        assert np.all(lm.mask[:, 65:] == 1)
-        assert np.all(lm.mask[:, :65] == 0)
-
-    def test_time_invariant_rows(self):
-        lm = resample.build_lossmap(8, 129, UpsamplingRatio(2), 256, 16000)
-        assert np.all(lm.mask == lm.mask[0])
-
-    def test_nonbinary_rejected(self):
-        with pytest.raises(ValueError):
-            Lossmap(np.full((2, 2), 0.5))
