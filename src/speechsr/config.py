@@ -26,6 +26,7 @@ from .diffusion import NoiseSchedule
 from .dsp import FrameConfig
 from .errors import ConfigError
 from .networks import ArcnConfig, DparnConfig, TimeEmbeddingConfig
+from .resample import UpsamplingRatio
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,10 @@ class TrainConfig:
             raise ConfigError("ema_decay must lie in [0, 1]")
         if self.filter_kind not in ("chebyshev", "bessel"):
             raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
+        try:
+            object.__setattr__(self, "ratio", UpsamplingRatio(self.ratio).ratio)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

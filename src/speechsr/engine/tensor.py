@@ -209,10 +209,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def records(parents) -> bool:
+    """Whether an op on ``parents`` is recorded in the graph right now."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def make_result(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Build an op result, attaching the graph only when it can matter."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp

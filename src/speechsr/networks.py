@@ -113,7 +113,10 @@ class Gru:
 
 
 class SeqAttention:
-    """Dot-product self-attention over axis 1 of (batch, seq, d), residual merge.
+    """Self-attention over axis 1 of (batch, seq, d), residual merge.
+
+    ``x + ops.attention(q, k, v)`` with linear Q, K (d -> embed) and V (d -> d);
+    the batch axis is carried by the op.
 
     Q/K weights start small so the score matrix begins unsaturated; a
     unit-scale init drives the softmax into a hard, gradient-free argmax.
@@ -125,9 +128,7 @@ class SeqAttention:
         self.v = Linear(f"{name}.v", d, d, rng)
 
     def __call__(self, x):
-        q, k, v = self.q(x), self.k(x), self.v(x)
-        scores = ops.matmul(q, k.transpose(0, 2, 1))
-        return ops.add(x, ops.matmul(ops.softmax_last(scores), v))
+        return ops.add(x, ops.attention(self.q(x), self.k(x), self.v(x)))
 
     def params(self):
         return self.q.params() + self.k.params() + self.v.params()
@@ -136,9 +137,9 @@ class SeqAttention:
 class FrameAttention:
     """Attention over time frames of a (C, T, F) map.
 
-    Pointwise convolutions give Q, K of (E, T, F) and V of (C, T, F); after
-    flattening the channel-frequency axes, frame-by-frame scores are
-    softmaxed and applied to V, and the result is added back to the input.
+    Pointwise convolutions give Q, K of (E, T, F) and V of (C, T, F). With
+    the channel-frequency axes flattened into frame vectors, one
+    ``ops.attention`` over the T frames is added back to the input.
     """
 
     def __init__(self, name, channels, embed, rng):
@@ -152,8 +153,7 @@ class FrameAttention:
         q2 = self.q(x).transpose(1, 0, 2).reshape(t, -1)
         k2 = self.k(x).transpose(1, 0, 2).reshape(t, -1)
         v2 = self.v(x).transpose(1, 0, 2).reshape(t, -1)
-        scores = ops.matmul(q2, k2.transpose(1, 0))
-        att = ops.matmul(ops.softmax_last(scores), v2)
+        att = ops.attention(q2, k2, v2)
         return ops.add(x, att.reshape(t, c, f).transpose(1, 0, 2))
 
     def params(self):

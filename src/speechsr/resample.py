@@ -35,8 +35,8 @@ class UpsamplingRatio:
     ratio: int
 
     def __post_init__(self):
-        if int(self.ratio) < 1:
-            raise ValueError(f"upsampling ratio must be >= 1, got {self.ratio}")
+        if not float(self.ratio).is_integer() or self.ratio < 1:
+            raise ValueError(f"upsampling ratio must be >= 1 and a whole number, got {self.ratio}")
         object.__setattr__(self, "ratio", int(self.ratio))
 
 

@@ -97,6 +97,13 @@ def stft_matrix_oracle(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     return (frames * window) @ basis
 
 
+def attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``softmax(q kᵀ) v`` with every product as one GEMM, no row blocking."""
+    s = q @ np.swapaxes(k, -1, -2)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
 def band_lsd(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float, f_hi: float,
              cfg: dsp.FrameConfig = dsp.FrameConfig()) -> float:
     """Log-spectral distance restricted to bins with center freq in [f_lo, f_hi]."""

@@ -2,9 +2,7 @@
 
 import csv
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from speechsr.cli import main

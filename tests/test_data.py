@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from helpers import band_energy_fraction
-from speechsr import data
 from speechsr.data import (
     Batcher,
     Manifest,

@@ -1,9 +1,11 @@
 """Tests for the autodiff engine: primitives, layers, optimizer machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import fd_gradient_check, stft_matrix_oracle
+from helpers import attention_oracle, fd_gradient_check, stft_matrix_oracle
 from speechsr import dsp
 from speechsr.engine import checkpoint
 from speechsr.engine import (
@@ -405,21 +407,87 @@ class TestStftPair:
         assert f"[0, {span}]" in str(engine.value)
 
 
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(18)
-        y = ops.softmax_last(Tensor(rng.standard_normal((7, 9)))).data
-        np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+BLOCK = ops.ATTENTION_BLOCK
 
-    def test_gradients_match_fd(self):
-        rng = np.random.default_rng(19)
-        xin = Parameter("x", rng.standard_normal((3, 5)))
-        v = Tensor(rng.standard_normal((3, 5)))
+
+def _qkv(rng, lead, tq, tk, d=4, dv=5, scale=1.0):
+    return (Parameter("q", scale * rng.standard_normal(lead + (tq, d))),
+            Parameter("k", scale * rng.standard_normal(lead + (tk, d))),
+            Parameter("v", rng.standard_normal(lead + (tk, dv))))
+
+
+class TestAttention:
+    @pytest.mark.parametrize("lead, tq, tk", [((), 6, 7), ((3,), 6, 5), ((), BLOCK + 1, 9)])
+    def test_gradients_match_fd(self, lead, tq, tk):
+        rng = np.random.default_rng(18)
+        q, k, v = _qkv(rng, lead, tq, tk)
+        g = Tensor(rng.standard_normal(lead + (tq, 5)))
 
         def build():
-            return ops.sum_(ops.mul(ops.softmax_last(xin), v))
+            return ops.sum_(ops.mul(ops.attention(q, k, v), g))
 
-        fd_gradient_check(build, [xin], rng)
+        fd_gradient_check(build, [q, k, v], rng)
+
+    def test_adjoint(self):
+        """<A v, g> == <v, A^T g>, and <(gq, gk), (dq, dk)> is the directional derivative."""
+        rng = np.random.default_rng(19)
+        q, k, v = _qkv(rng, (2,), 9, 11)
+        g = rng.standard_normal((2, 9, 5))
+        out = ops.attention(q, k, v)
+        ops.sum_(ops.mul(out, Tensor(g))).backward()
+        np.testing.assert_allclose(np.sum(out.data * g), np.sum(v.grad * v.data), rtol=1e-12)
+        dq, dk, h = rng.standard_normal(q.shape), rng.standard_normal(k.shape), 1e-6
+
+        def f(step):
+            return np.sum(ops.attention(q.data + step * dq, k.data + step * dk, v.data).data * g)
+
+        fd = (f(h) - f(-h)) / (2 * h)
+        np.testing.assert_allclose(np.sum(q.grad * dq) + np.sum(k.grad * dk), fd, rtol=1e-7)
+
+    @pytest.mark.parametrize("t", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_equals_single_block_oracle(self, t):
+        rng = np.random.default_rng(20)
+        q, k, v = (rng.standard_normal((t, 8)) for _ in range(3))
+        out = ops.attention(q, k, v).data
+        assert np.abs(out - attention_oracle(q, k, v)).max() <= 1e-13
+
+    def test_rows_are_convex_weights(self):
+        rng = np.random.default_rng(21)
+        q, k, _ = _qkv(rng, (2,), BLOCK + 5, 13)
+        out = ops.attention(q, k, np.ones((2, 13, 3))).data
+        np.testing.assert_allclose(out, 1.0, rtol=0.0, atol=1e-14)
+
+    def test_large_scores_stay_finite(self):
+        rng = np.random.default_rng(22)
+        q, k, v = _qkv(rng, (), 10, 12, scale=30.0)
+        out = ops.attention(q, k, v)
+        assert np.abs(q.data @ k.data.T).max() > 1e3
+        ops.sum_(out).backward()
+        for a in (out.data, q.grad, k.grad, v.grad):
+            assert np.all(np.isfinite(a))
+        assert np.all(out.data <= v.data.max(axis=0)) and np.all(out.data >= v.data.min(axis=0))
+
+    def test_no_graph_and_no_retained_probabilities_under_no_grad(self):
+        rng = np.random.default_rng(23)
+        t = 4 * BLOCK + 3
+        q, k, v = _qkv(rng, (), t, t, d=2, dv=2)
+        full = t * t * 8
+        tracemalloc.start()
+        try:
+            with no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = ops.attention(q, k, v)
+                held, peak = tracemalloc.get_traced_memory()
+            assert out._vjp is None and out._parents == () and not out.requires_grad
+            assert held - before < full / 10
+            assert peak - before < full / 2
+            before = tracemalloc.get_traced_memory()[0]
+            recorded = ops.attention(q, k, v)
+            assert recorded.requires_grad
+            assert tracemalloc.get_traced_memory()[0] - before >= full
+        finally:
+            tracemalloc.stop()
 
 
 class TestAdam:

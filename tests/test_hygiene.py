@@ -1,4 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module.
+
+Covers the package, the tests and the benchmark scripts.
+"""
 
 import ast
 from pathlib import Path
@@ -9,6 +12,8 @@ import speechsr
 
 PACKAGE = Path(speechsr.__file__).parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -25,6 +30,10 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def _ident(path: Path) -> str:
+    return str(path.relative_to(PACKAGE if path.is_relative_to(PACKAGE) else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_ident)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []

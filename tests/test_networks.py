@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import fd_gradient_check
-from speechsr import networks, resample
 from speechsr.dsp import FrameConfig
 from speechsr.engine import Tensor, ops
 from speechsr.networks import (

@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from speechsr import dsp, objectives
-from speechsr.engine import Parameter, Tensor, ops
+from speechsr import dsp
+from speechsr.engine import Parameter
 from speechsr.objectives import (
     LossReport,
     MetricReport,

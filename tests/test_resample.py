@@ -115,6 +115,17 @@ class TestIirApply:
         np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12)
 
 
+class TestUpsamplingRatio:
+    @pytest.mark.parametrize("ratio", [2.5, 1.9, 0.5])
+    def test_non_integral_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="whole number"):
+            UpsamplingRatio(ratio)
+
+    def test_integral_float_stored_as_int(self):
+        r = UpsamplingRatio(2.0)
+        assert r.ratio == 2 and type(r.ratio) is int
+
+
 class TestDecimate:
     def test_ratio_one_identity(self):
         w = dsp.Waveform(np.arange(10.0), 16000)

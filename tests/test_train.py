@@ -7,16 +7,12 @@ import pytest
 
 from conftest import micro_arch, micro_train_config
 from speechsr import train as train_mod
-from speechsr.config import TrainConfig
-from speechsr.data import Manifest, synth_corpus
 from speechsr.diffusion import NoiseSchedule
-from speechsr.engine import Tensor, load_state
+from speechsr.engine import load_state
 from speechsr.errors import ConfigError, NumericsError
-from speechsr.networks import Arcn, TwoStageModel
+from speechsr.networks import TwoStageModel
 from speechsr.resample import UpsamplingRatio
 from speechsr.train import (
-    EvalRow,
-    FitResult,
     PlateauScheduler,
     evaluate,
     evaluate_model,
@@ -26,6 +22,17 @@ from speechsr.train import (
 )
 
 SCHED = NoiseSchedule()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("ratio", [2.5, 1.9])
+    def test_non_integral_ratio_rejected(self, ratio):
+        with pytest.raises(ConfigError, match="whole number"):
+            micro_train_config(ratio=ratio)
+
+    def test_integral_float_ratio_stored_as_int(self):
+        cfg = micro_train_config(ratio=2.0)
+        assert cfg.ratio == 2 and type(cfg.ratio) is int
 
 
 class TestPlateauScheduler:
