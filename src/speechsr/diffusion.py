@@ -149,6 +149,7 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
             )
         ops.mul(total, 1.0 / n_items).backward()
         reports.append(report)
+        del total  # else this graph stays alive while the next item's is built
 
     scale = clip_global_norm(model.params(), clip_norm)
     opt.step()

@@ -45,29 +45,12 @@ def sub(a, b):
     return make_result(data, (a, b), vjp)
 
 
-def neg(a):
-    a = as_tensor(a)
-    return make_result(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
 
     def vjp(g):
         return unbroadcast(g * b.data, a.shape), unbroadcast(g * a.data, b.shape)
-
-    return make_result(data, (a, b), vjp)
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def vjp(g):
-        ga = unbroadcast(g / b.data, a.shape)
-        gb = unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
 
     return make_result(data, (a, b), vjp)
 

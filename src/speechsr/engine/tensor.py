@@ -2,9 +2,11 @@
 
 A ``Tensor`` records the operation that produced it as a vjp closure plus
 parent references; ``backward`` walks the graph once in reverse
-topological order. Gradients accumulate into ``.grad`` of every tensor
-that requires them and persist until explicitly zeroed, so two backward
-calls equal one backward of the doubled loss.
+topological order. Only leaves (tensors with no vjp, such as parameters)
+keep a gradient: it accumulates into their ``.grad`` and persists until
+the optimizer clears it, so on leaves two backward calls equal one
+backward of the doubled loss. An intermediate result's gradient lives only
+until the walk has passed it on to its parents; its ``.grad`` stays None.
 
 Everything is single-threaded and deterministic: same inputs, same seed,
 same bits.
@@ -72,11 +74,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
-        """Populate ``.grad`` on every reachable tensor requiring gradients."""
+        """Accumulate this scalar's gradient into ``.grad`` of every reachable leaf."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -87,15 +86,10 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is not None:
-                node.grad = node.grad + g
-            elif node._vjp is None:
+            if node._vjp is None:
                 # Leaves (parameters) own their grad; clip/step mutate it
                 # in place, so it must not alias another node's gradient.
-                node.grad = g.copy()
-            else:
-                node.grad = g
-            if node._vjp is None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
@@ -106,39 +100,7 @@ class Tensor:
                 else:
                     pending[key] = np.asarray(pg, dtype=np.float64)
 
-    # Arithmetic sugar; the actual ops live in speechsr.engine.ops.
-
-    def __add__(self, other):
-        from . import ops
-        return ops.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from . import ops
-        return ops.sub(self, other)
-
-    def __rsub__(self, other):
-        from . import ops
-        return ops.sub(other, self)
-
-    def __mul__(self, other):
-        from . import ops
-        return ops.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        from . import ops
-        return ops.div(self, other)
-
-    def __neg__(self):
-        from . import ops
-        return ops.neg(self)
-
-    def __matmul__(self, other):
-        from . import ops
-        return ops.matmul(self, other)
+    # Shape sugar; the ops themselves live in speechsr.engine.ops.
 
     def __getitem__(self, idx):
         from . import ops
@@ -155,14 +117,6 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         return ops.transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        from . import ops
-        return ops.sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        from . import ops
-        return ops.mean_(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

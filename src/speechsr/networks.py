@@ -32,7 +32,29 @@ def _init(rng, shape, fan_in) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class Linear:
+class Module:
+    """Base of every layer and model; ``params()`` is derived, never hand-kept.
+
+    ``params()`` returns each ``Parameter`` the instance holds, depth first in
+    attribute-assignment order: a ``Parameter`` attribute is taken as is, a
+    ``Module`` or a list of ``Module``s is walked, and anything else (``None``,
+    configs, sizes) is skipped. The order is a contract: ``clip_global_norm``
+    sums the gradient norm in it, so reordering assignments in ``__init__``
+    changes training bits.
+    """
+
+    def params(self) -> list[Parameter]:
+        out = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Parameter):
+                    out.append(item)
+                elif isinstance(item, Module):
+                    out += item.params()
+        return out
+
+
+class Linear(Module):
     def __init__(self, name, d_in, d_out, rng, bias=True, init_scale=1.0):
         self.w = Parameter(f"{name}.w", init_scale * _init(rng, (d_out, d_in), d_in))
         self.b = Parameter(f"{name}.b", np.zeros(d_out)) if bias else None
@@ -40,11 +62,8 @@ class Linear:
     def __call__(self, x):
         return ops.linear(x, self.w, self.b)
 
-    def params(self):
-        return [self.w] + ([self.b] if self.b is not None else [])
 
-
-class Conv2d:
+class Conv2d(Module):
     def __init__(self, name, c_in, c_out, kh, kw, rng, pad=None, init_scale=1.0):
         fan_in = c_in * kh * kw
         self.w = Parameter(f"{name}.w",
@@ -55,11 +74,8 @@ class Conv2d:
     def __call__(self, x):
         return ops.conv2d(x, self.w, self.b, pad=self.pad)
 
-    def params(self):
-        return [self.w, self.b]
 
-
-class Pointwise:
+class Pointwise(Module):
     """1x1 convolution over channels."""
 
     def __init__(self, name, c_in, c_out, rng, bias_init=0.0, init_scale=1.0):
@@ -69,11 +85,8 @@ class Pointwise:
     def __call__(self, x):
         return ops.pointwise_channels(x, self.w, self.b)
 
-    def params(self):
-        return [self.w, self.b]
 
-
-class GroupNorm:
+class GroupNorm(Module):
     def __init__(self, name, channels, groups):
         if channels % groups != 0:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
@@ -84,11 +97,8 @@ class GroupNorm:
     def __call__(self, x):
         return ops.group_norm(x, self.gamma, self.beta, self.groups)
 
-    def params(self):
-        return [self.gamma, self.beta]
 
-
-class Gru:
+class Gru(Module):
     """Unidirectional GRU over (batch, seq, features)."""
 
     def __init__(self, name, d_in, hidden, rng):
@@ -108,11 +118,8 @@ class Gru:
             outs.append(h.reshape(b, 1, self.hidden))
         return ops.concat(outs, axis=1)
 
-    def params(self):
-        return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
 
-
-class SeqAttention:
+class SeqAttention(Module):
     """Self-attention over axis 1 of (batch, seq, d), residual merge.
 
     ``x + ops.attention(q, k, v)`` with linear Q, K (d -> embed) and V (d -> d);
@@ -130,11 +137,8 @@ class SeqAttention:
     def __call__(self, x):
         return ops.add(x, ops.attention(self.q(x), self.k(x), self.v(x)))
 
-    def params(self):
-        return self.q.params() + self.k.params() + self.v.params()
 
-
-class FrameAttention:
+class FrameAttention(Module):
     """Attention over time frames of a (C, T, F) map.
 
     Pointwise convolutions give Q, K of (E, T, F) and V of (C, T, F). With
@@ -156,9 +160,6 @@ class FrameAttention:
         att = ops.attention(q2, k2, v2)
         return ops.add(x, att.reshape(t, c, f).transpose(1, 0, 2))
 
-    def params(self):
-        return self.q.params() + self.k.params() + self.v.params()
-
 
 # ---------------------------------------------------------------------------
 # time-step embedding
@@ -176,7 +177,7 @@ class TimeEmbeddingConfig:
             raise ValueError(f"embedding dim must be even and >= 2, got {self.dim}")
 
 
-class TimeEmbedding:
+class TimeEmbedding(Module):
     """Sinusoidal features through linear -> SiLU -> linear."""
 
     def __init__(self, name, cfg: TimeEmbeddingConfig, rng):
@@ -197,9 +198,6 @@ class TimeEmbedding:
 
     def __call__(self, step: float) -> Tensor:
         return self.lin2(ops.silu(self.lin1(Tensor(self.fourier(step)))))
-
-    def params(self):
-        return self.lin1.params() + self.lin2.params()
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def tiny_arcn_config(**overrides) -> ArcnConfig:
     return ArcnConfig(**defaults)
 
 
-class ResidualLayer:
+class ResidualLayer(Module):
     """conv(1x3) -> +t_emb -> *lossmap -> GN -> SiLU -> conv(1x3) -> GN -> SiLU, with skip."""
 
     def __init__(self, name, c_in, c_out, temb_out, groups, rng):
@@ -274,16 +272,8 @@ class ResidualLayer:
         base = x if self.skip is None else self.skip(x)
         return ops.add(base, h)
 
-    def params(self):
-        out = self.conv1.params() + self.conv2.params()
-        out += self.norm1.params() + self.norm2.params()
-        out += self.temb_proj.params() + self.lossmap_conv.params()
-        if self.skip is not None:
-            out += self.skip.params()
-        return out
 
-
-class ResidualBlock:
+class ResidualBlock(Module):
     """Two residual layers plus frame attention, then an optional resample."""
 
     def __init__(self, name, c_in, c_out, cfg: ArcnConfig, direction, rng):
@@ -306,11 +296,8 @@ class ResidualBlock:
             return ops.fir_resample_freq(h, "up")
         return h
 
-    def params(self):
-        return self.layer1.params() + self.layer2.params() + self.attention.params()
 
-
-class Arcn:
+class Arcn(Module):
     """Diffusion model over cropped complex spectrograms with a residual output."""
 
     def __init__(self, cfg: ArcnConfig, rng, name="arcn"):
@@ -395,12 +382,6 @@ class Arcn:
         residual = ops.istft_pair(out[0], out[1], frame_len, hop, n)
         return ops.add(s_inp, residual)
 
-    def params(self):
-        out = self.time_embedding.params() + self.in_conv.params()
-        for block in self.encoder + self.bottleneck + self.decoder + [self.final]:
-            out += block.params()
-        return out + self.out_conv.params()
-
 
 # ---------------------------------------------------------------------------
 # DPARN-lite
@@ -435,7 +416,7 @@ def tiny_dparn_config(**overrides) -> DparnConfig:
     return DparnConfig(**defaults)
 
 
-class DparnBlock:
+class DparnBlock(Module):
     def __init__(self, name, d, embed, rng):
         self.intra_rnn = Gru(f"{name}.intra_rnn", d, d, rng)
         self.intra_proj = Linear(f"{name}.intra_proj", d, d, rng)
@@ -452,13 +433,8 @@ class DparnBlock:
         ht = self.inter_attn(ht)
         return ht.transpose(1, 0, 2)
 
-    def params(self):
-        out = self.intra_rnn.params() + self.intra_proj.params() + self.intra_attn.params()
-        out += self.inter_rnn.params() + self.inter_proj.params() + self.inter_attn.params()
-        return out
 
-
-class Dparn:
+class Dparn(Module):
     """Predictive stage: dual-path recurrent/attentive refinement, residual."""
 
     def __init__(self, cfg: DparnConfig, rng, name="dparn"):
@@ -494,28 +470,19 @@ class Dparn:
         net = ops.mul(acc, Tensor(gain))
         return ops.add(s_inp, net)
 
-    def params(self):
-        out = self.in_proj.params()
-        for b in self.blocks:
-            out += b.params()
-        return out + self.out_proj.params()
-
 
 # ---------------------------------------------------------------------------
 # combined model
 # ---------------------------------------------------------------------------
 
 
-class TwoStageModel:
+class TwoStageModel(Module):
     """DPARN-lite predictive stage plus ARCN diffusion stage."""
 
     def __init__(self, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig, seed: int = 0):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
         self.dparn = Dparn(dparn_cfg, rng)
         self.arcn = Arcn(arcn_cfg, rng)
-
-    def params(self):
-        return self.dparn.params() + self.arcn.params()
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {f"param/{p.name}": p.data for p in self.params()}

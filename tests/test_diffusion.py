@@ -1,5 +1,7 @@
 """Tests for the noise schedule, sampling, repainting, and the loops."""
 
+import weakref
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -203,6 +205,22 @@ class TestTrainStep:
         moved = [n for n, old in before.items()
                  for p in model.params() if p.name == n and not np.array_equal(p.data, old)]
         assert moved
+
+    def test_each_item_graph_dies_before_the_next_is_built(self, monkeypatch):
+        """Peak memory holds one utterance's graph, not two."""
+        inner, graphs, alive = diffusion._utterance_loss, [], []
+
+        def spy(*args):
+            alive.append(sum(ref() is not None for ref in graphs))
+            total, report = inner(*args)
+            graphs.append(weakref.ref(total.data))  # Tensor has __slots__
+            return total, report
+
+        monkeypatch.setattr(diffusion, "_utterance_loss", spy)
+        model = _tiny_model(seed=1)
+        train_step(model, _toy_batch(n_items=3), SCHED, Adam(model.params()),
+                   Ema(model.params()), np.random.default_rng(0), UpsamplingRatio(2))
+        assert alive == [0, 0, 0]
 
     def test_frozen_passthrough_reduces_to_closed_form(self):
         """Zeroed output heads make the loss L_pred(s_inp, hr) + lam*L_diff(s_inp, hr)."""

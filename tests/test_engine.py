@@ -68,6 +68,15 @@ class TestBackward:
 
         fd_gradient_check(build, [w1, b1, w2], rng)
 
+    def test_only_leaves_keep_grad(self):
+        p = Parameter("p", np.arange(3.0))
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = ops.mul(p, x)
+        ops.sum_(ops.mul(h, h)).backward()
+        assert h.requires_grad and h.grad is None
+        np.testing.assert_array_equal(p.grad, 2 * np.arange(3.0))
+        np.testing.assert_array_equal(x.grad, 2 * np.arange(3.0) ** 2)
+
     def test_no_grad_suppresses_graph(self):
         p = Parameter("p", np.ones(3))
         with no_grad():

@@ -1,14 +1,18 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: no unused imports and no engine op that nothing calls.
 
-Covers the package, the tests and the benchmark scripts.
+Imports are checked in the package, the tests and the benchmark scripts;
+engine ops must be called from the package or the tests.
 """
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import speechsr
+from speechsr.engine import ops
 
 PACKAGE = Path(speechsr.__file__).parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -37,3 +41,19 @@ def _ident(path: Path) -> str:
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_ident)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_every_op_is_called():
+    """Each public function of ``engine.ops`` is called outside its own definition."""
+    names = sorted(name for name, fn in vars(ops).items()
+                   if callable(fn) and not name.startswith("_")
+                   and getattr(fn, "__module__", None) == ops.__name__)
+    sources = [p.read_text() for p in sorted(PACKAGE.rglob("*.py"))]
+    sources += [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    uncalled = []
+    for name in names:
+        own = inspect.getsource(getattr(ops, name))
+        call = re.compile(rf"\bops\.{name}\b|(?<![\w.]){name}\(")
+        if not any(call.search(text.replace(own, "")) for text in sources):
+            uncalled.append(name)
+    assert uncalled == []

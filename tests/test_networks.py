@@ -5,12 +5,14 @@ import pytest
 
 from helpers import fd_gradient_check
 from speechsr.dsp import FrameConfig
-from speechsr.engine import Tensor, ops
+from speechsr.engine import Parameter, Tensor, ops
 from speechsr.networks import (
     Arcn,
     ArcnConfig,
     Dparn,
     FrameAttention,
+    Linear,
+    Module,
     ResidualBlock,
     TimeEmbedding,
     TimeEmbeddingConfig,
@@ -254,6 +256,26 @@ class TestDparn:
             return ops.mean_(ops.abs_(ops.sub(out, Tensor(target))))
 
         fd_gradient_check(build, net.params(), rng, n_probes=48, atol=1e-8)
+
+
+class TestModule:
+    def test_params_walks_attributes_in_assignment_order(self):
+        rng = np.random.default_rng(0)
+
+        class Toy(Module):
+            def __init__(self):
+                self.cfg = TimeEmbeddingConfig()
+                self.scale = Parameter("toy.scale", np.ones(2))
+                self.head = Linear("toy.head", 2, 3, rng, bias=False)
+                self.skip = None
+                self.stack = [Linear(f"toy.stack{i}", 3, 3, rng) for i in range(2)]
+                self.width = 3
+                self.tail = Parameter("toy.tail", np.zeros(1))
+
+        toy = Toy()
+        first, second = toy.stack
+        assert toy.params() == [toy.scale, toy.head.w, first.w, first.b, second.w, second.b,
+                                toy.tail]
 
 
 class TestTwoStageModel:
