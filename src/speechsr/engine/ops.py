@@ -1,11 +1,14 @@
 """Differentiable operations: primitives, conv/framing kernels, layers.
 
-Primitives carry hand-written vjps, among them the STFT/iSTFT pair, which
-runs on :mod:`speechsr.dsp`'s rfft kernels, and ``attention``, which
+Primitives carry hand-written vjps, among them SiLU, the STFT/iSTFT pair,
+which runs on :mod:`speechsr.dsp`'s rfft kernels, and ``attention``, which
 computes ``softmax(q kᵀ) v`` in blocks of query rows and keeps only the
-probabilities for backward; layers (group norm, SiLU, GRU cell,
-frequency-axis FIR resampling) are built by composition so their gradients
-follow from the chain rule.
+probabilities for backward. ``conv2d`` adds its bias inside its own node
+and has two GEMM layouts, chosen by operand shape alone: an im2col patch
+matrix, or one GEMM of every kernel tap against the flat input when that
+intermediate is the smaller (few output channels, as in ARCN's output
+conv). Layers (group norm, GRU cell, frequency-axis FIR resampling) are
+built on these with their own vjps or by composition.
 """
 
 from __future__ import annotations
@@ -132,12 +135,6 @@ def abs_(a):
     return make_result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-    return make_result(data, (a,), lambda g: (g * data * (1.0 - data),))
-
-
 def tanh(a):
     a = as_tensor(a)
     data = np.tanh(a.data)
@@ -185,8 +182,23 @@ def attention(q, k, v):
 
 
 def silu(a):
-    """x * sigmoid(x)."""
-    return mul(a, sigmoid(a))
+    """x * sigmoid(x), one node with a closed-form vjp."""
+    a = as_tensor(a)
+    # empty_like keeps a 0-d input an array, so ``out=`` works on it too.
+    sig = np.negative(a.data, out=np.empty_like(a.data))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    data = a.data * sig
+
+    def vjp(g):
+        ga = g * a.data
+        ga *= sig
+        ga *= 1.0 - sig
+        ga += g * sig
+        return (ga,)
+
+    return make_result(data, (a,), vjp)
 
 
 def complex_magnitude(re, im):
@@ -221,46 +233,78 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.reshape(c * kh * kw, ho * wo)
 
 
+def _conv_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 correlation as one GEMM of every tap against the flat input.
+
+    ``(kh*kw*O, C) @ (C, Hp*Wp)`` gives each tap's response at every padded
+    position; output (t, f) sums tap (i, j) at flat offset
+    ``t*Wp + f + i*Wp + j``, so each tap is one contiguous shifted slice of
+    length ``(Ho-1)*Wp + Wo``. Columns past ``Wo`` wrap rows and are cropped.
+    """
+    o, c, kh, kw = w.shape
+    _, hp, wp = xp.shape
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c) @ xp.reshape(c, hp * wp)
+    taps = taps.reshape(kh * kw, o, hp * wp)
+    span = (ho - 1) * wp + wo
+    acc = np.empty((o, ho * wp))
+    acc[:, :span] = taps[0, :, :span]
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                shift = i * wp + j
+                acc[:, :span] += taps[i * kw + j, :, shift:shift + span]
+    return np.ascontiguousarray(acc.reshape(o, ho, wp)[:, :, :wo])
+
+
 def conv2d(x, w, b=None, pad=(0, 0)):
     """2-D cross-correlation over (C_in, T, F) with zero padding, stride 1.
 
-    ``w`` has shape (C_out, C_in, kh, kw); ``b`` broadcasts per output
-    channel.
+    ``w`` has shape (C_out, C_in, kh, kw); ``b`` (C_out,) is added per
+    output channel in place, so the conv with its bias is one node. The
+    forward takes whichever GEMM layout has the smaller intermediate:
+    im2col's ``(C*kh*kw, Ho*Wo)`` patch matrix, or the ``(kh*kw*O, Hp*Wp)``
+    per-tap responses of :func:`_conv_taps` when ``O*Hp*Wp < C*Ho*Wo``
+    (few output channels, or more input channels than output). The vjp
+    rebuilds the patch matrix from the padded input instead of keeping it.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 4:
         raise ValueError(f"conv2d expects (C,T,F) and (O,C,kh,kw), got {x.shape}, {w.shape}")
     if x.shape[0] != w.shape[1]:
         raise ValueError(f"channel mismatch: input {x.shape[0]} vs kernel {w.shape[1]}")
+    o, kh, kw = w.shape[0], w.shape[2], w.shape[3]
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != (o,):
+            raise ValueError(f"bias shape {b.shape} != ({o},)")
+        parents = (x, w, b)
     pt, pf = pad
-    kh, kw = w.shape[2], w.shape[3]
     if x.shape[1] + 2 * pt < kh or x.shape[2] + 2 * pf < kw:
         raise ValueError("kernel larger than padded input")
     xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf)))
     c_in, hp, wp = xp.shape
     ho, wo = hp - kh + 1, wp - kw + 1
-    cols = _im2col(xp, kh, kw)
-    o = w.shape[0]
-    data = (w.data.reshape(o, -1) @ cols).reshape(o, ho, wo)
+    if o * hp * wp < c_in * ho * wo:
+        data = _conv_taps(xp, w.data, ho, wo)
+    else:
+        data = (w.data.reshape(o, -1) @ _im2col(xp, kh, kw)).reshape(o, ho, wo)
+    if b is not None:
+        data += b.data.reshape(o, 1, 1)
 
     def vjp(g):
         g2 = g.reshape(o, -1)
-        gw = (g2 @ cols.T).reshape(w.shape)
+        gw = (g2 @ _im2col(xp, kh, kw).T).reshape(w.shape)
         # Scatter dX tap by tap: cheaper than an im2col of the upstream grad.
         dcols = (w.data.reshape(o, -1).T @ g2).reshape(c_in, kh, kw, ho, wo)
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
                 gxp[:, i:i + ho, j:j + wo] += dcols[:, i, j]
-        return gxp[:, pt:pt + x.shape[1], pf:pf + x.shape[2]].copy(), gw
+        gx = gxp[:, pt:pt + x.shape[1], pf:pf + x.shape[2]].copy()
+        return (gx, gw) if b is None else (gx, gw, g.sum((1, 2)))
 
-    out = make_result(data, (x, w), vjp)
-    if b is not None:
-        b = as_tensor(b)
-        if b.shape != (w.shape[0],):
-            raise ValueError(f"bias shape {b.shape} != ({w.shape[0]},)")
-        out = add(out, reshape(b, (w.shape[0], 1, 1)))
-    return out
+    return make_result(data, parents, vjp)
 
 
 def pointwise_channels(x, w, b=None):
@@ -344,12 +388,16 @@ def group_norm(x, gamma, beta, groups: int, eps: float = 1e-5):
     if c % groups != 0:
         raise ValueError(f"channels {c} not divisible by groups {groups}")
     xg = x.data.reshape(groups, -1)
-    mean = xg.mean(axis=1, keepdims=True)
-    var = xg.var(axis=1, keepdims=True)
+    # Centre once; the mean square of the centred values is what np.var
+    # computes, bit for bit.
+    xc = xg - xg.mean(axis=1, keepdims=True)
+    var = np.square(xc).sum(axis=1, keepdims=True) / xc.shape[1]
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mean) * istd).reshape(c, t, f)
+    xc *= istd
+    xhat = xc.reshape(c, t, f)
     gam = gamma.data.reshape(c, 1, 1)
-    data = xhat * gam + beta.data.reshape(c, 1, 1)
+    data = xhat * gam
+    data += beta.data.reshape(c, 1, 1)
 
     def vjp(g):
         dgamma = (g * xhat).sum(axis=(1, 2))

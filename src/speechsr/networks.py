@@ -247,7 +247,10 @@ def tiny_arcn_config(**overrides) -> ArcnConfig:
 
 
 class ResidualLayer(Module):
-    """conv(1x3) -> +t_emb -> *lossmap -> GN -> SiLU -> conv(1x3) -> GN -> SiLU, with skip."""
+    """conv(1x3) -> +t_emb -> *lossmap -> GN -> SiLU -> conv(1x3) -> GN -> SiLU, with skip.
+
+    The time embedding is added to conv1's (C,) bias rather than to its output map.
+    """
 
     def __init__(self, name, c_in, c_out, temb_out, groups, rng):
         self.conv1 = Conv2d(f"{name}.conv1", c_in, c_out, 1, 3, rng, pad=(0, 1))
@@ -263,9 +266,8 @@ class ResidualLayer(Module):
 
     def __call__(self, x, temb, lossmap):
         """``lossmap`` is a (F,) row; its (C, 1, F) gate broadcasts over frames."""
-        c_out = self.conv1.w.shape[0]
-        h = self.conv1(x)
-        h = ops.add(h, self.temb_proj(temb).reshape(c_out, 1, 1))
+        conv1 = self.conv1
+        h = ops.conv2d(x, conv1.w, ops.add(conv1.b, self.temb_proj(temb)), pad=conv1.pad)
         h = ops.mul(h, self.lossmap_conv(lossmap.reshape(1, 1, -1)))
         h = ops.silu(self.norm1(h))
         h = ops.silu(self.norm2(self.conv2(h)))

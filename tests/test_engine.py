@@ -102,29 +102,72 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data[0, :, [0, -1]], 2.0)
 
     def test_matches_naive_loops(self):
+        # (kernel, input, pad, stacked): ``stacked`` is whether O*Hp*Wp < C*Ho*Wo
+        # sends the forward through the per-tap GEMM instead of im2col.
+        cases = [
+            ((5, 3, 3, 3), (3, 6, 8), (1, 1), False),
+            ((2, 16, 7, 7), (16, 6, 8), (3, 3), True),
+            ((4, 8, 1, 3), (8, 5, 7), (0, 1), True),
+            ((3, 6, 2, 3), (6, 5, 7), (0, 0), True),
+            ((4, 2, 3, 3), (2, 4, 5), (1, 1), False),
+        ]
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((3, 6, 8))
-        w = rng.standard_normal((5, 3, 3, 3))
-        b = rng.standard_normal(5)
-        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), pad=(1, 1)).data
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        ref = np.zeros_like(out)
-        for o in range(5):
-            for t in range(6):
-                for f in range(8):
-                    ref[o, t, f] = np.sum(w[o] * xp[:, t:t + 3, f:f + 3]) + b[o]
-        assert np.abs(out - ref).max() < 1e-10
+        for wshape, xshape, pad, stacked in cases:
+            x = rng.standard_normal(xshape)
+            w = rng.standard_normal(wshape)
+            b = rng.standard_normal(wshape[0])
+            out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), pad=pad).data
+            (pt, pf), (o, c, kh, kw) = pad, wshape
+            xp = np.pad(x, ((0, 0), (pt, pt), (pf, pf)))
+            ho, wo = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+            assert (o * xp.shape[1] * xp.shape[2] < c * ho * wo) == stacked, wshape
+            ref = np.zeros((o, ho, wo))
+            for k in range(o):
+                for t in range(ho):
+                    for f in range(wo):
+                        ref[k, t, f] = np.sum(w[k] * xp[:, t:t + kh, f:f + kw]) + b[k]
+            assert out.shape == ref.shape, wshape
+            assert np.abs(out - ref).max() < 1e-10, wshape
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(5)
-        w = Parameter("w", 0.5 * rng.standard_normal((2, 3, 1, 3)))
-        b = Parameter("b", 0.1 * rng.standard_normal(2))
-        xin = Parameter("x", rng.standard_normal((3, 4, 6)))
+        # The first case takes the per-tap GEMM, the second im2col.
+        for wshape, xshape, pad in [((2, 3, 1, 3), (3, 4, 6), (0, 1)),
+                                    ((4, 2, 3, 3), (2, 4, 5), (1, 1))]:
+            w = Parameter("w", 0.5 * rng.standard_normal(wshape))
+            b = Parameter("b", 0.1 * rng.standard_normal(wshape[0]))
+            xin = Parameter("x", rng.standard_normal(xshape))
 
-        def build():
-            return ops.sum_(ops.abs_(ops.conv2d(xin, w, b, pad=(0, 1))))
+            def build():
+                return ops.sum_(ops.abs_(ops.conv2d(xin, w, b, pad=pad)))
 
-        fd_gradient_check(build, [w, b, xin], rng)
+            fd_gradient_check(build, [w, b, xin], rng)
+
+    def test_bias_is_added_inside_the_node(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((3, 4, 5)))
+        w = Parameter("w", rng.standard_normal((2, 3, 1, 3)))
+        b = Parameter("b", rng.standard_normal(2))
+        out = ops.conv2d(x, w, b, pad=(0, 1))
+        assert len(out._parents) == 3
+        assert out._parents[0] is x and out._parents[1] is w and out._parents[2] is b
+
+    def test_few_output_channels_make_no_patch_matrix(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((64, 35, 256)))
+        w = Tensor(rng.standard_normal((2, 64, 7, 7)))
+        b = Tensor(rng.standard_normal(2))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                ops.conv2d(x, w, b, pad=(3, 3))
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # im2col's (64*7*7, 35*256) patch matrix alone is 225 MB.
+        assert peak - before < 30e6
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -162,6 +205,17 @@ class TestGroupNorm:
         with pytest.raises(ValueError):
             ops.group_norm(Tensor(np.zeros((5, 2, 2))), np.ones(5), np.zeros(5), groups=2)
 
+    def test_matches_np_var_at_paper_scale(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((64, 35, 256)) + 0.5
+        gamma = rng.standard_normal(64)
+        beta = rng.standard_normal(64)
+        out = ops.group_norm(Tensor(x), Tensor(gamma), Tensor(beta), groups=8).data
+        xg = x.reshape(8, -1)
+        ref = (xg - xg.mean(axis=1, keepdims=True)) / np.sqrt(xg.var(axis=1, keepdims=True) + 1e-5)
+        ref = ref.reshape(x.shape) * gamma[:, None, None] + beta[:, None, None]
+        assert np.abs(out - ref).max() <= 1e-13
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(8)
         gamma = Parameter("gamma", 1.0 + 0.1 * rng.standard_normal(4))
@@ -185,6 +239,22 @@ class TestSilu:
         p = Parameter("p", np.array(0.0))
         ops.silu(p).backward()
         np.testing.assert_allclose(p.grad, 0.5, rtol=1e-15)
+
+    def test_one_graph_node(self):
+        p = Parameter("p", np.random.default_rng(12).standard_normal((2, 3)))
+        out = ops.silu(p)
+        assert out.requires_grad and out._parents == (p,)
+
+    @pytest.mark.parametrize("shape", [(), (3, 4, 5)], ids=["0-d", "3-d"])
+    def test_gradients_match_fd(self, shape):
+        rng = np.random.default_rng(13)
+        p = Parameter("p", 2.0 * rng.standard_normal(shape))
+        weights = Tensor(rng.standard_normal(shape))
+
+        def build():
+            return ops.sum_(ops.mul(ops.silu(p), weights))
+
+        fd_gradient_check(build, [p], rng)
 
 
 class TestLinear:
