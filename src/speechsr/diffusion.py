@@ -129,8 +129,8 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
 
     Each batch element draws its own diffusion step and noise; losses are
     averaged over the batch before the clipped Adam update and EMA refresh.
-    Raises NumericsError on a non-finite loss, leaving gradients untouched
-    for diagnosis.
+    Raises NumericsError on a non-finite loss or gradient norm before Adam or
+    the EMA moves, leaving gradients untouched for diagnosis.
     """
     opt.zero_grad()
     n_items = batch.hr.shape[0]

@@ -7,8 +7,10 @@ probabilities for backward. ``conv2d`` adds its bias inside its own node
 and has two GEMM layouts, chosen by operand shape alone: an im2col patch
 matrix, or one GEMM of every kernel tap against the flat input when that
 intermediate is the smaller (few output channels, as in ARCN's output
-conv). Layers (group norm, GRU cell, frequency-axis FIR resampling) are
-built on these with their own vjps or by composition.
+conv). The layers are primitives, not compositions: ``linear``,
+``pointwise_channels``, ``fir_resample_freq``, the whole-sequence ``gru``
+and the fused ``group_norm_silu`` are one graph node each, add their bias
+in place and keep only what their vjp needs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from ..dsp import (frame_signal, hann_window, istft_values, overlap_add, stft_values,
                    synthesis_gain)
-from .tensor import Tensor, as_tensor, make_result, records, unbroadcast
+from .tensor import as_tensor, make_result, records, unbroadcast
 
 # Query rows per attention block. One-thread timings at T = 2,003 frames were
 # flat from 128 to 512 rows and slower below 128.
@@ -307,17 +309,6 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     return make_result(data, parents, vjp)
 
 
-def pointwise_channels(x, w, b=None):
-    """1x1 convolution as a channel-mixing matmul: (C,T,F) x (O,C) -> (O,T,F)."""
-    x, w = as_tensor(x), as_tensor(w)
-    c, t, f = x.shape
-    y = matmul(w, reshape(x, (c, t * f)))
-    y = reshape(y, (w.shape[0], t, f))
-    if b is not None:
-        y = add(y, reshape(as_tensor(b), (w.shape[0], 1, 1)))
-    return y
-
-
 # ---------------------------------------------------------------------------
 # framing / overlap-add (exact adjoints of each other)
 # ---------------------------------------------------------------------------
@@ -363,134 +354,228 @@ def overlap_add_rows(frames, hop: int, out_len: int):
 
 
 # ---------------------------------------------------------------------------
-# layers by composition
+# layers: one node each, bias added in place, only what backward needs kept
 # ---------------------------------------------------------------------------
 
 
 def linear(x, w, b=None):
-    """Affine map on the last axis: x (..., I) with w (O, I), b (O,)."""
-    x, w = as_tensor(x), as_tensor(w)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, x.shape[0]))
-    y = matmul(x, transpose(w, (1, 0)))
-    if b is not None:
-        y = add(y, as_tensor(b))
-    if squeeze:
-        y = reshape(y, (y.shape[-1],))
-    return y
+    """Affine map on the last axis, ``x @ wᵀ + b``: x (..., I), w (O, I), b (O,).
 
-
-def group_norm(x, gamma, beta, groups: int, eps: float = 1e-5):
-    """Per-group standardization over (channels-in-group, T, F), then affine."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    c, t, f = x.shape
-    if c % groups != 0:
-        raise ValueError(f"channels {c} not divisible by groups {groups}")
-    xg = x.data.reshape(groups, -1)
-    # Centre once; the mean square of the centred values is what np.var
-    # computes, bit for bit.
-    xc = xg - xg.mean(axis=1, keepdims=True)
-    var = np.square(xc).sum(axis=1, keepdims=True) / xc.shape[1]
-    istd = 1.0 / np.sqrt(var + eps)
-    xc *= istd
-    xhat = xc.reshape(c, t, f)
-    gam = gamma.data.reshape(c, 1, 1)
-    data = xhat * gam
-    data += beta.data.reshape(c, 1, 1)
-
-    def vjp(g):
-        dgamma = (g * xhat).sum(axis=(1, 2))
-        dbeta = g.sum(axis=(1, 2))
-        dxh = (g * gam).reshape(groups, -1)
-        xh = xhat.reshape(groups, -1)
-        m1 = dxh.mean(axis=1, keepdims=True)
-        m2 = (dxh * xh).mean(axis=1, keepdims=True)
-        dx = ((dxh - m1 - xh * m2) * istd).reshape(c, t, f)
-        return dx, dgamma, dbeta
-
-    return make_result(data, (x, gamma, beta), vjp)
-
-
-def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh):
-    """Gated recurrent unit step on (..., I) input and (..., H) state.
-
-    Gate layout along the parameter rows is [reset, update, candidate];
-    the update gate carries the previous state: h' = z*h + (1-z)*n.
+    One node for any leading axes, a 1-D ``x`` included: the leading axes
+    are flattened into one GEMM and the bias is added in place.
     """
-    x, h = as_tensor(x), as_tensor(h)
-    w_ih, w_hh = as_tensor(w_ih), as_tensor(w_hh)
-    b_ih, b_hh = as_tensor(b_ih), as_tensor(b_hh)
-    hidden = h.shape[-1]
-    if w_ih.shape[0] != 3 * hidden or w_hh.shape != (3 * hidden, hidden):
-        raise ValueError(
-            f"GRU parameter shapes {w_ih.shape}/{w_hh.shape} inconsistent with hidden {hidden}"
-        )
-    if x.shape[:-1] != h.shape[:-1]:
-        raise ValueError(f"batch shape mismatch: {x.shape} vs {h.shape}")
-    gi = x.data @ w_ih.data.T + b_ih.data
-    gh = h.data @ w_hh.data.T + b_hh.data
-    sl_r, sl_z, sl_n = (slice(0, hidden), slice(hidden, 2 * hidden),
-                        slice(2 * hidden, 3 * hidden))
-    r = 1.0 / (1.0 + np.exp(-(gi[..., sl_r] + gh[..., sl_r])))
-    z = 1.0 / (1.0 + np.exp(-(gi[..., sl_z] + gh[..., sl_z])))
-    ghn = gh[..., sl_n]
-    n = np.tanh(gi[..., sl_n] + r * ghn)
-    data = z * h.data + (1.0 - z) * n
+    x, w = as_tensor(x), as_tensor(w)
+    d_out, d_in = w.shape
+    if x.shape[-1] != d_in:
+        raise ValueError(f"linear: input {x.shape} does not match weight {w.shape}")
+    parents = (x, w) if b is None else (x, w, as_tensor(b))
+    data = x.data.reshape(-1, d_in) @ w.data.T
+    if b is not None:
+        data += parents[2].data
 
     def vjp(g):
-        da_n = g * (1.0 - z) * (1.0 - n * n)
-        da_z = g * (h.data - n) * z * (1.0 - z)
-        da_r = da_n * ghn * r * (1.0 - r)
-        dgi = np.concatenate([da_r, da_z, da_n], axis=-1)
-        dgh = np.concatenate([da_r, da_z, da_n * r], axis=-1)
-        dx = dgi @ w_ih.data
-        dh = g * z + dgh @ w_hh.data
-        flat_gi = dgi.reshape(-1, 3 * hidden)
-        dw_ih = flat_gi.T @ x.data.reshape(-1, x.shape[-1])
-        dw_hh = dgh.reshape(-1, 3 * hidden).T @ h.data.reshape(-1, hidden)
-        db_ih = flat_gi.sum(axis=0)
-        db_hh = db_ih.copy()
-        db_hh[2 * hidden:] = dgh.reshape(-1, 3 * hidden)[:, 2 * hidden:].sum(axis=0)
-        return dx, dh, dw_ih, dw_hh, db_ih, db_hh
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ w.data).reshape(x.shape)
+        gw = g2.T @ x.data.reshape(-1, d_in)
+        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
 
-    return make_result(data, (x, h, w_ih, w_hh, b_ih, b_hh), vjp)
+    return make_result(data.reshape(x.shape[:-1] + (d_out,)), parents, vjp)
 
 
-def _blur3_freq(x, taps):
-    """3-tap blur along the last axis with reflect padding."""
-    f = x.shape[-1]
-    left = getitem(x, (Ellipsis, slice(1, 2)))
-    right = getitem(x, (Ellipsis, slice(f - 2, f - 1)))
-    xp = concat([left, x, right], axis=x.ndim - 1)
-    parts = [
-        mul(getitem(xp, (Ellipsis, slice(0, f))), taps[0]),
-        mul(getitem(xp, (Ellipsis, slice(1, f + 1))), taps[1]),
-        mul(getitem(xp, (Ellipsis, slice(2, f + 2))), taps[2]),
-    ]
-    return add(add(parts[0], parts[1]), parts[2])
+def pointwise_channels(x, w, b=None):
+    """1x1 convolution, (C,T,F) x (O,C) -> (O,T,F), as one ``(O,C) @ (C,T·F)`` GEMM."""
+    x, w = as_tensor(x), as_tensor(w)
+    c, t, f = x.shape
+    o = w.shape[0]
+    if w.shape[1] != c:
+        raise ValueError(f"channel mismatch: input {c} vs weight {w.shape}")
+    parents = (x, w) if b is None else (x, w, as_tensor(b))
+    data = w.data @ x.data.reshape(c, t * f)
+    if b is not None:
+        data += parents[2].data.reshape(o, 1)
+
+    def vjp(g):
+        g2 = g.reshape(o, t * f)
+        gx = (w.data.T @ g2).reshape(x.shape)
+        gw = g2 @ x.data.reshape(c, t * f).T
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=(1, 2)))
+
+    return make_result(data.reshape(o, t, f), parents, vjp)
 
 
 def fir_resample_freq(x, direction: str):
-    """Halve or double the frequency axis with an anti-artifact binomial blur.
+    """Halve or double the last (frequency) axis with a binomial anti-artifact blur.
 
-    down: blur by [1,2,1]/4 (reflect padded) then keep even bins;
-    up:   zero-interleave to 2F then blur by [1,2,1]/2.
+    down: blur by [1,2,1]/4 with reflect padding and keep the even bins,
+          ``y[j] = (x[2j-1]/4 + x[2j]/2) + x[2j+1]/4`` with ``x[-1] = x[1]``;
+    up:   zero-interleave to 2F and blur by [1,2,1]/2, so ``y[2i] = x[i]``
+          and ``y[2i+1] = x[i]/2 + x[i+1]/2`` with ``x[F] = x[F-1]``.
+
+    Strided slices compute it in one node. The blur is linear, so the vjp
+    is its adjoint and keeps nothing.
     """
     x = as_tensor(x)
     f = x.shape[-1]
     if direction == "down":
         if f % 2 != 0:
             raise ValueError(f"frequency size {f} must be even to downsample")
-        y = _blur3_freq(x, (0.25, 0.5, 0.25))
-        return getitem(y, (Ellipsis, slice(0, f, 2)))
-    if direction == "up":
-        expanded = reshape(x, x.shape + (1,))
-        zeros = Tensor(np.zeros(x.shape + (1,)))
-        inter = concat([expanded, zeros], axis=x.ndim)
-        inter = reshape(inter, x.shape[:-1] + (2 * f,))
-        return _blur3_freq(inter, (0.5, 1.0, 0.5))
-    raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+        data = x.data[..., 0::2] * 0.5
+        quarter = x.data[..., 1::2] * 0.25  # right neighbours; shifted, the left ones
+        data[..., 1:] += quarter[..., :-1]
+        data[..., :1] += quarter[..., :1]
+        data += quarter
+
+        def vjp(g):
+            quarter = g * 0.25
+            gx = np.empty(x.shape)
+            np.multiply(g, 0.5, out=gx[..., 0::2])
+            odd = gx[..., 1::2]
+            odd[...] = quarter
+            odd[..., :-1] += quarter[..., 1:]
+            odd[..., :1] += quarter[..., :1]
+            return (gx,)
+
+    elif direction == "up":
+        data = np.empty(x.shape[:-1] + (2 * f,))
+        data[..., 0::2] = x.data
+        half = x.data * 0.5
+        odd = data[..., 1::2]
+        odd[...] = half
+        odd[..., :-1] += half[..., 1:]
+        odd[..., -1:] += half[..., -1:]
+
+        def vjp(g):
+            half = g[..., 1::2] * 0.5
+            gx = g[..., 0::2] + half
+            gx[..., 1:] += half[..., :-1]
+            gx[..., -1:] += half[..., -1:]
+            return (gx,)
+
+    else:
+        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    return make_result(data, (x,), vjp)
+
+
+def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
+    """``silu(x̂·γ + β)``, x̂ standardized per group over (channels-in-group, T, F).
+
+    One node. The statistics are those of ``np.var``, bit for bit: centre
+    once, then the mean square of the centred values. The vjp recomputes
+    ``x̂·γ + β`` from x̂, so only x̂ and the sigmoid are kept; without a graph
+    the output overwrites the pre-activation.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    c, t, f = x.shape
+    if c % groups != 0:
+        raise ValueError(f"channels {c} not divisible by groups {groups}")
+    parents = (x, gamma, beta)
+    keep = records(parents)
+    xg = x.data.reshape(groups, -1)
+    xc = xg - xg.mean(axis=1, keepdims=True)
+    var = np.square(xc).sum(axis=1, keepdims=True) / xc.shape[1]
+    istd = 1.0 / np.sqrt(var + eps)
+    xc *= istd
+    xhat = xc.reshape(c, t, f)
+    gam = gamma.data.reshape(c, 1, 1)
+    bet = beta.data.reshape(c, 1, 1)
+    s = xhat * gam if keep else np.multiply(xhat, gam, out=xhat)
+    s += bet
+    sig = np.negative(s)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    if not keep:
+        s *= sig
+        return make_result(s, parents, None)
+
+    def vjp(g):
+        s = xhat * gam
+        s += bet
+        gs = g * s
+        gs *= sig
+        gs *= 1.0 - sig
+        gs += g * sig
+        dgamma = (gs * xhat).sum(axis=(1, 2))
+        dbeta = gs.sum(axis=(1, 2))
+        gs *= gam
+        dxh = gs.reshape(groups, -1)
+        xh = xhat.reshape(groups, -1)
+        m1 = dxh.mean(axis=1, keepdims=True)
+        m2 = (dxh * xh).mean(axis=1, keepdims=True)
+        dxh -= m1
+        dxh -= xh * m2
+        dxh *= istd
+        return gs, dgamma, dbeta
+
+    return make_result(s * sig, parents, vjp)
+
+
+def gru(x, h0, w_ih, w_hh, b_ih, b_hh):
+    """Unidirectional GRU over a (batch, seq, I) sequence from state h0 (batch, H).
+
+    Returns every step's state, (batch, seq, H), as one node. Gate layout
+    along the parameter rows is [reset, update, candidate]; the update gate
+    carries the previous state: h' = z*h + (1-z)*n. The input projection of
+    all steps is one GEMM. The vjp runs backpropagation through time over the
+    saved per-step gates and returns the gradient of h0 too.
+    """
+    parents = tuple(as_tensor(a) for a in (x, h0, w_ih, w_hh, b_ih, b_hh))
+    x, h0, w_ih, w_hh, b_ih, b_hh = parents
+    if x.ndim != 3 or h0.ndim != 2:
+        raise ValueError(f"gru expects (batch, seq, I) and (batch, H), got {x.shape}, {h0.shape}")
+    batch, seq, d_in = x.shape
+    hidden = h0.shape[1]
+    if w_ih.shape != (3 * hidden, d_in) or w_hh.shape != (3 * hidden, hidden):
+        raise ValueError(
+            f"GRU parameter shapes {w_ih.shape}/{w_hh.shape} inconsistent with hidden {hidden}"
+        )
+    if h0.shape[0] != batch:
+        raise ValueError(f"batch shape mismatch: {x.shape} vs {h0.shape}")
+    sl_r, sl_z, sl_n = (slice(0, hidden), slice(hidden, 2 * hidden),
+                        slice(2 * hidden, 3 * hidden))
+    sl_rz = slice(0, 2 * hidden)
+    gi = x.data.reshape(batch * seq, d_in) @ w_ih.data.T
+    gi += b_ih.data
+    gi = gi.reshape(batch, seq, 3 * hidden)
+    out = np.empty((batch, seq, hidden))
+    gates = np.empty((4, batch, seq, hidden)) if records(parents) else None  # r, z, n, gh_n
+    h = h0.data
+    for t in range(seq):
+        gh = h @ w_hh.data.T + b_hh.data
+        a = gi[:, t]
+        rz = 1.0 / (1.0 + np.exp(-(a[:, sl_rz] + gh[:, sl_rz])))  # both sigmoid gates at once
+        r, z = rz[:, sl_r], rz[:, sl_z]
+        n = np.tanh(a[:, sl_n] + r * gh[:, sl_n])
+        h = z * h + (1.0 - z) * n
+        out[:, t] = h
+        if gates is not None:
+            gates[:, :, t] = r, z, n, gh[:, sl_n]
+
+    def vjp(g):
+        d_gi = np.empty((batch, seq, 3 * hidden))
+        d_gh = np.empty((batch, seq, 3 * hidden))
+        dh = np.zeros((batch, hidden))
+        for t in reversed(range(seq)):
+            r, z, n, ghn = gates[:, :, t]
+            h_prev = h0.data if t == 0 else out[:, t - 1]
+            gt = g[:, t] + dh
+            da_n = gt * (1.0 - z) * (1.0 - n * n)
+            da_z = gt * (h_prev - n) * z * (1.0 - z)
+            da_r = da_n * ghn * r * (1.0 - r)
+            d_gi[:, t, sl_r] = d_gh[:, t, sl_r] = da_r
+            d_gi[:, t, sl_z] = d_gh[:, t, sl_z] = da_z
+            d_gi[:, t, sl_n] = da_n
+            d_gh[:, t, sl_n] = da_n * r
+            dh = gt * z + d_gh[:, t] @ w_hh.data
+        d_gi = d_gi.reshape(-1, 3 * hidden)
+        d_gh = d_gh.reshape(-1, 3 * hidden)
+        h_prev = np.concatenate([h0.data[:, None], out[:, :-1]], axis=1)
+        dx = (d_gi @ w_ih.data).reshape(x.shape)
+        dw_ih = d_gi.T @ x.data.reshape(-1, d_in)
+        dw_hh = d_gh.T @ h_prev.reshape(-1, hidden)
+        return dx, dh, dw_ih, dw_hh, d_gi.sum(axis=0), d_gh.sum(axis=0)
+
+    return make_result(out, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

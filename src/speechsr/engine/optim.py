@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import NumericsError
 from .tensor import Parameter
 
 
@@ -59,12 +60,17 @@ def clip_global_norm(params: list[Parameter], max_norm: float = 1.0) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
     Returns the scale that was applied (1.0 when already within bounds).
+    Raises NumericsError on a non-finite norm before any gradient is scaled:
+    a zero scale would turn an infinite gradient into NaN.
     """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        bad = [p.name for p in params if p.grad is not None and not np.all(np.isfinite(p.grad))]
+        raise NumericsError(f"non-finite gradient norm {norm}; non-finite gradients in {bad}")
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm

@@ -87,6 +87,8 @@ class Pointwise(Module):
 
 
 class GroupNorm(Module):
+    """Group normalization with affine, followed by SiLU: returns the activated map."""
+
     def __init__(self, name, channels, groups):
         if channels % groups != 0:
             raise ValueError(f"channels {channels} not divisible by groups {groups}")
@@ -95,7 +97,7 @@ class GroupNorm(Module):
         self.groups = groups
 
     def __call__(self, x):
-        return ops.group_norm(x, self.gamma, self.beta, self.groups)
+        return ops.group_norm_silu(x, self.gamma, self.beta, self.groups)
 
 
 class Gru(Module):
@@ -109,14 +111,8 @@ class Gru(Module):
         self.b_hh = Parameter(f"{name}.b_hh", np.zeros(3 * hidden))
 
     def __call__(self, x):
-        b, s, _ = x.shape
-        h = Tensor(np.zeros((b, self.hidden)))
-        outs = []
-        for t in range(s):
-            xt = x[:, t, :]
-            h = ops.gru_cell(xt, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
-            outs.append(h.reshape(b, 1, self.hidden))
-        return ops.concat(outs, axis=1)
+        h0 = Tensor(np.zeros((x.shape[0], self.hidden)))
+        return ops.gru(x, h0, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
 
 
 class SeqAttention(Module):
@@ -247,7 +243,7 @@ def tiny_arcn_config(**overrides) -> ArcnConfig:
 
 
 class ResidualLayer(Module):
-    """conv(1x3) -> +t_emb -> *lossmap -> GN -> SiLU -> conv(1x3) -> GN -> SiLU, with skip.
+    """conv(1x3) -> +t_emb -> *lossmap -> GN+SiLU -> conv(1x3) -> GN+SiLU, with skip.
 
     The time embedding is added to conv1's (C,) bias rather than to its output map.
     """
@@ -269,8 +265,7 @@ class ResidualLayer(Module):
         conv1 = self.conv1
         h = ops.conv2d(x, conv1.w, ops.add(conv1.b, self.temb_proj(temb)), pad=conv1.pad)
         h = ops.mul(h, self.lossmap_conv(lossmap.reshape(1, 1, -1)))
-        h = ops.silu(self.norm1(h))
-        h = ops.silu(self.norm2(self.conv2(h)))
+        h = self.norm2(self.conv2(self.norm1(h)))
         base = x if self.skip is None else self.skip(x)
         return ops.add(base, h)
 

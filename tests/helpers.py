@@ -104,6 +104,54 @@ def attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=-1, keepdims=True)) @ v
 
 
+def fir_resample_oracle(x: np.ndarray, direction: str) -> np.ndarray:
+    """The frequency-axis resampler as a composition of array steps.
+
+    "up" first zero-interleaves to 2F. Both directions then reflect-pad one
+    bin per side and blur as ``(left·t0 + centre·t1) + right·t2``, with taps
+    [1,2,1]/4 down and [1,2,1]/2 up; "down" keeps the even bins.
+    """
+    if direction == "up":
+        zeros = np.zeros(x.shape + (1,))
+        x = np.concatenate([x[..., None], zeros], axis=-1).reshape(x.shape[:-1] + (-1,))
+        taps = (0.5, 1.0, 0.5)
+    else:
+        taps = (0.25, 0.5, 0.25)
+    f = x.shape[-1]
+    xp = np.concatenate([x[..., 1:2], x, x[..., f - 2:f - 1]], axis=-1)
+    y = (xp[..., 0:f] * taps[0] + xp[..., 1:f + 1] * taps[1]) + xp[..., 2:f + 2] * taps[2]
+    return y[..., 0::2] if direction == "down" else y
+
+
+def gru_loop_oracle(x, h0, w_ih, w_hh, b_ih, b_hh) -> np.ndarray:
+    """GRU states of a (batch, seq, I) sequence, one cell equation per step.
+
+    Rows of the parameters are [reset, update, candidate] gates;
+    h' = z*h + (1-z)*n.
+    """
+    hidden = h0.shape[1]
+    r_, z_, n_ = slice(0, hidden), slice(hidden, 2 * hidden), slice(2 * hidden, None)
+    h, states = h0, []
+    for t in range(x.shape[1]):
+        gi = x[:, t] @ w_ih.T + b_ih
+        gh = h @ w_hh.T + b_hh
+        r = 1.0 / (1.0 + np.exp(-(gi[:, r_] + gh[:, r_])))
+        z = 1.0 / (1.0 + np.exp(-(gi[:, z_] + gh[:, z_])))
+        n = np.tanh(gi[:, n_] + r * gh[:, n_])
+        h = z * h + (1.0 - z) * n
+        states.append(h)
+    return np.stack(states, axis=1)
+
+
+def group_norm_silu_oracle(x, gamma, beta, groups: int, eps: float = 1e-5) -> np.ndarray:
+    """Two-pass GroupNorm (group mean, then ``np.var``) and affine, then x·sigmoid(x)."""
+    xg = x.reshape(groups, -1)
+    istd = 1.0 / np.sqrt(xg.var(axis=1, keepdims=True) + eps)
+    xhat = ((xg - xg.mean(axis=1, keepdims=True)) * istd).reshape(x.shape)
+    s = xhat * gamma[:, None, None] + beta[:, None, None]
+    return s * (1.0 / (1.0 + np.exp(-s)))
+
+
 def band_lsd(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float, f_hi: float,
              cfg: dsp.FrameConfig = dsp.FrameConfig()) -> float:
     """Log-spectral distance restricted to bins with center freq in [f_lo, f_hi]."""

@@ -123,7 +123,7 @@ def test_criterion_02_gradient_suite():
     gamma = Parameter("gamma", 1.0 + 0.1 * rng.standard_normal(4))
     beta = Parameter("beta", 0.1 * rng.standard_normal(4))
     x_g = Tensor(rng.standard_normal((4, 3, 5)))
-    fd_gradient_check(lambda: ops.sum_(ops.silu(ops.group_norm(x_g, gamma, beta, 2))),
+    fd_gradient_check(lambda: ops.sum_(ops.group_norm_silu(x_g, gamma, beta, 2)),
                       [gamma, beta], rng)
 
     x_s = Parameter("x_s", rng.standard_normal((3, 4)))
@@ -141,9 +141,10 @@ def test_criterion_02_gradient_suite():
     x_r = Tensor(rng.standard_normal((5, 3)))
     h_r = Tensor(rng.standard_normal((5, 2)))
 
+    x_rr = Tensor(np.stack([x_r.data, x_r.data], axis=1))  # x_r at both steps
+
     def gru_loss():
-        h = ops.gru_cell(x_r, h_r, w_ih, w_hh, b_ih, b_hh)
-        h = ops.gru_cell(x_r, h, w_ih, w_hh, b_ih, b_hh)
+        h = ops.gru(x_rr, h_r, w_ih, w_hh, b_ih, b_hh)[:, 1]
         return ops.sum_(ops.mul(h, h))
 
     fd_gradient_check(gru_loss, [w_ih, w_hh, b_ih, b_hh], rng)

@@ -24,6 +24,8 @@ from speechsr.engine import Adam, Ema, Tensor
 from speechsr.objectives import lambda_weight, loss_pred, loss_tf
 from speechsr.resample import UpsamplingRatio, simulate_lr
 from speechsr.engine import ops
+from speechsr.engine.tensor import make_result
+from speechsr.errors import NumericsError
 
 SCHED = NoiseSchedule()
 
@@ -221,6 +223,32 @@ class TestTrainStep:
         train_step(model, _toy_batch(n_items=3), SCHED, Adam(model.params()),
                    Ema(model.params()), np.random.default_rng(0), UpsamplingRatio(2))
         assert alive == [0, 0, 0]
+
+    def test_infinite_gradient_is_refused_before_any_state_moves(self, monkeypatch):
+        """A finite loss with an infinite gradient raises; params, moments and EMA keep their bits."""
+        model = _tiny_model(seed=3)
+        opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+        batch = _toy_batch(n_items=1, n=2000)
+        train_step(model, batch, SCHED, opt, ema, np.random.default_rng(0), UpsamplingRatio(2))
+        inner, target = diffusion._utterance_loss, model.params()[0]
+
+        def poisoned(*args):
+            total, report = inner(*args)
+            spike = make_result(np.array(0.0), (target,), lambda g: (np.full(target.shape, np.inf),))
+            return ops.add(total, spike), report
+
+        monkeypatch.setattr(diffusion, "_utterance_loss", poisoned)
+        state = ({p.name: p.data.copy() for p in model.params()},
+                 {k: v.copy() for k, v in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()},
+                 {k: v.copy() for k, v in ema.shadow.items()})
+        with pytest.raises(NumericsError, match="non-finite gradient"):
+            train_step(model, batch, SCHED, opt, ema, np.random.default_rng(1), UpsamplingRatio(2))
+        after = ({p.name: p.data for p in model.params()}, opt.m, opt.v, ema.shadow)
+        for before_arrays, after_arrays in zip(state, after):
+            assert before_arrays.keys() == after_arrays.keys()
+            for name, arr in before_arrays.items():
+                np.testing.assert_array_equal(after_arrays[name], arr, err_msg=name)
+        assert opt.step_count == 1
 
     def test_frozen_passthrough_reduces_to_closed_form(self):
         """Zeroed output heads make the loss L_pred(s_inp, hr) + lam*L_diff(s_inp, hr)."""

@@ -5,8 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import attention_oracle, fd_gradient_check, stft_matrix_oracle
+from helpers import (
+    attention_oracle,
+    fd_gradient_check,
+    fir_resample_oracle,
+    group_norm_silu_oracle,
+    gru_loop_oracle,
+    stft_matrix_oracle,
+)
 from speechsr import dsp
+from speechsr.errors import NumericsError
 from speechsr.engine import checkpoint
 from speechsr.engine import (
     Adam,
@@ -174,17 +182,28 @@ class TestConv2d:
             ops.conv2d(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((1, 3, 1, 1))))
 
 
+def _is_one_node(out, *inputs):
+    """``out`` was recorded as one node whose parents are exactly ``inputs``."""
+    return (out.requires_grad and len(out._parents) == len(inputs)
+            and all(p is q for p, q in zip(out._parents, inputs)))
+
+
 class TestGroupNorm:
+    """``group_norm_silu``: GroupNorm with affine, then SiLU, as one op."""
+
     def test_group_means_zero(self):
+        # silu(s) - silu(-s) = s, so γ = ±1 and β = 0 recover the normalized map.
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((6, 4, 5)))
-        out = ops.group_norm(x, np.ones(6), np.zeros(6), groups=3).data
-        for grp in out.reshape(3, -1):
+        pos = ops.group_norm_silu(x, np.ones(6), np.zeros(6), groups=3).data
+        neg = ops.group_norm_silu(x, -np.ones(6), np.zeros(6), groups=3).data
+        for grp in (pos - neg).reshape(3, -1):
             assert abs(grp.mean()) < 1e-9
 
     def test_constant_input_zeroed(self):
+        # The normalized map is 0, and silu(0) = 0.
         x = Tensor(np.full((4, 3, 3), 7.7))
-        out = ops.group_norm(x, np.ones(4), np.zeros(4), groups=2).data
+        out = ops.group_norm_silu(x, np.ones(4), np.zeros(4), groups=2).data
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_matches_two_pass_reference(self):
@@ -192,28 +211,30 @@ class TestGroupNorm:
         x = rng.standard_normal((6, 5, 4))
         gamma = rng.standard_normal(6)
         beta = rng.standard_normal(6)
-        out = ops.group_norm(Tensor(x), Tensor(gamma), Tensor(beta), groups=2).data
+        out = ops.group_norm_silu(Tensor(x), Tensor(gamma), Tensor(beta), groups=2).data
         ref = np.empty_like(x)
         for g in range(2):
             sl = slice(g * 3, (g + 1) * 3)
             blk = x[sl]
             ref[sl] = (blk - blk.mean()) / np.sqrt(blk.var() + 1e-5)
         ref = ref * gamma[:, None, None] + beta[:, None, None]
+        ref = ref / (1.0 + np.exp(-ref))
         assert np.abs(out - ref).max() < 1e-10
 
     def test_indivisible_groups_rejected(self):
         with pytest.raises(ValueError):
-            ops.group_norm(Tensor(np.zeros((5, 2, 2))), np.ones(5), np.zeros(5), groups=2)
+            ops.group_norm_silu(Tensor(np.zeros((5, 2, 2))), np.ones(5), np.zeros(5), groups=2)
 
     def test_matches_np_var_at_paper_scale(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((64, 35, 256)) + 0.5
         gamma = rng.standard_normal(64)
         beta = rng.standard_normal(64)
-        out = ops.group_norm(Tensor(x), Tensor(gamma), Tensor(beta), groups=8).data
+        out = ops.group_norm_silu(Tensor(x), Tensor(gamma), Tensor(beta), groups=8).data
         xg = x.reshape(8, -1)
         ref = (xg - xg.mean(axis=1, keepdims=True)) / np.sqrt(xg.var(axis=1, keepdims=True) + 1e-5)
         ref = ref.reshape(x.shape) * gamma[:, None, None] + beta[:, None, None]
+        ref = ref / (1.0 + np.exp(-ref))
         assert np.abs(out - ref).max() <= 1e-13
 
     def test_gradients_match_fd(self):
@@ -223,9 +244,28 @@ class TestGroupNorm:
         xin = Parameter("x", rng.standard_normal((4, 3, 5)))
 
         def build():
-            return ops.sum_(ops.silu(ops.group_norm(xin, gamma, beta, groups=2)))
+            return ops.sum_(ops.group_norm_silu(xin, gamma, beta, groups=2))
 
         fd_gradient_check(build, [gamma, beta, xin], rng)
+
+    def test_one_graph_node(self):
+        rng = np.random.default_rng(40)
+        x = Parameter("x", rng.standard_normal((4, 3, 5)))
+        gamma, beta = Parameter("gamma", np.ones(4)), Parameter("beta", np.zeros(4))
+        assert _is_one_node(ops.group_norm_silu(x, gamma, beta, groups=2), x, gamma, beta)
+
+    @pytest.mark.parametrize("shape, groups", [((4, 3, 5), 2), ((64, 35, 256), 8)])
+    def test_equals_oracle_bitwise(self, shape, groups):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal(shape) + 0.5
+        gamma, beta = rng.standard_normal(shape[0]), rng.standard_normal(shape[0])
+        ref = group_norm_silu_oracle(x, gamma, beta, groups)
+        recorded = ops.group_norm_silu(Parameter("x", x), gamma, beta, groups)
+        with no_grad():
+            unrecorded = ops.group_norm_silu(Tensor(x), gamma, beta, groups)
+        assert unrecorded._vjp is None
+        np.testing.assert_array_equal(recorded.data, ref)
+        np.testing.assert_array_equal(unrecorded.data, ref)
 
 
 class TestSilu:
@@ -257,6 +297,9 @@ class TestSilu:
         fd_gradient_check(build, [p], rng)
 
 
+LINEAR_SHAPES = [(5,), (6, 5), (3, 4, 5)]
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor(np.random.default_rng(9).standard_normal((3, 4)))
@@ -276,11 +319,61 @@ class TestLinear:
         out = ops.linear(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.abs(out - (x @ w.T + b)).max() < 1e-10
 
+    @pytest.mark.parametrize("shape", LINEAR_SHAPES, ids=["1-d", "2-d", "3-d"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_one_graph_node_and_fd(self, shape, bias):
+        rng = np.random.default_rng(43)
+        x = Parameter("x", rng.standard_normal(shape))
+        w = Parameter("w", 0.5 * rng.standard_normal((4, 5)))
+        b = Parameter("b", 0.1 * rng.standard_normal(4)) if bias else None
+        params = [x, w] + ([b] if bias else [])
+        out = ops.linear(x, w, b)
+        assert out.shape == shape[:-1] + (4,)
+        assert _is_one_node(out, *params)
+
+        def build():
+            return ops.sum_(ops.tanh(ops.linear(x, w, b)))
+
+        fd_gradient_check(build, params, rng)
+
+    def test_width_mismatch_rejected(self):
+        # (6, 4) would reshape to (8, 3) without the check.
+        with pytest.raises(ValueError):
+            ops.linear(Tensor(np.zeros((6, 4))), Tensor(np.zeros((2, 3))))
+
+
+class TestPointwiseChannels:
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_one_graph_node_and_fd(self, bias):
+        rng = np.random.default_rng(44)
+        x = Parameter("x", rng.standard_normal((3, 4, 5)))
+        w = Parameter("w", rng.standard_normal((2, 3)))
+        b = Parameter("b", rng.standard_normal(2)) if bias else None
+        params = [x, w] + ([b] if bias else [])
+        out = ops.pointwise_channels(x, w, b)
+        assert _is_one_node(out, *params)
+        ref = np.einsum("oc,ctf->otf", w.data, x.data) + (b.data[:, None, None] if bias else 0.0)
+        assert np.abs(out.data - ref).max() < 1e-12
+        weights = Tensor(rng.standard_normal(out.shape))
+
+        def build():
+            return ops.sum_(ops.mul(ops.pointwise_channels(x, w, b), weights))
+
+        fd_gradient_check(build, params, rng)
+
+
+def _gru_params(rng, d_in, hidden, scale=0.4):
+    return [Parameter(name, scale * rng.standard_normal(shape)) for name, shape in
+            [("w_ih", (3 * hidden, d_in)), ("w_hh", (3 * hidden, hidden)),
+             ("b_ih", (3 * hidden,)), ("b_hh", (3 * hidden,))]]
+
 
 class TestGruCell:
+    """The GRU cell equations as one- and two-step ``ops.gru`` calls from an explicit h0."""
+
     def test_all_zero(self):
-        h = ops.gru_cell(
-            Tensor(np.zeros(3)), Tensor(np.zeros(4)),
+        h = ops.gru(
+            Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 4))),
             Tensor(np.zeros((12, 3))), Tensor(np.zeros((12, 4))),
             Tensor(np.zeros(12)), Tensor(np.zeros(12)),
         )
@@ -291,13 +384,13 @@ class TestGruCell:
         h_prev = rng.standard_normal(4)
         b_ih = np.zeros(12)
         b_ih[4:8] = 50.0  # saturate the update gate
-        h = ops.gru_cell(
-            Tensor(rng.standard_normal(3)), Tensor(h_prev),
+        h = ops.gru(
+            Tensor(rng.standard_normal(3).reshape(1, 1, 3)), Tensor(h_prev.reshape(1, 4)),
             Tensor(0.3 * rng.standard_normal((12, 3))),
             Tensor(0.3 * rng.standard_normal((12, 4))),
             Tensor(b_ih), Tensor(np.zeros(12)),
         )
-        np.testing.assert_allclose(h.data, h_prev, atol=1e-6)
+        np.testing.assert_allclose(h.data[0, 0], h_prev, atol=1e-6)
 
     def test_matches_equation_oracle(self):
         rng = np.random.default_rng(12)
@@ -307,9 +400,9 @@ class TestGruCell:
         w_hh = rng.standard_normal((12, 4))
         b_ih = rng.standard_normal(12)
         b_hh = rng.standard_normal(12)
-        out = ops.gru_cell(
-            Tensor(x), Tensor(h), Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh)
-        ).data
+        out = ops.gru(
+            Tensor(x[:, None]), Tensor(h), Tensor(w_ih), Tensor(w_hh), Tensor(b_ih), Tensor(b_hh)
+        ).data[:, 0]
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -324,8 +417,8 @@ class TestGruCell:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ops.gru_cell(
-                Tensor(np.zeros(3)), Tensor(np.zeros(4)),
+            ops.gru(
+                Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 4))),
                 Tensor(np.zeros((9, 3))), Tensor(np.zeros((12, 4))),
                 Tensor(np.zeros(9)), Tensor(np.zeros(12)),
             )
@@ -338,13 +431,45 @@ class TestGruCell:
         b_hh = Parameter("b_hh", 0.1 * rng.standard_normal(6))
         x = Tensor(rng.standard_normal((4, 3)))
         h0 = Tensor(rng.standard_normal((4, 2)))
+        x_twice = Tensor(np.stack([x.data, x.data], axis=1))
 
         def build():
-            h1 = ops.gru_cell(x, h0, w_ih, w_hh, b_ih, b_hh)
-            h2 = ops.gru_cell(x, h1, w_ih, w_hh, b_ih, b_hh)
+            h2 = ops.gru(x_twice, h0, w_ih, w_hh, b_ih, b_hh)[:, 1]
             return ops.sum_(ops.mul(h2, h2))
 
         fd_gradient_check(build, [w_ih, w_hh, b_ih, b_hh], rng)
+
+    def test_one_graph_node(self):
+        rng = np.random.default_rng(45)
+        x = Parameter("x", rng.standard_normal((2, 6, 3)))
+        h0 = Parameter("h0", rng.standard_normal((2, 4)))
+        params = _gru_params(rng, 3, 4)
+        out = ops.gru(x, h0, *params)
+        assert out.shape == (2, 6, 4)
+        assert _is_one_node(out, x, h0, *params)
+        with no_grad():
+            assert ops.gru(x, h0, *params)._vjp is None
+
+    @pytest.mark.parametrize("batch, seq", [(1, 1), (3, 7), (9, 16)])
+    def test_equals_cell_loop_bitwise(self, batch, seq):
+        rng = np.random.default_rng(46)
+        x = rng.standard_normal((batch, seq, 5))
+        h0 = rng.standard_normal((batch, 6))
+        params = [p.data for p in _gru_params(rng, 5, 6, scale=1.0)]
+        out = ops.gru(Tensor(x), Tensor(h0), *params).data
+        np.testing.assert_array_equal(out, gru_loop_oracle(x, h0, *params))
+
+    def test_fd_gradients_on_inputs_state_and_weights(self):
+        rng = np.random.default_rng(47)
+        x = Parameter("x", rng.standard_normal((3, 5, 2)))
+        h0 = Parameter("h0", rng.standard_normal((3, 4)))
+        params = _gru_params(rng, 2, 4)
+        weights = Tensor(rng.standard_normal((3, 5, 4)))
+
+        def build():
+            return ops.sum_(ops.mul(ops.gru(x, h0, *params), weights))
+
+        fd_gradient_check(build, [x, h0, *params], rng, n_probes=64)
 
 
 class TestFirResampleFreq:
@@ -377,6 +502,29 @@ class TestFirResampleFreq:
             return ops.sum_(ops.mul(u, u))
 
         fd_gradient_check(build, [xin], rng)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_one_graph_node(self, direction):
+        x = Parameter("x", np.random.default_rng(48).standard_normal((2, 3, 8)))
+        assert _is_one_node(ops.fir_resample_freq(x, direction), x)
+
+    @pytest.mark.parametrize("direction, f", [("down", 2), ("down", 4), ("down", 64),
+                                              ("up", 1), ("up", 2), ("up", 32)])
+    def test_equals_composition_bitwise(self, direction, f):
+        x = np.random.default_rng(49).standard_normal((3, 5, f))
+        out = ops.fir_resample_freq(Tensor(x), direction).data
+        np.testing.assert_array_equal(out, fir_resample_oracle(x, direction))
+
+    @pytest.mark.parametrize("direction, f", [("down", 2), ("down", 4), ("down", 16),
+                                              ("up", 1), ("up", 2), ("up", 8)])
+    def test_is_adjoint(self, direction, f):
+        """<A x, y> == <x, Aᵀ y> for the linear resampler A."""
+        rng = np.random.default_rng(50)
+        x = Parameter("x", rng.standard_normal((2, 3, f)))
+        out = ops.fir_resample_freq(x, direction)
+        y = rng.standard_normal(out.shape)
+        ops.sum_(ops.mul(out, Tensor(y))).backward()
+        np.testing.assert_allclose(np.sum(out.data * y), np.sum(x.data * x.grad), rtol=1e-12)
 
 
 class TestFramingOps:
@@ -623,6 +771,15 @@ class TestClipGlobalNorm:
         p.grad = np.array([3.0, 4.0])
         clip_global_norm([p], 1.0)
         np.testing.assert_allclose(p.grad, [0.6, 0.8], rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_norm_raises_before_scaling(self, bad):
+        p, q = Parameter("p", np.zeros(2)), Parameter("q", np.zeros(2))
+        p.grad, q.grad = np.array([3.0, 4.0]), np.array([bad, 1.0])
+        with pytest.raises(NumericsError, match=r"\['q'\]"):
+            clip_global_norm([p, q], 1.0)
+        np.testing.assert_array_equal(p.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(q.grad, [bad, 1.0])
 
 
 class TestEma:
