@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ConfigError
+
 MAGIC = b"SSRCKPT1"
 FORMAT_VERSION = 1
 
@@ -56,6 +58,22 @@ def save_state(path, meta: dict, arrays: dict[str, np.ndarray]):
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def take_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """The arrays named in ``shapes``, after checking that each is present with that shape.
+
+    Every key is checked before any is returned, so a loader that moves
+    state only from the result leaves it untouched on a bad checkpoint.
+    Raises ConfigError naming the first missing or mis-shaped array.
+    """
+    for key, shape in shapes.items():
+        if key not in arrays:
+            raise ConfigError(f"checkpoint has no array {key!r}")
+        if arrays[key].shape != shape:
+            raise ConfigError(f"checkpoint array {key!r} has shape {arrays[key].shape}, "
+                              f"the model needs {shape}")
+    return {key: arrays[key] for key in shapes}
 
 
 def load_state(path) -> tuple[dict, dict[str, np.ndarray]]:

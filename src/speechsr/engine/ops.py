@@ -7,10 +7,17 @@ probabilities for backward. ``conv2d`` adds its bias inside its own node
 and has two GEMM layouts, chosen by operand shape alone: an im2col patch
 matrix, or one GEMM of every kernel tap against the flat input when that
 intermediate is the smaller (few output channels, as in ARCN's output
-conv). The layers are primitives, not compositions: ``linear``,
+conv); its vjp keeps only the padded input and builds dX as a forward
+correlation. The layers are primitives, not compositions: ``linear``,
 ``pointwise_channels``, ``fir_resample_freq``, the whole-sequence ``gru``
-and the fused ``group_norm_silu`` are one graph node each, add their bias
-in place and keep only what their vjp needs.
+and the fused ``group_norm_silu`` are one graph node each and add their
+bias in place.
+
+A vjp closure is the only thing in the graph that keeps arrays, so each
+captures only what it reads: an input's shape where that is all it needs
+(``add``, ``sub``, ``reshape``, ``getitem``, ``sum_``, ``fir_resample_freq``),
+an input's data only where the vjp reads it (``mul``, ``linear``,
+``pointwise_channels``, ``attention``, ``silu``, ``gru``).
 """
 
 from __future__ import annotations
@@ -33,9 +40,10 @@ ATTENTION_BLOCK = 256
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
+        return unbroadcast(g, a_shape), unbroadcast(g, b_shape)
 
     return make_result(data, (a, b), vjp)
 
@@ -43,9 +51,10 @@ def add(a, b):
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return unbroadcast(g, a.shape), unbroadcast(-g, b.shape)
+        return unbroadcast(g, a_shape), unbroadcast(-g, b_shape)
 
     return make_result(data, (a, b), vjp)
 
@@ -76,7 +85,8 @@ def matmul(a, b):
 
 def reshape(a, shape):
     a = as_tensor(a)
-    return make_result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    a_shape = a.shape
+    return make_result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
 
 
 def transpose(a, axes):
@@ -91,9 +101,10 @@ def getitem(a, idx):
     data = a.data[idx]
     if np.shares_memory(data, a.data):
         data = data.copy()
+    a_shape = a.shape
 
     def vjp(g):
-        out = np.zeros(a.shape, dtype=np.float64)
+        out = np.zeros(a_shape, dtype=np.float64)
         out[idx] = g
         return (out,)
 
@@ -115,13 +126,12 @@ def concat(tensors, axis=0):
 def sum_(a, axis=None, keepdims=False):
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    a_shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a_shape).copy(),)
 
     return make_result(data, (a,), vjp)
 
@@ -258,6 +268,37 @@ def _conv_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
     return np.ascontiguousarray(acc.reshape(o, ho, wp)[:, :, :wo])
 
 
+def _correlate(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 correlation of padded ``xp`` with ``w`` in the smaller-intermediate layout."""
+    o, c, kh, kw = w.shape
+    _, hp, wp = xp.shape
+    if o * hp * wp < c * ho * wo:
+        return _conv_taps(xp, w, ho, wo)
+    return (w.reshape(o, -1) @ _im2col(xp, kh, kw)).reshape(o, ho, wo)
+
+
+def _taps_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """dL/dw of :func:`_conv_taps`, one ``(O, span) @ (span, C)`` GEMM per tap.
+
+    g is zero-filled past ``Wo`` to the flat ``(O, Ho·Wp)`` layout, so tap
+    (i, j) pairs it with the same contiguous slice of the flat input that
+    the forward summed; the wrapped columns meet zeros.
+    """
+    o, ho, wo = g.shape
+    c, hp, wp = xp.shape
+    span = (ho - 1) * wp + wo
+    gz = np.zeros((o, ho, wp))
+    gz[:, :, :wo] = g
+    gflat = gz.reshape(o, ho * wp)[:, :span]
+    xflat = xp.reshape(c, hp * wp)
+    gw = np.empty((o, c, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            shift = i * wp + j
+            gw[:, :, i, j] = gflat @ xflat[:, shift:shift + span].T
+    return gw
+
+
 def conv2d(x, w, b=None, pad=(0, 0)):
     """2-D cross-correlation over (C_in, T, F) with zero padding, stride 1.
 
@@ -267,7 +308,14 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     im2col's ``(C*kh*kw, Ho*Wo)`` patch matrix, or the ``(kh*kw*O, Hp*Wp)``
     per-tap responses of :func:`_conv_taps` when ``O*Hp*Wp < C*Ho*Wo``
     (few output channels, or more input channels than output). The vjp
-    rebuilds the patch matrix from the padded input instead of keeping it.
+    keeps only the padded input and the kernel:
+    - dX is the forward correlation of the padded upstream gradient with
+      the flipped, transposed kernel, in the layout the same rule picks;
+      it is skipped when x needs no gradient.
+    - dW is one GEMM per tap (:func:`_taps_weight_grad`) when ``O <= C``,
+      so the input's patch matrix is never built. A widening layer
+      (``in_conv``, 6 -> 64) rebuilds it for dW instead: there the per-tap
+      GEMMs are too thin, 3x slower at 7x7.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 4:
@@ -282,29 +330,34 @@ def conv2d(x, w, b=None, pad=(0, 0)):
             raise ValueError(f"bias shape {b.shape} != ({o},)")
         parents = (x, w, b)
     pt, pf = pad
-    if x.shape[1] + 2 * pt < kh or x.shape[2] + 2 * pf < kw:
+    _, h, f = x.shape
+    if h + 2 * pt < kh or f + 2 * pf < kw:
         raise ValueError("kernel larger than padded input")
     xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf)))
     c_in, hp, wp = xp.shape
     ho, wo = hp - kh + 1, wp - kw + 1
-    if o * hp * wp < c_in * ho * wo:
-        data = _conv_taps(xp, w.data, ho, wo)
-    else:
-        data = (w.data.reshape(o, -1) @ _im2col(xp, kh, kw)).reshape(o, ho, wo)
+    wd = w.data
+    data = _correlate(xp, wd, ho, wo)
     if b is not None:
         data += b.data.reshape(o, 1, 1)
 
+    x_grad, has_bias = x.requires_grad, b is not None
+
     def vjp(g):
-        g2 = g.reshape(o, -1)
-        gw = (g2 @ _im2col(xp, kh, kw).T).reshape(w.shape)
-        # Scatter dX tap by tap: cheaper than an im2col of the upstream grad.
-        dcols = (w.data.reshape(o, -1).T @ g2).reshape(c_in, kh, kw, ho, wo)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i:i + ho, j:j + wo] += dcols[:, i, j]
-        gx = gxp[:, pt:pt + x.shape[1], pf:pf + x.shape[2]].copy()
-        return (gx, gw) if b is None else (gx, gw, g.sum((1, 2)))
+        if o <= c_in:
+            gw = _taps_weight_grad(xp, g, kh, kw)
+        else:
+            gw = (g.reshape(o, -1) @ _im2col(xp, kh, kw).T).reshape(wd.shape)
+        gx = None
+        if x_grad:
+            # Padding g by k-1-p per side makes the correlation's output the
+            # unpadded input's shape; a pad wider than k-1 crops g instead.
+            et, ef = kh - 1 - pt, kw - 1 - pf
+            gp = np.pad(g, ((0, 0), (max(et, 0),) * 2, (max(ef, 0),) * 2))
+            ct, cf = max(-et, 0), max(-ef, 0)
+            gp = gp[:, ct:gp.shape[1] - ct, cf:gp.shape[2] - cf]
+            gx = _correlate(gp, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, f)
+        return (gx, gw, g.sum((1, 2))) if has_bias else (gx, gw)
 
     return make_result(data, parents, vjp)
 
@@ -412,10 +465,11 @@ def fir_resample_freq(x, direction: str):
           and ``y[2i+1] = x[i]/2 + x[i+1]/2`` with ``x[F] = x[F-1]``.
 
     Strided slices compute it in one node. The blur is linear, so the vjp
-    is its adjoint and keeps nothing.
+    is its adjoint and keeps only the input's shape.
     """
     x = as_tensor(x)
-    f = x.shape[-1]
+    x_shape = x.shape
+    f = x_shape[-1]
     if direction == "down":
         if f % 2 != 0:
             raise ValueError(f"frequency size {f} must be even to downsample")
@@ -427,7 +481,7 @@ def fir_resample_freq(x, direction: str):
 
         def vjp(g):
             quarter = g * 0.25
-            gx = np.empty(x.shape)
+            gx = np.empty(x_shape)
             np.multiply(g, 0.5, out=gx[..., 0::2])
             odd = gx[..., 1::2]
             odd[...] = quarter

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericsError
+from .checkpoint import take_arrays
 from .tensor import Parameter
 
 
@@ -50,6 +51,8 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int):
+        shapes = {f"adam/{moment}/{p.name}": p.shape for p in self.params for moment in "mv"}
+        arrays = take_arrays(arrays, shapes)
         for p in self.params:
             self.m[p.name] = np.array(arrays[f"adam/m/{p.name}"], dtype=np.float64)
             self.v[p.name] = np.array(arrays[f"adam/v/{p.name}"], dtype=np.float64)
@@ -101,5 +104,6 @@ class Ema:
         return {f"ema/{name}": arr for name, arr in sorted(self.shadow.items())}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]):
+        arrays = take_arrays(arrays, {f"ema/{p.name}": p.shape for p in self.params})
         for p in self.params:
             self.shadow[p.name] = np.array(arrays[f"ema/{p.name}"], dtype=np.float64)

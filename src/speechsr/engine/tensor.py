@@ -1,12 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tensor`` records the operation that produced it as a vjp closure plus
-parent references; ``backward`` walks the graph once in reverse
-topological order. Only leaves (tensors with no vjp, such as parameters)
-keep a gradient: it accumulates into their ``.grad`` and persists until
-the optimizer clears it, so on leaves two backward calls equal one
-backward of the doubled loss. An intermediate result's gradient lives only
-until the walk has passed it on to its parents; its ``.grad`` stays None.
+The graph is made of nodes, not arrays. Each recorded op result gets a
+``_Node`` holding its vjp closure and its parents' nodes; a leaf (a tensor
+that requires grad but has no vjp, such as a parameter) stands for itself
+and a constant for ``None``. A ``Tensor`` keeps its ``data`` and its node,
+so once the caller drops an intermediate tensor its array is freed unless
+a vjp closure captured it: only the closures keep arrays, and each keeps
+only what it reads. ``backward`` walks the nodes once in reverse
+topological order. Only leaves keep a gradient: it accumulates into their
+``.grad`` and persists until the optimizer clears it, so on leaves two
+backward calls equal one backward of the doubled loss. An intermediate
+result's gradient lives only until the walk has passed it on to its
+parents; its ``.grad`` stays None.
 
 Everything is single-threaded and deterministic: same inputs, same seed,
 same bits.
@@ -47,17 +52,39 @@ def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+class _Node:
+    """One recorded op: its vjp and its parents' nodes (a leaf tensor, or None)."""
+
+    __slots__ = ("parents", "vjp", "__weakref__")
+
+    def __init__(self, parents: tuple, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
+
 class Tensor:
     """Dense float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._node: _Node | None = None
+
+    # Views of the node, for code that inspects or wraps a recorded op.
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     @property
     def shape(self) -> tuple:
@@ -80,19 +107,19 @@ class Tensor:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
             return
-        topo = _toposort(self)
-        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in topo:
+        root = _graph_node(self)
+        pending: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
+        for node in _toposort(root):
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is None:
+            if isinstance(node, Tensor):
                 # Leaves (parameters) own their grad; clip/step mutate it
                 # in place, so it must not alias another node's gradient.
                 node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 if key in pending:
@@ -137,11 +164,21 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    """Reverse topological order (consumers before producers), iteratively."""
-    order: list[Tensor] = []
+def _graph_node(t: Tensor):
+    """What stands for ``t`` in the graph: its node, itself as a leaf, or None."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _toposort(root) -> list:
+    """Reverse topological order (consumers before producers), iteratively.
+
+    Nodes are ``_Node`` objects and leaf ``Tensor``s; a leaf has no parents.
+    """
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -151,9 +188,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
+        if isinstance(node, _Node):
+            for p in node.parents:
+                if p is not None and id(p) not in visited:
+                    stack.append((p, False))
     order.reverse()
     return order
 
@@ -173,6 +211,5 @@ def make_result(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     out = Tensor(data)
     if records(parents):
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+        out._node = _Node(tuple(_graph_node(p) for p in parents), vjp)
     return out

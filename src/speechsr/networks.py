@@ -19,6 +19,7 @@ import numpy as np
 
 from .dsp import FrameConfig, hann_window, synthesis_gain
 from .engine import Parameter, Tensor, ops
+from .engine.checkpoint import take_arrays
 from .engine.tensor import as_tensor
 from .resample import UpsamplingRatio
 
@@ -485,12 +486,7 @@ class TwoStageModel(Module):
         return {f"param/{p.name}": p.data for p in self.params()}
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]):
-        for p in self.params():
-            key = f"param/{p.name}"
-            if key not in arrays:
-                raise KeyError(f"checkpoint missing parameter {p.name}")
-            if arrays[key].shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {p.name}: checkpoint {arrays[key].shape}, model {p.data.shape}"
-                )
-            p.data[...] = arrays[key]
+        params = self.params()
+        arrays = take_arrays(arrays, {f"param/{p.name}": p.shape for p in params})
+        for p in params:
+            p.data[...] = arrays[f"param/{p.name}"]

@@ -23,6 +23,7 @@ from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import NoiseSchedule, reverse_infer, train_step, validation_loss
 from .dsp import FrameConfig, stft
 from .engine import Adam, Ema, load_state, save_state
+from .engine.checkpoint import take_arrays
 from .errors import ConfigError, NumericsError
 from .networks import ArcnConfig, DparnConfig, TwoStageModel
 from .objectives import MetricReport, lsd, sisnr
@@ -152,13 +153,10 @@ def load_model(ckpt_path, use_ema: bool = True) -> tuple[TwoStageModel, dict]:
     model = TwoStageModel(arcn_cfg, dparn_cfg, seed=meta["train_config"]["seed"])
     model.load_param_arrays(arrays)
     if use_ema:
-        for p in model.params():
-            key = f"ema/{p.name}"
-            if key not in arrays:
-                raise ConfigError(f"checkpoint has no EMA shadow for {p.name}")
-            if arrays[key].shape != p.data.shape:
-                raise ConfigError(f"EMA shape mismatch for {p.name}")
-            p.data[...] = arrays[key]
+        params = model.params()
+        shadows = take_arrays(arrays, {f"ema/{p.name}": p.shape for p in params})
+        for p in params:
+            p.data[...] = shadows[f"ema/{p.name}"]
     return model, meta
 
 

@@ -3,11 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from speechsr.cli import main
 from speechsr.data import read_wav
-from speechsr.engine import load_state
+from speechsr.engine import load_state, save_state
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,71 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key = 1\n")
         assert main(["train", "--config", str(cfg)]) == 2
+
+
+def _drop(prefix):
+    def damage(arrays):
+        key = min(k for k in arrays if k.startswith(prefix))
+        del arrays[key]
+        return key
+    return damage
+
+
+def _misshape(prefix):
+    def damage(arrays):
+        key = min(k for k in arrays if k.startswith(prefix))
+        arrays[key] = np.zeros(arrays[key].size + 1)
+        return key
+    return damage
+
+
+CHECKPOINT_DAMAGE = {
+    "missing parameter": _drop("param/"),
+    "missing Adam moment": _drop("adam/m/"),
+    "mis-shaped EMA shadow": _misshape("ema/"),
+}
+
+
+def _damaged_checkpoint(cli_run, tmp_path, damage):
+    """A copy of the run's last checkpoint with one array damaged; returns (path, key)."""
+    meta, arrays = load_state(cli_run / "last.ckpt")
+    key = CHECKPOINT_DAMAGE[damage](arrays)
+    path = tmp_path / "damaged.ckpt"
+    save_state(path, meta, arrays)
+    return path, key
+
+
+class TestIncompleteCheckpoint:
+    """A missing or mis-shaped array is a data error (exit 2) that names it."""
+
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_resume_refuses_before_training(self, cli_run, tmp_path, capsys, damage):
+        ckpt, key = _damaged_checkpoint(cli_run, tmp_path, damage)
+        lines = (cli_run.parent / "train.cfg").read_text().splitlines()
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(f"out_dir = {tmp_path / 'run'}" if line.startswith("out_dir")
+                                 else line for line in lines))
+        code = main(["train", "--config", str(cfg), "--resume", str(ckpt)])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+
+    @pytest.mark.parametrize("damage, expected", [("missing parameter", 2),
+                                                  ("mis-shaped EMA shadow", 2),
+                                                  ("missing Adam moment", 0)])
+    def test_enhance_needs_parameters_and_shadows_only(self, cli_run, cli_corpus, tmp_path,
+                                                       capsys, damage, expected):
+        ckpt, key = _damaged_checkpoint(cli_run, tmp_path, damage)
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--in", str(cli_corpus / "manifest.tsv"),
+                     "--ratio", "2", "--out", str(sim)]) == 0
+        out = tmp_path / "sr.wav"
+        code = main(["enhance", "--ckpt", str(ckpt), "--in", str(sim / "utt0000_lr.wav"),
+                     "--ratio", "2", "--seed", "4", "--out", str(out)])
+        assert code == expected
+        assert out.exists() == (expected == 0)
+        if expected:
+            assert repr(key) in capsys.readouterr().err
 
 
 class TestRunMetadata:

@@ -1,5 +1,6 @@
 """Tests for the noise schedule, sampling, repainting, and the loops."""
 
+import tracemalloc
 import weakref
 
 import mpmath as mp
@@ -215,7 +216,7 @@ class TestTrainStep:
         def spy(*args):
             alive.append(sum(ref() is not None for ref in graphs))
             total, report = inner(*args)
-            graphs.append(weakref.ref(total.data))  # Tensor has __slots__
+            graphs.append(weakref.ref(total._node))  # the graph, not just the loss array
             return total, report
 
         monkeypatch.setattr(diffusion, "_utterance_loss", spy)
@@ -223,6 +224,28 @@ class TestTrainStep:
         train_step(model, _toy_batch(n_items=3), SCHED, Adam(model.params()),
                    Ema(model.params()), np.random.default_rng(0), UpsamplingRatio(2))
         assert alive == [0, 0, 0]
+
+    def test_paper_scale_utterance_graph_fits_its_memory_budget(self):
+        """Forward + backward at paper scale on 2,000 samples peaks below 260 MB.
+
+        A graph whose nodes held every intermediate array, with a conv2d
+        backward that rebuilt the 225 MB output-conv patch matrix, took 435 MB.
+        """
+        model = networks.TwoStageModel(networks.ArcnConfig(), networks.DparnConfig(), seed=0)
+        batch = _toy_batch(n_items=1, n=2000)
+        hr, inp = batch.hr[0], batch.inp[0]
+        z = np.random.default_rng(1).standard_normal(hr.size)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            total, _ = diffusion._utterance_loss(model, hr, inp, SCHED, UpsamplingRatio(2),
+                                                 16000, 400, z)
+            total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 260e6
 
     def test_infinite_gradient_is_refused_before_any_state_moves(self, monkeypatch):
         """A finite loss with an infinite gradient raises; params, moments and EMA keep their bits."""

@@ -1,6 +1,8 @@
 """Tests for the autodiff engine: primitives, layers, optimizer machinery."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -93,6 +95,63 @@ class TestBackward:
         assert out._parents == ()
 
 
+def _intermediate(shape, seed=0):
+    """A parameter and a recorded result of it, whose array only the graph could keep."""
+    p = Parameter("p", np.random.default_rng(seed).standard_normal(shape))
+    return p, ops.add(p, 0.0)
+
+
+def _param(shape, seed=1):
+    return Parameter("w", 0.5 * np.random.default_rng(seed).standard_normal(shape))
+
+
+# (input shape, op on the input, whether its vjp reads the input's data)
+RETENTION_CASES = {
+    "add": ((3, 4), lambda x: ops.add(x, 1.0), False),
+    "sub": ((3, 4), lambda x: ops.sub(1.0, x), False),
+    "reshape": ((3, 4), lambda x: ops.reshape(x, (12,)), False),
+    "transpose": ((3, 4), lambda x: ops.transpose(x, (1, 0)), False),
+    "getitem": ((3, 4), lambda x: ops.getitem(x, (slice(1, None),)), False),
+    "sum_": ((3, 4), lambda x: ops.sum_(x, axis=1), False),
+    "concat": ((3, 4), lambda x: ops.concat([x, x], axis=0), False),
+    "fir_resample_freq.down": ((2, 3, 8), lambda x: ops.fir_resample_freq(x, "down"), False),
+    "fir_resample_freq.up": ((2, 3, 8), lambda x: ops.fir_resample_freq(x, "up"), False),
+    "conv2d.taps": ((3, 4, 6), lambda x: ops.conv2d(x, _param((2, 3, 1, 3)), pad=(0, 1)), False),
+    "conv2d.im2col": ((3, 4, 6), lambda x: ops.conv2d(x, _param((4, 3, 3, 3)), pad=(1, 1)),
+                      False),
+    "group_norm_silu": ((4, 3, 5), lambda x: ops.group_norm_silu(x, _param(4), _param(4, 2),
+                                                                 groups=2), False),
+    "frame_rows": ((32,), lambda x: ops.frame_rows(x, 8, 4), False),
+    "overlap_add_rows": ((5, 8), lambda x: ops.overlap_add_rows(x, 4, 12), False),
+    "stft_pair": ((64,), lambda x: ops.stft_pair(x, 16, 4), False),
+    "istft_pair": ((7, 9), lambda x: ops.istft_pair(x, x, 16, 4, 16), False),
+    "mul": ((3, 4), lambda x: ops.mul(x, _param((3, 4))), True),
+    "linear": ((3, 4), lambda x: ops.linear(x, _param((2, 4))), True),
+    "pointwise_channels": ((3, 2, 4), lambda x: ops.pointwise_channels(x, _param((2, 3))),
+                           True),
+    "attention": ((5, 3), lambda x: ops.attention(x, _param((4, 3)), _param((4, 2))), True),
+    "silu": ((3, 4), ops.silu, True),
+    "gru": ((1, 4, 3), lambda x: ops.gru(x, _param((1, 2)), _param((6, 3)), _param((6, 2)),
+                                         _param(6), _param(6)), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETENTION_CASES))
+def test_graph_keeps_an_input_array_only_if_its_vjp_reads_it(name):
+    """An input's array outlives its Tensor only when the op's vjp reads it."""
+    shape, op, reads_input = RETENTION_CASES[name]
+    p, x = _intermediate(shape)
+    array = weakref.ref(x.data)
+    out = op(x)
+    outs = out if isinstance(out, tuple) else (out,)
+    loss = ops.sum_(ops.concat([ops.reshape(t, (-1,)) for t in outs]))
+    del x, out, outs
+    gc.collect()
+    assert (array() is not None) == reads_input
+    loss.backward()
+    assert p.grad.shape == shape
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 4, 5)))
@@ -151,6 +210,17 @@ class TestConv2d:
 
             fd_gradient_check(build, [w, b, xin], rng)
 
+    def test_gradients_match_fd_with_padding_wider_than_the_kernel(self):
+        # The vjp crops the upstream gradient instead of padding it.
+        rng = np.random.default_rng(14)
+        w = Parameter("w", 0.5 * rng.standard_normal((2, 3, 1, 2)))
+        xin = Parameter("x", rng.standard_normal((3, 3, 4)))
+
+        def build():
+            return ops.sum_(ops.abs_(ops.conv2d(xin, w, pad=(1, 2))))
+
+        fd_gradient_check(build, [w, xin], rng)
+
     def test_bias_is_added_inside_the_node(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((3, 4, 5)))
@@ -158,7 +228,7 @@ class TestConv2d:
         b = Parameter("b", rng.standard_normal(2))
         out = ops.conv2d(x, w, b, pad=(0, 1))
         assert len(out._parents) == 3
-        assert out._parents[0] is x and out._parents[1] is w and out._parents[2] is b
+        assert out._parents[0] is None and out._parents[1] is w and out._parents[2] is b
 
     def test_few_output_channels_make_no_patch_matrix(self):
         rng = np.random.default_rng(10)
@@ -175,6 +245,25 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         # im2col's (64*7*7, 35*256) patch matrix alone is 225 MB.
+        assert peak - before < 30e6
+
+    def test_few_output_channels_backward_makes_no_patch_matrix(self):
+        rng = np.random.default_rng(15)
+        x = Parameter("x", rng.standard_normal((64, 35, 256)))
+        w = Parameter("w", rng.standard_normal((2, 64, 7, 7)))
+        b = Parameter("b", rng.standard_normal(2))
+        loss = ops.sum_(ops.conv2d(x, w, b, pad=(3, 3)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        # Rebuilding the patch matrix for dW, or scattering a patch-sized
+        # dX, takes 225 MB; dW per tap and dX as a correlation take ~20 MB.
         assert peak - before < 30e6
 
     def test_channel_mismatch_rejected(self):
