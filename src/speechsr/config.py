@@ -55,6 +55,10 @@ class TrainConfig:
             raise ConfigError("learning_rate and clip_norm must be positive")
         if not 0 <= self.ema_decay <= 1:
             raise ConfigError("ema_decay must lie in [0, 1]")
+        if self.validate_every < 1:
+            raise ConfigError("validate_every must be at least 1")
+        if self.max_steps < 0:
+            raise ConfigError("max_steps must be nonnegative (0 means no cap)")
         if self.filter_kind not in ("chebyshev", "bessel"):
             raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
         try:

@@ -7,6 +7,7 @@ deterministic pseudo-speech (pitch-drifting harmonics under a formant-like
 envelope plus high-band noise bursts) with at least 10% of its energy
 above 4 kHz; its harmonic phases and high-band noise are independent of the
 low band, and between harmonics the high band has valleys below -80 dB.
+A training batch is a tuple of unpadded 1-D crops, one per utterance.
 """
 
 from __future__ import annotations
@@ -262,26 +263,26 @@ def synth_corpus(out_dir, n_utts: int, duration_s: float, seed: int,
 
 @dataclass(frozen=True)
 class Batch:
-    """Zero-padded (B, N) training arrays; masks are contiguous prefix 1s."""
+    """One training batch: a 1-D HR crop and its LR-simulated input per utterance."""
 
-    hr: np.ndarray
-    inp: np.ndarray
-    mask: np.ndarray
+    hr: tuple[np.ndarray, ...]
+    inp: tuple[np.ndarray, ...]
     ids: tuple[str, ...]
     sample_rate: int
 
-    def __post_init__(self):
-        if not (self.hr.shape == self.inp.shape == self.mask.shape):
-            raise ValueError("batch arrays must share one shape")
+    @property
+    def mask(self) -> np.ndarray:
+        """All ones: nothing is padded. Kept only for the benchmark's
+        ``data.pad_share`` counter, and deleted when that counter goes."""
+        return np.ones(sum(x.size for x in self.hr))
 
 
 class Batcher:
     """Epoch iterator: shuffled order, one random crop per utterance.
 
-    Utterances are normalized full-length, then cropped (or zero-padded up
-    to the crop length); the LR simulation runs on the unpadded crop so hr
-    and inp are exactly zero wherever the mask is zero. All randomness is
-    drawn from the generator passed to :meth:`epoch`.
+    Utterances are normalized full-length, then cropped to the crop length;
+    one shorter than a crop is taken whole. The LR simulation runs on each
+    crop. All randomness is drawn from the generator passed to :meth:`epoch`.
     """
 
     def __init__(self, manifest: Manifest, batch_size: int, crop_s: float,
@@ -307,30 +308,19 @@ class Batcher:
     def epoch(self, rng: np.random.Generator):
         order = rng.permutation(len(self.manifest))
         for start in range(0, len(order), self.batch_size):
-            chunk = order[start:start + self.batch_size]
-            rows_hr, rows_inp, rows_mask, ids = [], [], [], []
-            for idx in chunk:
+            hrs, inps, ids = [], [], []
+            for idx in order[start:start + self.batch_size]:
                 entry = self.manifest.entries[idx]
                 x = self._load(entry)
                 if x.size >= self.crop_len:
                     off = int(rng.integers(0, x.size - self.crop_len + 1))
-                    crop = x[off:off + self.crop_len]
-                else:
-                    crop = x
-                _, inp = simulate_lr(Waveform(crop, self.sample_rate), self.ratio, self.kind)
-                pad = self.crop_len - crop.size
-                mask = np.ones(crop.size)
-                rows_hr.append(np.pad(crop, (0, pad)))
-                rows_inp.append(np.pad(inp.samples, (0, pad)))
-                rows_mask.append(np.pad(mask, (0, pad)))
+                    x = x[off:off + self.crop_len]
+                _, inp = simulate_lr(Waveform(x, self.sample_rate), self.ratio, self.kind)
+                hrs.append(x)
+                inps.append(inp.samples)
                 ids.append(entry.utt_id)
-            yield Batch(
-                hr=np.stack(rows_hr),
-                inp=np.stack(rows_inp),
-                mask=np.stack(rows_mask),
-                ids=tuple(ids),
-                sample_rate=self.sample_rate,
-            )
+            yield Batch(hr=tuple(hrs), inp=tuple(inps), ids=tuple(ids),
+                        sample_rate=self.sample_rate)
 
 
 def validation_items(manifest: Manifest, sample_rate: int, ratio: UpsamplingRatio,

@@ -133,19 +133,16 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
     the EMA moves, leaving gradients untouched for diagnosis.
     """
     opt.zero_grad()
-    n_items = batch.hr.shape[0]
+    n_items = len(batch.hr)
     reports = []
-    for b in range(n_items):
-        n_valid = int(batch.mask[b].sum())
-        hr = batch.hr[b, :n_valid]
-        inp = batch.inp[b, :n_valid]
+    for utt_id, hr, inp in zip(batch.ids, batch.hr, batch.inp):
         k = int(rng.integers(1, sched.total_steps + 1))
-        z = rng.standard_normal(n_valid)
+        z = rng.standard_normal(hr.size)
         total, report = _utterance_loss(model, hr, inp, sched, ratio,
                                         batch.sample_rate, k, z)
         if not np.isfinite(total.item()):
             raise NumericsError(
-                f"non-finite loss on utterance {batch.ids[b]!r} at step k={k}"
+                f"non-finite loss on utterance {utt_id!r} at step k={k}"
             )
         ops.mul(total, 1.0 / n_items).backward()
         reports.append(report)

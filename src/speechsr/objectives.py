@@ -3,7 +3,7 @@
 The predictive loss is an L1 over magnitude, real, and imaginary STFT
 differences; the diffusion loss mixes time-domain and magnitude L1 with a
 fixed 0.85/0.15 weighting. Losses are plain means over every cell of one
-unpadded utterance. The spectra come from the engine's STFT, which runs on
+utterance. The spectra come from the engine's STFT, which runs on
 the same rfft kernel as the metrics.
 
 Metrics are plain float functions: scale-invariant SNR (projection form)

@@ -211,6 +211,10 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     t_start = time.monotonic()
     stop = False
 
+    def save(path, epoch):
+        _save_checkpoint(path, model, opt, ema, scheduler, rng, cfg, sched,
+                         arcn_cfg, dparn_cfg, epoch, global_step)
+
     try:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             for batch in batcher.epoch(rng):
@@ -238,27 +242,19 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
                              time.monotonic() - t_start)
                 if improved or best_val is None:
                     best_val = val_loss
-                    _save_checkpoint(best_path, model, opt, ema, scheduler, rng,
-                                     cfg, sched, arcn_cfg, dparn_cfg, epoch,
-                                     global_step)
-                _save_checkpoint(last_path, model, opt, ema, scheduler, rng,
-                                 cfg, sched, arcn_cfg, dparn_cfg, epoch,
-                                 global_step)
+                    save(best_path, epoch)
+                save(last_path, epoch)
             if stop:
                 break
     except NumericsError:
-        diag = out / "diagnostic.ckpt"
-        _save_checkpoint(diag, model, opt, ema, scheduler, rng, cfg, sched,
-                         arcn_cfg, dparn_cfg, -1, global_step)
+        save(out / "diagnostic.ckpt", -1)
         raise
     finally:
         runlog.close()
-    if not best_path.exists():
-        _save_checkpoint(best_path, model, opt, ema, scheduler, rng, cfg, sched,
-                         arcn_cfg, dparn_cfg, 0, global_step)
-    if not last_path.exists():
-        _save_checkpoint(last_path, model, opt, ema, scheduler, rng, cfg, sched,
-                         arcn_cfg, dparn_cfg, 0, global_step)
+    # A resume from a finished run trains no epoch; its checkpoints keep its epoch.
+    for path in (best_path, last_path):
+        if not path.exists():
+            save(path, start_epoch)
     return FitResult(str(best_path), str(last_path), tuple(lr_trace),
                      tuple(val_trace), global_step, tuple(step_totals))
 

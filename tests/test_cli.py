@@ -19,14 +19,12 @@ def cli_corpus(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def cli_run(tmp_path_factory, cli_corpus):
-    out = tmp_path_factory.mktemp("cli_run")
-    cfg = out / "train.cfg"
-    cfg.write_text(f"""
-train_manifest = {cli_corpus / 'manifest.tsv'}
-valid_manifest = {cli_corpus / 'manifest.tsv'}
-out_dir = {out / 'run'}
+def _write_train_config(path, corpus, out_dir, extra=""):
+    """A micro-architecture training config over ``corpus``; ``extra`` lines are appended."""
+    path.write_text(f"""
+train_manifest = {corpus / 'manifest.tsv'}
+valid_manifest = {corpus / 'manifest.tsv'}
+out_dir = {out_dir}
 train.epochs = 1
 train.batch_size = 2
 train.crop_seconds = 0.25
@@ -49,7 +47,14 @@ dparn.feature_dim = 8
 dparn.chunk_len = 8
 dparn.chunk_hop = 4
 dparn.attention_embed = 4
-""")
+""" + extra)
+    return path
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory, cli_corpus):
+    out = tmp_path_factory.mktemp("cli_run")
+    cfg = _write_train_config(out / "train.cfg", cli_corpus, out / "run")
     assert main(["train", "--config", str(cfg)]) == 0
     return out / "run"
 
@@ -188,6 +193,13 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key = 1\n")
         assert main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line", ["train.validate_every = 0", "train.max_steps = -1"])
+    def test_bad_loop_setting_fails_before_training(self, tmp_path, cli_corpus, line):
+        cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
+                                  extra=line + "\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "run").exists()
 
 
 def _drop(prefix):

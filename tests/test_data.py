@@ -167,40 +167,33 @@ class TestBatcher:
             entries.append(ManifestEntry(f"u{i}", str(path), 16000, n))
         return Manifest(tuple(entries))
 
-    def test_full_length_masks_all_ones(self, tmp_path):
+    def test_full_length_utterances_give_full_crops(self, tmp_path):
         m = self._manifest(tmp_path, [1.0, 1.0])
         batcher = Batcher(m, batch_size=2, crop_s=0.5, ratio=UpsamplingRatio(2),
                           kind="chebyshev")
         (batch,) = list(batcher.epoch(np.random.default_rng(0)))
-        assert np.all(batch.mask == 1.0)
-        assert batch.hr.shape == (2, 8000)
+        assert [x.shape for x in batch.hr] == [(8000,), (8000,)]
+        assert [x.shape for x in batch.inp] == [(8000,), (8000,)]
 
-    def test_short_utterance_prefix_mask(self, tmp_path):
+    def test_short_utterance_comes_back_whole(self, tmp_path):
         m = self._manifest(tmp_path, [0.5])
         batcher = Batcher(m, batch_size=1, crop_s=1.0, ratio=UpsamplingRatio(2),
                           kind="chebyshev")
         (batch,) = list(batcher.epoch(np.random.default_rng(0)))
-        assert batch.mask[0].sum() == 8000
-        np.testing.assert_array_equal(batch.mask[0][:8000], 1.0)
-        np.testing.assert_array_equal(batch.mask[0][8000:], 0.0)
-
-    def test_padding_region_is_zero_in_hr_and_inp(self, tmp_path):
-        m = self._manifest(tmp_path, [0.5])
-        batcher = Batcher(m, batch_size=1, crop_s=1.0, ratio=UpsamplingRatio(2),
-                          kind="chebyshev")
-        (batch,) = list(batcher.epoch(np.random.default_rng(0)))
-        pad = batch.mask[0] == 0.0
-        assert np.all(batch.hr[0][pad] == 0.0)
-        assert np.all(batch.inp[0][pad] == 0.0)
+        (hr,), (inp,) = batch.hr, batch.inp
+        np.testing.assert_array_equal(hr, preprocess(read_wav(m.entries[0].path), 16000).samples)
+        assert hr.shape == inp.shape == (8000,)
 
     def test_deterministic_crops(self, tmp_path):
         m = self._manifest(tmp_path, [2.0, 2.0, 2.0])
         batcher = Batcher(m, batch_size=2, crop_s=0.5, ratio=UpsamplingRatio(2),
                           kind="chebyshev")
-        run1 = [b.hr.copy() for b in batcher.epoch(np.random.default_rng(5))]
-        run2 = [b.hr.copy() for b in batcher.epoch(np.random.default_rng(5))]
-        for a, b in zip(run1, run2):
-            np.testing.assert_array_equal(a, b)
+        run1 = list(batcher.epoch(np.random.default_rng(5)))
+        run2 = list(batcher.epoch(np.random.default_rng(5)))
+        assert [b.ids for b in run1] == [b.ids for b in run2]
+        for b1, b2 in zip(run1, run2):
+            for a, b in zip(b1.hr + b1.inp, b2.hr + b2.inp):
+                np.testing.assert_array_equal(a, b)
 
     def test_epoch_covers_each_utterance_once(self, tmp_path):
         m = self._manifest(tmp_path, [1.0] * 5)

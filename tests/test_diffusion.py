@@ -1,5 +1,6 @@
 """Tests for the noise schedule, sampling, repainting, and the loops."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -22,7 +23,7 @@ from speechsr.diffusion import (
 )
 from speechsr.dsp import Waveform
 from speechsr.engine import Adam, Ema, Tensor
-from speechsr.objectives import lambda_weight, loss_pred, loss_tf
+from speechsr.objectives import LossReport, lambda_weight, loss_pred, loss_tf
 from speechsr.resample import UpsamplingRatio, simulate_lr
 from speechsr.engine import ops
 from speechsr.engine.tensor import make_result
@@ -177,19 +178,15 @@ def _tiny_model(seed=0):
     )
 
 
-def _toy_batch(n_items=2, n=4000, seed=0):
-    rng = np.random.default_rng(seed)
-    rows_hr, rows_inp = [], []
-    for i in range(n_items):
+def _toy_batch(lengths=(4000, 4000)):
+    hrs, inps = [], []
+    for i, n in enumerate(lengths):
         hr = speechlike(n, seed=100 + i).samples
         _, inp = simulate_lr(Waveform(hr, 16000), UpsamplingRatio(2))
-        rows_hr.append(hr)
-        rows_inp.append(inp.samples)
-    return Batch(
-        hr=np.stack(rows_hr), inp=np.stack(rows_inp),
-        mask=np.ones((n_items, n)), ids=tuple(f"u{i}" for i in range(n_items)),
-        sample_rate=16000,
-    )
+        hrs.append(hr)
+        inps.append(inp.samples)
+    return Batch(hr=tuple(hrs), inp=tuple(inps), ids=tuple(f"u{i}" for i in range(len(lengths))),
+                 sample_rate=16000)
 
 
 class TestTrainStep:
@@ -209,6 +206,28 @@ class TestTrainStep:
                  for p in model.params() if p.name == n and not np.array_equal(p.data, old)]
         assert moved
 
+    def test_report_is_the_mean_of_unequal_length_items(self):
+        """Crops of 2,000 and 3,000 samples: the step's report is the mean of the
+        per-item reports under the same (k, z) draws, bit for bit."""
+        batch = _toy_batch(lengths=(2000, 3000))
+        model = _tiny_model(seed=4)
+        ref_rng = np.random.default_rng(6)
+        reports = []
+        for hr, inp in zip(batch.hr, batch.inp):
+            k = int(ref_rng.integers(1, SCHED.total_steps + 1))
+            z = ref_rng.standard_normal(hr.size)
+            _, report = diffusion._utterance_loss(model, hr, inp, SCHED, UpsamplingRatio(2),
+                                                  16000, k, z)
+            reports.append(report)
+        assert reports[0] != reports[1]
+        rng = np.random.default_rng(6)
+        out = train_step(model, batch, SCHED, Adam(model.params()), Ema(model.params()),
+                         rng, UpsamplingRatio(2))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        expected = LossReport(*(float(np.mean([getattr(r, f.name) for r in reports]))
+                                for f in dataclasses.fields(LossReport)))
+        assert out.report == expected
+
     def test_each_item_graph_dies_before_the_next_is_built(self, monkeypatch):
         """Peak memory holds one utterance's graph, not two."""
         inner, graphs, alive = diffusion._utterance_loss, [], []
@@ -221,7 +240,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(diffusion, "_utterance_loss", spy)
         model = _tiny_model(seed=1)
-        train_step(model, _toy_batch(n_items=3), SCHED, Adam(model.params()),
+        train_step(model, _toy_batch(lengths=(4000,) * 3), SCHED, Adam(model.params()),
                    Ema(model.params()), np.random.default_rng(0), UpsamplingRatio(2))
         assert alive == [0, 0, 0]
 
@@ -232,7 +251,7 @@ class TestTrainStep:
         backward that rebuilt the 225 MB output-conv patch matrix, took 435 MB.
         """
         model = networks.TwoStageModel(networks.ArcnConfig(), networks.DparnConfig(), seed=0)
-        batch = _toy_batch(n_items=1, n=2000)
+        batch = _toy_batch(lengths=(2000,))
         hr, inp = batch.hr[0], batch.inp[0]
         z = np.random.default_rng(1).standard_normal(hr.size)
         tracemalloc.start()
@@ -251,7 +270,7 @@ class TestTrainStep:
         """A finite loss with an infinite gradient raises; params, moments and EMA keep their bits."""
         model = _tiny_model(seed=3)
         opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
-        batch = _toy_batch(n_items=1, n=2000)
+        batch = _toy_batch(lengths=(2000,))
         train_step(model, batch, SCHED, opt, ema, np.random.default_rng(0), UpsamplingRatio(2))
         inner, target = diffusion._utterance_loss, model.params()[0]
 
@@ -280,7 +299,7 @@ class TestTrainStep:
         model.dparn.out_proj.b.data[...] = 0.0
         model.arcn.out_conv.w.data[...] = 0.0
         model.arcn.out_conv.b.data[...] = 0.0
-        batch = _toy_batch(n_items=1)
+        batch = _toy_batch(lengths=(4000,))
         hr, inp = batch.hr[0], batch.inp[0]
         k, z = 700, np.random.default_rng(8).standard_normal(hr.size)
         report = diffusion.validation_loss(model, hr, inp, SCHED,

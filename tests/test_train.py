@@ -34,6 +34,16 @@ class TestTrainConfig:
         cfg = micro_train_config(ratio=2.0)
         assert cfg.ratio == 2 and type(cfg.ratio) is int
 
+    @pytest.mark.parametrize("validate_every", [0, -1])
+    def test_validate_every_below_one_rejected(self, validate_every):
+        with pytest.raises(ConfigError, match="validate_every"):
+            micro_train_config(validate_every=validate_every)
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ConfigError, match="max_steps"):
+            micro_train_config(max_steps=-1)
+        assert micro_train_config(max_steps=0).max_steps == 0
+
 
 class TestPlateauScheduler:
     def test_flat_sequence_halves_once(self):
@@ -144,6 +154,21 @@ class TestFit:
 
         assert epoch_rows(part) == epoch_rows(full)
         assert len(epoch_rows(full)) == 4
+
+    def test_resume_from_finished_run_keeps_its_epoch(self, tmp_path, micro_corpus):
+        """A resume that trains nothing writes the checkpoint's epoch, so a
+        second resume from its output does not retrain every epoch."""
+        arcn, dparn = micro_arch()
+        cfg = micro_train_config(epochs=2, seed=9)
+        a = fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, tmp_path / "a")
+        b = fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, tmp_path / "b",
+                resume_from=a.last_path)
+        c = fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, tmp_path / "c",
+                resume_from=b.last_path)
+        for path in (a.last_path, b.best_path, b.last_path, c.best_path, c.last_path):
+            meta, _ = load_state(path)
+            assert (meta["epoch"], meta["global_step"]) == (2, 2)
+        assert b.val_trace == c.val_trace == ()
 
     def test_validation_does_not_mutate_state(self, micro_run):
         result, _ = micro_run
