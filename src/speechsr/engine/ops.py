@@ -4,14 +4,16 @@ Primitives carry hand-written vjps, among them SiLU, the STFT/iSTFT pair,
 which runs on :mod:`speechsr.dsp`'s rfft kernels, and ``attention``, which
 computes ``softmax(q kᵀ) v`` in blocks of query rows and keeps only the
 probabilities for backward. ``conv2d`` adds its bias inside its own node
-and has two GEMM layouts, chosen by operand shape alone: an im2col patch
-matrix, or one GEMM of every kernel tap against the flat input when that
-intermediate is the smaller (few output channels, as in ARCN's output
-conv); its vjp keeps only the padded input and builds dX as a forward
-correlation. The layers are primitives, not compositions: ``linear``,
-``pointwise_channels``, ``fir_resample_freq``, the whole-sequence ``gru``
-and the fused ``group_norm_silu`` are one graph node each and add their
-bias in place.
+and has two GEMM layouts, chosen by operand shape alone: im2col patches, or
+one GEMM of every kernel tap against the flat input when that intermediate
+is the smaller (few output channels, as in ARCN's output conv). Patches are
+built and multiplied one block of output rows at a time, so a long input
+never holds a whole patch matrix (55 MB for the tiny ARCN's input conv on
+4 s) and the output keeps the unblocked product's bits. Its vjp keeps only
+the padded input and builds dX as a forward correlation. The layers
+are primitives, not compositions: ``linear``, ``pointwise_channels``,
+``fir_resample_freq``, the whole-sequence ``gru`` and the fused
+``group_norm_silu`` are one graph node each and add their bias in place.
 
 A vjp closure is the only thing in the graph that keeps arrays, so each
 captures only what it reads: an input's shape where that is all it needs
@@ -22,6 +24,8 @@ an input's data only where the vjp reads it (``mul``, ``linear``,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..dsp import (frame_signal, hann_window, istft_values, overlap_add, stft_values,
@@ -31,6 +35,13 @@ from .tensor import as_tensor, make_result, records, unbroadcast
 # Query rows per attention block. One-thread timings at T = 2,003 frames were
 # flat from 128 to 512 rows and slower below 128.
 ATTENTION_BLOCK = 256
+
+# Bytes of im2col patches that conv2d builds per block of output rows.
+CONV_BLOCK_BYTES = 2 << 20
+# Columns per panel of OpenBLAS's AVX-512 dgemm kernel. A GEMM computes its
+# last partial panel with another kernel, so a column slice of a product
+# keeps the whole product's bits only if it starts and ends on whole panels.
+_GEMM_PANEL = 16
 
 # ---------------------------------------------------------------------------
 # elementwise and shape primitives
@@ -245,6 +256,22 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.reshape(c * kh * kw, ho * wo)
 
 
+def _row_blocks(k: int, ho: int, wo: int):
+    """``(lo, hi)`` bounds of the blocks of output rows whose ``k``-row patches
+    conv2d builds one at a time, from input rows [lo, hi + kh - 1).
+
+    A block holds as many rows as fit in ``CONV_BLOCK_BYTES``, rounded down
+    to whole GEMM panels (at least one panel). An output whose ``Ho*Wo``
+    columns end in a partial panel is one block.
+    """
+    step = _GEMM_PANEL // math.gcd(wo, _GEMM_PANEL)  # rows per whole number of panels
+    rows = ho
+    if ho % step == 0:
+        rows = max(step, CONV_BLOCK_BYTES // (8 * k * wo) // step * step)
+    for lo in range(0, ho, rows):
+        yield lo, min(lo + rows, ho)
+
+
 def _conv_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
     """Stride-1 correlation as one GEMM of every tap against the flat input.
 
@@ -274,7 +301,11 @@ def _correlate(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
     _, hp, wp = xp.shape
     if o * hp * wp < c * ho * wo:
         return _conv_taps(xp, w, ho, wo)
-    return (w.reshape(o, -1) @ _im2col(xp, kh, kw)).reshape(o, ho, wo)
+    out = np.empty((o, ho, wo))
+    w2, flat = w.reshape(o, -1), out.reshape(o, ho * wo)
+    for lo, hi in _row_blocks(c * kh * kw, ho, wo):
+        np.matmul(w2, _im2col(xp[:, lo:hi + kh - 1], kh, kw), out=flat[:, lo * wo:hi * wo])
+    return out
 
 
 def _taps_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -305,17 +336,22 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     ``w`` has shape (C_out, C_in, kh, kw); ``b`` (C_out,) is added per
     output channel in place, so the conv with its bias is one node. The
     forward takes whichever GEMM layout has the smaller intermediate:
-    im2col's ``(C*kh*kw, Ho*Wo)`` patch matrix, or the ``(kh*kw*O, Hp*Wp)``
+    im2col's ``(C*kh*kw, Ho*Wo)`` patches, or the ``(kh*kw*O, Hp*Wp)``
     per-tap responses of :func:`_conv_taps` when ``O*Hp*Wp < C*Ho*Wo``
-    (few output channels, or more input channels than output). The vjp
-    keeps only the padded input and the kernel:
+    (few output channels, or more input channels than output). im2col's
+    GEMM runs per block of output rows (:func:`_row_blocks`) into its slice
+    of the output, so at most ``CONV_BLOCK_BYTES`` of patches exist at once
+    whatever the input length. The per-tap GEMM is not blocked: it spans the
+    flat padded input, whose length mostly ends in a partial GEMM panel, so
+    blocks would move output bits. The vjp keeps only the padded input and
+    the kernel:
     - dX is the forward correlation of the padded upstream gradient with
       the flipped, transposed kernel, in the layout the same rule picks;
       it is skipped when x needs no gradient.
     - dW is one GEMM per tap (:func:`_taps_weight_grad`) when ``O <= C``,
-      so the input's patch matrix is never built. A widening layer
-      (``in_conv``, 6 -> 64) rebuilds it for dW instead: there the per-tap
-      GEMMs are too thin, 3x slower at 7x7.
+      so the input's patches are never built. A widening layer
+      (``in_conv``, 6 -> 64) accumulates one GEMM per im2col block
+      instead: there the per-tap GEMMs are too thin, 3x slower at 7x7.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 4:
@@ -347,7 +383,10 @@ def conv2d(x, w, b=None, pad=(0, 0)):
         if o <= c_in:
             gw = _taps_weight_grad(xp, g, kh, kw)
         else:
-            gw = (g.reshape(o, -1) @ _im2col(xp, kh, kw).T).reshape(wd.shape)
+            g2, gw = g.reshape(o, -1), np.zeros((o, c_in * kh * kw))
+            for lo, hi in _row_blocks(c_in * kh * kw, ho, wo):
+                gw += g2[:, lo * wo:hi * wo] @ _im2col(xp[:, lo:hi + kh - 1], kh, kw).T
+            gw = gw.reshape(wd.shape)
         gx = None
         if x_grad:
             # Padding g by k-1-p per side makes the correlation's output the

@@ -266,7 +266,10 @@ class ResidualLayer(Module):
         conv1 = self.conv1
         h = ops.conv2d(x, conv1.w, ops.add(conv1.b, self.temb_proj(temb)), pad=conv1.pad)
         h = ops.mul(h, self.lossmap_conv(lossmap.reshape(1, 1, -1)))
-        h = self.norm2(self.conv2(self.norm1(h)))
+        # One rebinding per layer, so each map dies after its last reader.
+        h = self.norm1(h)
+        h = self.conv2(h)
+        h = self.norm2(h)
         base = x if self.skip is None else self.skip(x)
         return ops.add(base, h)
 
@@ -364,6 +367,9 @@ class Arcn(Module):
         temb = self.time_embedding(step)
 
         h = self.in_conv(x)
+        # Drop each map after its last reader: the input stack here, each
+        # skip once the decoder has concatenated it.
+        del x, chans, re, im
         skips = []
         for i, block in enumerate(self.encoder):
             h = block(h, temb, Tensor(lm_levels[i]))
@@ -372,7 +378,7 @@ class Arcn(Module):
             h = block(h, temb, Tensor(lm_levels[-1]))
         for j, block in enumerate(self.decoder):
             scale = self.cfg.encoder_blocks - j
-            h = ops.concat([h, skips[-1 - j]], axis=0)
+            h = ops.concat([h, skips.pop()], axis=0)
             h = block(h, temb, Tensor(lm_levels[scale]))
         h = self.final(h, temb, Tensor(lm_levels[0]))
         out = self.out_conv(h)

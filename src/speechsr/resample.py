@@ -10,6 +10,10 @@ Filtering is zero-phase (forward-backward), so the chain's low band is a
 near-identity in the time domain, which the repainting step of the
 inference loop relies on. ARCN marks the bins the ratio removes itself
 (:meth:`speechsr.networks.Arcn.lossmap_pyramid`).
+
+scipy is imported inside the functions that use it: ``scipy.signal`` alone
+takes over a second to import, which commands that never filter (corpus
+synthesis, schedule dumps, spectrograms) need not pay.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal
-from scipy.interpolate import CubicSpline
 
 from .dsp import Waveform
 
@@ -48,6 +50,8 @@ def design_lowpass(kind: str, cutoff_norm: float) -> np.ndarray:
     the Bessel -3 dB point. Designs are memoised per ``(kind, cutoff_norm)``;
     callers must not modify the returned array.
     """
+    from scipy import signal
+
     if not 0.0 < cutoff_norm < 1.0:
         raise ValueError(f"cutoff must lie in (0, 1) as a fraction of Nyquist, got {cutoff_norm}")
     if kind == "chebyshev":
@@ -66,6 +70,8 @@ def iir_apply_zero_phase(sos: np.ndarray, w: Waveform) -> Waveform:
     starts from steady-state initial conditions, which would change the
     output of inputs shorter than the extension.
     """
+    from scipy import signal
+
     x = w.samples
     if not x.size:
         raise ValueError("cannot filter an empty waveform")
@@ -99,6 +105,8 @@ def cubic_spline_upsample(w: Waveform, ratio: UpsamplingRatio) -> Waveform:
         return w
     if len(w) < 4:
         raise ValueError(f"spline upsampling needs at least 4 samples, got {len(w)}")
+    from scipy.interpolate import CubicSpline
+
     n = len(w)
     spline = CubicSpline(np.arange(n), w.samples, bc_type="natural")
     return Waveform(spline(np.arange(n * r) / r), w.sample_rate * r)

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 
 from speechsr import dsp
+from speechsr.engine import ops
 
 
 def fd_gradient_check(build_loss, params, rng, n_probes=32, h=1e-5,
@@ -95,6 +96,14 @@ def stft_matrix_oracle(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     basis = np.exp(-2j * np.pi * np.outer(n, np.arange(frame_len // 2 + 1)) / frame_len)
     frames = np.stack([buf[t * hop:t * hop + frame_len] for t in range(n_frames)])
     return (frames * window) @ basis
+
+
+def correlate_oracle(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 correlation of an already padded ``xp`` with ``w`` as one GEMM
+    over the whole im2col patch matrix, without row blocks."""
+    o, _, kh, kw = w.shape
+    ho, wo = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+    return (w.reshape(o, -1) @ ops._im2col(xp, kh, kw)).reshape(o, ho, wo)
 
 
 def attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:

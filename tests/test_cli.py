@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ import pytest
 from speechsr.cli import main
 from speechsr.data import read_wav
 from speechsr.engine import load_state, save_state
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +283,16 @@ class TestRunMetadata:
     def test_checkpoint_carries_arch(self, cli_run):
         meta, _ = load_state(cli_run / "best.ckpt")
         assert meta["arch"]["dparn"]["feature_dim"] == 8
+
+
+def test_importing_the_cli_loads_neither_scipy_signal_nor_interpolate():
+    """``resample`` imports them where it filters or interpolates, so the
+    commands that do neither skip their import (over a second)."""
+    paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    code = ("import sys, speechsr.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

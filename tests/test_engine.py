@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     attention_oracle,
+    correlate_oracle,
     fd_gradient_check,
     fir_resample_oracle,
     group_norm_silu_oracle,
@@ -265,6 +266,94 @@ class TestConv2d:
         # Rebuilding the patch matrix for dW, or scattering a patch-sized
         # dX, takes 225 MB; dW per tap and dX as a correlation take ~20 MB.
         assert peak - before < 30e6
+
+    # (input, kernel, pad, bytes per block): a short last block at kh 1, 3
+    # and 7, where Wo = 12 and Wo = 8 take blocks in multiples of 4 and 2
+    # rows (whole 16-column panels), and a pad wider than k - 1.
+    BLOCK_CASES = [
+        ((4, 37, 16), (4, 4, 1, 3), (0, 1), 5 * 8 * 12 * 16),
+        ((4, 36, 12), (4, 4, 3, 3), (1, 1), 8 * 8 * 36 * 12),
+        ((3, 40, 8), (3, 3, 7, 7), (3, 3), 6 * 8 * 147 * 8),
+        ((4, 30, 11), (4, 4, 3, 2), (4, 3), 5 * 8 * 24 * 16),
+    ]
+
+    @pytest.mark.parametrize("one_panel", [False, True], ids=["blocks", "one_panel"])
+    @pytest.mark.parametrize("xshape, wshape, pad, block_bytes", BLOCK_CASES)
+    def test_row_blocks_keep_the_whole_products_bits(self, monkeypatch, xshape, wshape, pad,
+                                                      block_bytes, one_panel):
+        """Forward and dX equal one GEMM over the whole patch matrix, bit for bit.
+
+        One byte per block leaves the fewest rows that fill whole panels: a
+        single row where Wo is a multiple of 16.
+        """
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1 if one_panel else block_bytes)
+        rng = np.random.default_rng(16)
+        x = Parameter("x", rng.standard_normal(xshape))
+        w = Tensor(rng.standard_normal(wshape))
+        b = Tensor(rng.standard_normal(wshape[0]))
+        out = ops.conv2d(x, w, b, pad=pad)
+        (pt, pf), (_, _, kh, kw) = pad, wshape
+        ref = correlate_oracle(np.pad(x.data, ((0, 0), (pt, pt), (pf, pf))), w.data)
+        ref += b.data.reshape(-1, 1, 1)
+        assert np.array_equal(out.data, ref)
+
+        g = rng.standard_normal(out.shape)
+        gx = out._node.vjp(g)[0]
+        # dX correlates g, padded by k-1-p per side or cropped where p > k-1,
+        # with the flipped, transposed kernel.
+        et, ef = kh - 1 - pt, kw - 1 - pf
+        gp = np.pad(g, ((0, 0), (max(et, 0),) * 2, (max(ef, 0),) * 2))
+        ct, cf = max(-et, 0), max(-ef, 0)
+        gp = gp[:, ct:gp.shape[1] - ct, cf:gp.shape[2] - cf]
+        flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        assert np.array_equal(gx, correlate_oracle(gp, flipped))
+
+    @staticmethod
+    def _traced_peak(run):
+        """Bytes allocated at the peak of ``run()`` beyond what was held before it."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - before, result
+
+    def test_forward_transient_is_bounded_by_the_block(self):
+        """A no-grad 6->8 3x3 conv on 4,000 rows: the whole patch matrix is 110 MB."""
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.standard_normal((6, 4000, 64)))
+        w = Tensor(rng.standard_normal((8, 6, 3, 3)))
+        with no_grad():
+            peak, out = self._traced_peak(lambda: ops.conv2d(x, w, pad=(1, 1)))
+        padded = 6 * 4002 * 66 * 8
+        assert peak < out.data.nbytes + padded + 2 * ops.CONV_BLOCK_BYTES
+
+    def test_input_gradient_transient_is_bounded_by_the_block(self):
+        """dX of an 8->8 1x3 conv on 4,000 rows: its whole patch matrix is 49 MB."""
+        rng = np.random.default_rng(18)
+        x = Parameter("x", rng.standard_normal((8, 4000, 64)))
+        w = Parameter("w", rng.standard_normal((8, 8, 1, 3)))
+        out = ops.conv2d(x, w, pad=(0, 1))
+        g = rng.standard_normal(out.shape)
+        peak, (gx, gw) = self._traced_peak(lambda: out._node.vjp(g))
+        assert gx.shape == x.shape and gw.shape == w.shape
+        padded = 8 * 4000 * 66 * 8  # g padded by one column per side
+        assert peak < gx.nbytes + padded + 2 * ops.CONV_BLOCK_BYTES
+
+    def test_widening_weight_gradient_transient_is_bounded_by_the_block(self):
+        """dW of a 6->64 7x7 conv on 400 rows: its whole patch matrix is 60 MB."""
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.standard_normal((6, 400, 64)))
+        w = Parameter("w", 0.1 * rng.standard_normal((64, 6, 7, 7)))
+        out = ops.conv2d(x, w, pad=(3, 3))
+        g = rng.standard_normal(out.shape)
+        peak, (gx, gw) = self._traced_peak(lambda: out._node.vjp(g))
+        assert gx is None and gw.shape == w.shape
+        padded = 6 * 406 * 70 * 8
+        assert peak < gw.nbytes + padded + 2 * ops.CONV_BLOCK_BYTES
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):

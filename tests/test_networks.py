@@ -1,11 +1,13 @@
 """Tests for the DPARN-lite and ARCN architectures and the time embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import fd_gradient_check
 from speechsr.dsp import FrameConfig
-from speechsr.engine import Parameter, Tensor, ops
+from speechsr.engine import Parameter, Tensor, no_grad, ops
 from speechsr.networks import (
     Arcn,
     ArcnConfig,
@@ -202,6 +204,28 @@ class TestArcn:
         with pytest.raises(ValueError):
             net.forward(np.zeros(600), np.zeros(600), np.zeros(601),
                         UpsamplingRatio(2), 0.0, 16000)
+
+    def test_no_grad_forward_on_4_s_stays_within_its_memory_budget(self):
+        """Tiny ARCN on 4 s (2,003 frames): the traced peak stays below 65 MB.
+
+        It measures 45 MB since conv2d builds its im2col patches one block of
+        output rows at a time and the forward drops each map after its last
+        reader; it was 96 MB with whole patch matrices and the maps kept.
+        """
+        rng = np.random.default_rng(16)
+        net = Arcn(tiny_arcn_config(), rng)
+        x_t, s_pred, s_inp = (rng.standard_normal(64000) for _ in range(3))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = net.forward(x_t, s_pred, s_inp, UpsamplingRatio(2), 500.0, 16000)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (64000,)
+        assert peak - before < 65e6
 
     def test_gradients_match_fd(self):
         cfg = micro_arcn_config()
