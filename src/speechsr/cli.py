@@ -126,7 +126,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_enhance(args) -> int:
     ratio = UpsamplingRatio(args.ratio)
-    model, meta = load_model(args.ckpt, use_ema=True)
+    model, meta = load_model(args.ckpt)
     sched = NoiseSchedule(**meta["schedule"])
     w = read_wav(args.wav_in)
     rate = meta["train_config"]["sample_rate"]

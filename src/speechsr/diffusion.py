@@ -11,7 +11,7 @@ diffusion) and stitches the known low band back in after every step
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,10 +151,8 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
     scale = clip_global_norm(model.params(), clip_norm)
     opt.step()
     ema.update()
-    mean = LossReport(
-        *(float(np.mean([getattr(r, f) for r in reports]))
-          for f in ("l_pred", "l_time", "l_freq", "l_diff", "lambda_weight", "total"))
-    )
+    mean = LossReport(*(float(np.mean([getattr(r, f.name) for r in reports]))
+                        for f in fields(LossReport)))
     return StepLosses(report=mean, clip_scale=scale)
 
 

@@ -25,8 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError
-
 MAGIC = b"SSRCKPT1"
 FORMAT_VERSION = 1
 
@@ -60,22 +58,6 @@ def save_state(path, meta: dict, arrays: dict[str, np.ndarray]):
         raise
 
 
-def take_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """The arrays named in ``shapes``, after checking that each is present with that shape.
-
-    Every key is checked before any is returned, so a loader that moves
-    state only from the result leaves it untouched on a bad checkpoint.
-    Raises ConfigError naming the first missing or mis-shaped array.
-    """
-    for key, shape in shapes.items():
-        if key not in arrays:
-            raise ConfigError(f"checkpoint has no array {key!r}")
-        if arrays[key].shape != shape:
-            raise ConfigError(f"checkpoint array {key!r} has shape {arrays[key].shape}, "
-                              f"the model needs {shape}")
-    return {key: arrays[key] for key in shapes}
-
-
 def load_state(path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:8] != MAGIC:
@@ -89,6 +71,9 @@ def load_state(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from exc
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {header.get('format_version')}")
+    for field in ("meta", "arrays"):
+        if field not in header:
+            raise ValueError(f"{path}: checkpoint header has no {field!r}")
     payload = np.frombuffer(raw[12 + hlen:], dtype="<f8")
     arrays = {}
     for entry in header["arrays"]:

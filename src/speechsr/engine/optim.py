@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericsError
-from .checkpoint import take_arrays
 from .tensor import Parameter
 
 
@@ -42,21 +41,6 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in sorted(self.m):
-            out[f"adam/m/{name}"] = self.m[name]
-            out[f"adam/v/{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int):
-        shapes = {f"adam/{moment}/{p.name}": p.shape for p in self.params for moment in "mv"}
-        arrays = take_arrays(arrays, shapes)
-        for p in self.params:
-            self.m[p.name] = np.array(arrays[f"adam/m/{p.name}"], dtype=np.float64)
-            self.v[p.name] = np.array(arrays[f"adam/v/{p.name}"], dtype=np.float64)
-        self.step_count = int(step_count)
 
 
 def clip_global_norm(params: list[Parameter], max_norm: float = 1.0) -> float:
@@ -99,11 +83,3 @@ class Ema:
             s = self.shadow[p.name]
             s *= d
             s += (1.0 - d) * p.data
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {f"ema/{name}": arr for name, arr in sorted(self.shadow.items())}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        arrays = take_arrays(arrays, {f"ema/{p.name}": p.shape for p in self.params})
-        for p in self.params:
-            self.shadow[p.name] = np.array(arrays[f"ema/{p.name}"], dtype=np.float64)

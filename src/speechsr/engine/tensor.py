@@ -73,11 +73,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._node: _Node | None = None
 
-    # Views of the node, for code that inspects or wraps a recorded op.
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node.parents
-
+    # A view of the node's vjp, for code that wraps a recorded op.
     @property
     def _vjp(self):
         return None if self._node is None else self._node.vjp

@@ -19,7 +19,6 @@ import numpy as np
 
 from .dsp import FrameConfig, hann_window, synthesis_gain
 from .engine import Parameter, Tensor, ops
-from .engine.checkpoint import take_arrays
 from .engine.tensor import as_tensor
 from .resample import UpsamplingRatio
 
@@ -487,12 +486,3 @@ class TwoStageModel(Module):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
         self.dparn = Dparn(dparn_cfg, rng)
         self.arcn = Arcn(arcn_cfg, rng)
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {f"param/{p.name}": p.data for p in self.params()}
-
-    def load_param_arrays(self, arrays: dict[str, np.ndarray]):
-        params = self.params()
-        arrays = take_arrays(arrays, {f"param/{p.name}": p.shape for p in params})
-        for p in params:
-            p.data[...] = arrays[f"param/{p.name}"]

@@ -2,9 +2,10 @@
 
 Checkpoints carry everything needed to resume bit-exactly: parameters,
 Adam moments and step count, the EMA shadow, the plateau scheduler state,
-and the master RNG state. Validation draws its diffusion step and noise
-from per-utterance side seeds, so it is deterministic across epochs and
-never advances the training RNG.
+and the master RNG state. This module alone names their arrays
+(``_state_table``) and meta keys (``META_KEYS``). Validation draws its
+diffusion step and noise from per-utterance side seeds, so it is
+deterministic across epochs and never advances the training RNG.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,9 @@ from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import NoiseSchedule, reverse_infer, train_step, validation_loss
 from .dsp import FrameConfig, stft
 from .engine import Adam, Ema, load_state, save_state
-from .engine.checkpoint import take_arrays
 from .errors import ConfigError, NumericsError
 from .networks import ArcnConfig, DparnConfig, TwoStageModel
-from .objectives import MetricReport, lsd, sisnr
+from .objectives import LossReport, MetricReport, lsd, sisnr
 from .resample import UpsamplingRatio, simulate_lr
 
 METRIC_STFT = FrameConfig()  # 32 ms / 8 ms analysis for reported metrics
@@ -55,20 +55,11 @@ class PlateauScheduler:
             return True
         return False
 
-    def state(self) -> dict:
-        return {"lr": self.lr, "factor": self.factor, "patience": self.patience,
-                "best": self.best, "bad_epochs": self.bad_epochs}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "PlateauScheduler":
-        return cls(**state)
-
 
 class RunLog:
     """Incremental CSV logs: per-step losses and per-epoch validation/LR."""
 
-    STEP_FIELDS = ("step", "epoch", "l_pred", "l_time", "l_freq", "l_diff",
-                   "lambda_weight", "total", "clip_scale")
+    STEP_FIELDS = ("step", "epoch", *(f.name for f in fields(LossReport)), "clip_scale")
     EPOCH_FIELDS = ("epoch", "val_loss", "lr", "wall_clock_s")
 
     def __init__(self, out_dir, resume: tuple[int, int] | None = None):
@@ -80,10 +71,7 @@ class RunLog:
         self._epochs, self._epochs_csv = _open_log(out / "runlog_epochs.csv", self.EPOCH_FIELDS, epoch)
 
     def step(self, step, epoch, report, clip_scale):
-        self._steps_csv.writerow(
-            [step, epoch, report.l_pred, report.l_time, report.l_freq,
-             report.l_diff, report.lambda_weight, report.total, clip_scale]
-        )
+        self._steps_csv.writerow([step, epoch, *astuple(report), clip_scale])
         self._steps.flush()
 
     def epoch(self, epoch, val_loss, lr, wall_clock_s):
@@ -127,36 +115,57 @@ def _validation_draws(cfg: TrainConfig, sched: NoiseSchedule, items):
     return draws
 
 
-def _save_checkpoint(path, model, opt, ema, scheduler, rng, cfg, sched,
-                     arcn_cfg, dparn_cfg, epoch, global_step):
-    meta = {
-        "version": __version__,
-        "arch": arch_meta(arcn_cfg, dparn_cfg),
-        "schedule": asdict(sched),
-        "train_config": asdict(cfg),
-        "epoch": epoch,
-        "global_step": global_step,
-        "adam_step": opt.step_count,
-        "scheduler": scheduler.state(),
-        "rng_state": rng.bit_generator.state,
-    }
-    arrays = dict(model.param_arrays())
-    arrays.update(opt.state_arrays())
-    arrays.update(ema.state_arrays())
-    save_state(path, meta, arrays)
+# The meta keys of every checkpoint ``fit`` saves; a reader needs them all.
+META_KEYS = ("version", "arch", "train_config", "schedule", "epoch", "global_step",
+             "adam_step", "scheduler", "rng_state")
 
 
-def load_model(ckpt_path, use_ema: bool = True) -> tuple[TwoStageModel, dict]:
-    """Rebuild the model a checkpoint was trained with; optionally EMA weights."""
-    meta, arrays = load_state(ckpt_path)
+def _state_table(model, opt, ema) -> dict[str, dict[str, np.ndarray]]:
+    """What a checkpoint holds: array prefix -> {name: live array}, saved as
+    ``<prefix>/<name>`` and restored in place."""
+    return {"param": {p.name: p.data for p in model.params()},
+            "adam/m": opt.m, "adam/v": opt.v, "ema": ema.shadow}
+
+
+def _flatten(table: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    return {f"{prefix}/{name}": array for prefix, named in table.items()
+            for name, array in named.items()}
+
+
+def _read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """``load_state``, raising ConfigError if the meta lacks a key ``fit`` writes."""
+    meta, arrays = load_state(path)
+    for key in META_KEYS:
+        if key not in meta:
+            raise ConfigError(f"{path}: checkpoint meta has no {key!r}")
+    return meta, arrays
+
+
+def _restore(arrays: dict[str, np.ndarray], table: dict[str, dict[str, np.ndarray]]):
+    """Copy each ``<prefix>/<name>`` array into the table's array in place.
+
+    Every array is checked for presence and shape before any is copied, so
+    a bad checkpoint leaves the state untouched. Raises ConfigError naming
+    the first missing or mis-shaped array.
+    """
+    targets = _flatten(table)
+    for key, target in targets.items():
+        if key not in arrays:
+            raise ConfigError(f"checkpoint has no array {key!r}")
+        if arrays[key].shape != target.shape:
+            raise ConfigError(f"checkpoint array {key!r} has shape {arrays[key].shape}, "
+                              f"the model needs {target.shape}")
+    for key, target in targets.items():
+        target[...] = arrays[key]
+
+
+def load_model(ckpt_path) -> tuple[TwoStageModel, dict]:
+    """Rebuild the model a checkpoint was trained with, holding its EMA weights."""
+    meta, arrays = _read_checkpoint(ckpt_path)
     arcn_cfg, dparn_cfg = arch_from_meta(meta["arch"])
     model = TwoStageModel(arcn_cfg, dparn_cfg, seed=meta["train_config"]["seed"])
-    model.load_param_arrays(arrays)
-    if use_ema:
-        params = model.params()
-        shadows = take_arrays(arrays, {f"ema/{p.name}": p.shape for p in params})
-        for p in params:
-            p.data[...] = shadows[f"ema/{p.name}"]
+    params = {p.name: p.data for p in model.params()}
+    _restore(arrays, {"param": params, "ema": params})
     return model, meta
 
 
@@ -176,25 +185,23 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     start_epoch = 0
     global_step = 0
 
+    run_meta = {"version": __version__, "train_config": asdict(cfg),
+                "arch": arch_meta(arcn_cfg, dparn_cfg), "schedule": asdict(sched)}
+
     if resume_from is not None:
-        meta, arrays = load_state(resume_from)
-        if meta["arch"] != arch_meta(arcn_cfg, dparn_cfg):
+        meta, arrays = _read_checkpoint(resume_from)
+        if meta["arch"] != run_meta["arch"]:
             raise ConfigError("checkpoint architecture differs from configuration")
-        model.load_param_arrays(arrays)
-        opt.load_state_arrays(arrays, meta["adam_step"])
-        ema.load_state_arrays(arrays)
-        scheduler = PlateauScheduler.from_state(meta["scheduler"])
+        _restore(arrays, _state_table(model, opt, ema))
+        opt.step_count = int(meta["adam_step"])
+        scheduler = PlateauScheduler(**meta["scheduler"])
         rng.bit_generator.state = meta["rng_state"]
         start_epoch = meta["epoch"]
         global_step = meta["global_step"]
 
-    (out / "run_meta.json").write_text(json.dumps({
-        "version": __version__,
-        "train_config": asdict(cfg),
-        "arch": arch_meta(arcn_cfg, dparn_cfg),
-        "schedule": asdict(sched),
-        "resumed_from": str(resume_from) if resume_from else None,
-    }, indent=2, sort_keys=True))
+    (out / "run_meta.json").write_text(json.dumps(
+        {**run_meta, "resumed_from": str(resume_from) if resume_from else None},
+        indent=2, sort_keys=True))
 
     batcher = Batcher(train_manifest, cfg.batch_size, cfg.crop_seconds, ratio,
                       cfg.filter_kind, cfg.sample_rate)
@@ -207,13 +214,14 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     lr_trace: list[float] = []
     val_trace: list[float] = []
     step_totals: list[float] = []
-    best_val = scheduler.best
     t_start = time.monotonic()
     stop = False
 
     def save(path, epoch):
-        _save_checkpoint(path, model, opt, ema, scheduler, rng, cfg, sched,
-                         arcn_cfg, dparn_cfg, epoch, global_step)
+        meta = dict(run_meta, epoch=epoch, global_step=global_step,
+                    adam_step=opt.step_count, scheduler=asdict(scheduler),
+                    rng_state=rng.bit_generator.state)
+        save_state(path, meta, _flatten(_state_table(model, opt, ema)))
 
     try:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
@@ -240,8 +248,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
                 lr_trace.append(scheduler.lr)
                 runlog.epoch(epoch, val_loss, scheduler.lr,
                              time.monotonic() - t_start)
-                if improved or best_val is None:
-                    best_val = val_loss
+                if improved:
                     save(best_path, epoch)
                 save(last_path, epoch)
             if stop:

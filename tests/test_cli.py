@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from speechsr.cli import main
 from speechsr.data import read_wav
 from speechsr.engine import load_state, save_state
+from speechsr.engine.checkpoint import FORMAT_VERSION, MAGIC
+from speechsr.train import META_KEYS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -273,6 +276,54 @@ class TestIncompleteCheckpoint:
             assert repr(key) in capsys.readouterr().err
 
 
+def _enhance_args(ckpt, cli_corpus, tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--in", str(cli_corpus / "manifest.tsv"),
+                 "--ratio", "2", "--out", str(sim)]) == 0
+    return ["enhance", "--ckpt", str(ckpt), "--in", str(sim / "utt0000_lr.wav"),
+            "--ratio", "2", "--out", str(tmp_path / "sr.wav")]
+
+
+def _without_meta_key(cli_run, tmp_path, key):
+    meta, arrays = load_state(cli_run / "last.ckpt")
+    del meta[key]
+    path = tmp_path / "no_meta_key.ckpt"
+    save_state(path, meta, arrays)
+    return path
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint whose header or meta lacks a field is a data error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("key", META_KEYS)
+    def test_enhance_names_the_missing_meta_key(self, cli_run, cli_corpus, tmp_path, capsys,
+                                                key):
+        args = _enhance_args(_without_meta_key(cli_run, tmp_path, key), cli_corpus, tmp_path)
+        assert main(args) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "sr.wav").exists()
+
+    def test_evaluate_and_resume_name_the_missing_meta_key(self, cli_run, cli_corpus, tmp_path,
+                                                          capsys):
+        ckpt = _without_meta_key(cli_run, tmp_path, "schedule")
+        assert main(["evaluate", "--ckpt", str(ckpt),
+                     "--manifest", str(cli_corpus / "manifest.tsv"), "--ratio", "2",
+                     "--report", str(tmp_path / "report.csv")]) == 2
+        assert "'schedule'" in capsys.readouterr().err
+        ckpt = _without_meta_key(cli_run, tmp_path, "rng_state")
+        cfg = _write_train_config(tmp_path / "train.cfg", cli_corpus, tmp_path / "run")
+        assert main(["train", "--config", str(cfg), "--resume", str(ckpt)]) == 2
+        assert "'rng_state'" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+
+    def test_header_without_arrays(self, cli_corpus, tmp_path, capsys):
+        header = json.dumps({"format_version": FORMAT_VERSION, "meta": {}}).encode()
+        ckpt = tmp_path / "no_arrays.ckpt"
+        ckpt.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+        assert main(_enhance_args(ckpt, cli_corpus, tmp_path)) == 2
+        assert "'arrays'" in capsys.readouterr().err
+
+
 class TestRunMetadata:
     def test_config_echoed(self, cli_run):
         meta = json.loads((cli_run / "run_meta.json").read_text())
@@ -283,6 +334,11 @@ class TestRunMetadata:
     def test_checkpoint_carries_arch(self, cli_run):
         meta, _ = load_state(cli_run / "best.ckpt")
         assert meta["arch"]["dparn"]["feature_dim"] == 8
+
+    def test_checkpoint_meta_holds_exactly_the_keys_a_reader_needs(self, cli_run):
+        for name in ("best.ckpt", "last.ckpt"):
+            meta, _ = load_state(cli_run / name)
+            assert sorted(meta) == sorted(META_KEYS)
 
 
 def test_importing_the_cli_loads_neither_scipy_signal_nor_interpolate():

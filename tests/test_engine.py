@@ -93,7 +93,7 @@ class TestBackward:
         with no_grad():
             out = ops.mul(p, p)
         assert not out.requires_grad
-        assert out._parents == ()
+        assert out._node is None
 
 
 def _intermediate(shape, seed=0):
@@ -228,8 +228,7 @@ class TestConv2d:
         w = Parameter("w", rng.standard_normal((2, 3, 1, 3)))
         b = Parameter("b", rng.standard_normal(2))
         out = ops.conv2d(x, w, b, pad=(0, 1))
-        assert len(out._parents) == 3
-        assert out._parents[0] is None and out._parents[1] is w and out._parents[2] is b
+        assert out._node.parents == (None, w, b)
 
     def test_few_output_channels_make_no_patch_matrix(self):
         rng = np.random.default_rng(10)
@@ -362,8 +361,8 @@ class TestConv2d:
 
 def _is_one_node(out, *inputs):
     """``out`` was recorded as one node whose parents are exactly ``inputs``."""
-    return (out.requires_grad and len(out._parents) == len(inputs)
-            and all(p is q for p, q in zip(out._parents, inputs)))
+    return (out.requires_grad and len(out._node.parents) == len(inputs)
+            and all(p is q for p, q in zip(out._node.parents, inputs)))
 
 
 class TestGroupNorm:
@@ -461,7 +460,7 @@ class TestSilu:
     def test_one_graph_node(self):
         p = Parameter("p", np.random.default_rng(12).standard_normal((2, 3)))
         out = ops.silu(p)
-        assert out.requires_grad and out._parents == (p,)
+        assert out.requires_grad and out._node.parents == (p,)
 
     @pytest.mark.parametrize("shape", [(), (3, 4, 5)], ids=["0-d", "3-d"])
     def test_gradients_match_fd(self, shape):
@@ -884,7 +883,7 @@ class TestAttention:
                 tracemalloc.reset_peak()
                 out = ops.attention(q, k, v)
                 held, peak = tracemalloc.get_traced_memory()
-            assert out._vjp is None and out._parents == () and not out.requires_grad
+            assert out._node is None and not out.requires_grad
             assert held - before < full / 10
             assert peak - before < full / 2
             before = tracemalloc.get_traced_memory()[0]

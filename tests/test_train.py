@@ -1,6 +1,8 @@
 """Tests for the training driver, plateau scheduling, and evaluation."""
 
 import csv
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +88,7 @@ class TestPlateauScheduler:
         s = PlateauScheduler(lr=0.25, patience=3, factor=0.5)
         s.update(4.0)
         s.update(5.0)
-        s2 = PlateauScheduler.from_state(s.state())
+        s2 = PlateauScheduler(**asdict(s))
         assert s2 == s
 
 
@@ -95,10 +97,20 @@ class TestFit:
         result, out = micro_run
         assert result.total_steps >= 1
         meta, arrays = load_state(result.last_path)
-        model, _ = load_model(result.last_path, use_ema=False)
+        model, _ = load_model(result.last_path)
         for p in model.params():
-            np.testing.assert_array_equal(p.data, arrays[f"param/{p.name}"])
+            np.testing.assert_array_equal(p.data, arrays[f"ema/{p.name}"])
         assert meta["train_config"]["seed"] == 5
+
+    def test_resume_that_trains_nothing_rewrites_last_ckpt_bytes(self, tmp_path, micro_corpus,
+                                                                micro_run):
+        """Restoring a checkpoint and saving it again inverts over every array and meta key."""
+        result, _ = micro_run
+        arcn, dparn = micro_arch()
+        again = fit(micro_train_config(), arcn, dparn, SCHED, micro_corpus, micro_corpus,
+                    tmp_path / "again", resume_from=result.last_path)
+        assert again.val_trace == ()
+        assert Path(again.last_path).read_bytes() == Path(result.last_path).read_bytes()
 
     def test_run_metadata_written(self, micro_run):
         _, out = micro_run
@@ -117,11 +129,12 @@ class TestFit:
                       tmp_path / "part", resume_from=part.last_path)
         assert part.val_trace + resumed.val_trace == full.val_trace
         assert part.lr_trace + resumed.lr_trace == full.lr_trace
-        # parameters after resume match the uninterrupted run bitwise
-        m_full, _ = load_model(full.last_path, use_ema=False)
-        m_res, _ = load_model(resumed.last_path, use_ema=False)
-        for p1, p2 in zip(m_full.params(), m_res.params()):
-            np.testing.assert_array_equal(p1.data, p2.data)
+        # parameters, Adam moments and EMA shadows match the uninterrupted run bitwise
+        _, arrays_full = load_state(full.last_path)
+        _, arrays_res = load_state(resumed.last_path)
+        assert arrays_full.keys() == arrays_res.keys()
+        for key, array in arrays_full.items():
+            np.testing.assert_array_equal(array, arrays_res[key], err_msg=key)
 
     def test_resume_after_crash_logs_each_step_once(self, tmp_path, micro_corpus, monkeypatch):
         """A run killed mid-epoch 2 and resumed from last.ckpt logs what an unbroken run does."""
@@ -172,7 +185,7 @@ class TestFit:
 
     def test_validation_does_not_mutate_state(self, micro_run):
         result, _ = micro_run
-        model, _ = load_model(result.last_path, use_ema=False)
+        model, _ = load_model(result.last_path)
         before = {p.name: p.data.copy() for p in model.params()}
         rng = np.random.default_rng(1)
         hr = rng.standard_normal(4000)
