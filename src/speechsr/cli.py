@@ -127,16 +127,15 @@ def _cmd_train(args) -> int:
 def _cmd_enhance(args) -> int:
     ratio = UpsamplingRatio(args.ratio)
     model, meta = load_model(args.ckpt)
-    sched = NoiseSchedule(**meta["schedule"])
     w = read_wav(args.wav_in)
-    rate = meta["train_config"]["sample_rate"]
+    rate = meta.train_config.sample_rate
     if w.sample_rate * args.ratio != rate:
         raise ValueError(f"input is {w.sample_rate} Hz at --ratio {args.ratio}; this checkpoint"
                          f" needs {rate / args.ratio:g} Hz input (trained at {rate} Hz)")
     normalized, mean, std = normalize(w)
     rng = np.random.default_rng(args.seed)
-    out = reverse_infer(normalized, model, sched, ratio,
-                        meta["train_config"]["filter_kind"], rng)
+    out = reverse_infer(normalized, model, meta.schedule, ratio,
+                        meta.train_config.filter_kind, rng)
     restored = Waveform(out.samples * std + mean, out.sample_rate)
     write_wav(args.out, restored)
     print(f"{args.wav_in} ({w.sample_rate} Hz) -> {args.out} ({restored.sample_rate} Hz)")

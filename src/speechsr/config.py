@@ -3,7 +3,9 @@
 Config files are plain ``key = value`` lines ('#' starts a comment).
 Dotted prefixes route values: ``train.*`` (loop hyperparameters),
 ``arcn.*`` / ``dparn.*`` (architectures), ``schedule.*`` (noise schedule),
-and bare keys ``train_manifest``, ``valid_manifest``, ``out_dir``.
+and bare keys ``train_manifest``, ``valid_manifest``, ``out_dir``. Each
+section starts from its dataclass's defaults; the file's values overlay
+them and ``from_dict`` checks the result, as it checks checkpoint meta.
 
 Example::
 
@@ -19,13 +21,14 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .diffusion import NoiseSchedule
-from .dsp import FrameConfig
 from .errors import ConfigError
-from .networks import ArcnConfig, DparnConfig, TimeEmbeddingConfig
+from .networks import ArcnConfig, DparnConfig
 from .resample import UpsamplingRatio
 
 
@@ -47,6 +50,9 @@ class TrainConfig:
     max_steps: int = 0           # 0 means no step cap
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.epochs < 1 or self.batch_size < 1 or self.crop_seconds <= 0:
             raise ConfigError("epochs, batch_size, crop_seconds must be positive")
         if not 0 < self.lr_factor < 1:
@@ -68,11 +74,17 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    train: TrainConfig
+class Arch:
     arcn: ArcnConfig
     dparn: DparnConfig
-    schedule: NoiseSchedule
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    train: TrainConfig
+    schedule: NoiseSchedule  # before arcn, whose temb.max_steps is copied from it
+    arcn: ArcnConfig
+    dparn: DparnConfig
     train_manifest: str
     valid_manifest: str
     out_dir: str
@@ -104,86 +116,62 @@ def parse_kv_text(text: str) -> dict[str, object]:
     return out
 
 
-def _build_arcn(items: dict) -> ArcnConfig:
-    base = ArcnConfig()
-    stft = dict(frame_ms=base.stft.frame_ms, hop_ms=base.stft.hop_ms)
-    temb = dict(dim=base.temb.dim, out=base.temb.out, max_steps=base.temb.max_steps)
-    kwargs = {}
-    for key, value in items.items():
-        if key == "frame_ms":
-            stft["frame_ms"] = value
-        elif key == "hop_ms":
-            stft["hop_ms"] = value
-        elif key == "temb_dim":
-            temb["dim"] = value
-        elif key == "temb_out":
-            temb["out"] = value
-        else:
-            kwargs[key] = value
-    if "schedule_total_steps" in kwargs:
-        temb["max_steps"] = kwargs.pop("schedule_total_steps")
-    try:
-        return ArcnConfig(stft=FrameConfig(**stft), temb=TimeEmbeddingConfig(**temb),
-                          **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad arcn config: {exc}") from exc
-
-
-def _build_dataclass(cls, items: dict, label: str):
-    try:
-        return cls(**items)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {label} config: {exc}") from exc
+# Flat config keys for ArcnConfig's nested framing and time-embedding fields.
+_ARCN_ALIASES = {"frame_ms": ("stft", "frame_ms"), "hop_ms": ("stft", "hop_ms"),
+                 "temb_dim": ("temb", "dim"), "temb_out": ("temb", "out")}
 
 
 def load_run_spec(path) -> RunSpec:
-    """Parse a config file into a full run specification."""
-    values = parse_kv_text(Path(path).read_text())
-    groups: dict[str, dict] = {"train": {}, "arcn": {}, "dparn": {}, "schedule": {}}
-    top: dict[str, object] = {}
-    for key, value in values.items():
+    """Parse a config file: each section's defaults overlaid with the file's values."""
+    spec = {name: asdict(cls()) for name, cls in get_type_hints(RunSpec).items()
+            if is_dataclass(cls)}
+    for key, value in parse_kv_text(Path(path).read_text()).items():
+        table, name = spec, key
         if "." in key:
-            prefix, name = key.split(".", 1)
-            if prefix not in groups:
-                raise ConfigError(f"unknown config section {prefix!r}")
-            groups[prefix][name] = value
-        else:
-            top[key] = value
-    known_top = {"train_manifest", "valid_manifest", "out_dir"}
-    unknown = set(top) - known_top
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    missing = known_top - set(top)
-    if missing:
-        raise ConfigError(f"missing required keys: {sorted(missing)}")
-    train = _build_dataclass(TrainConfig, groups["train"], "train")
-    schedule = _build_dataclass(NoiseSchedule, groups["schedule"], "schedule")
-    groups["arcn"].setdefault("schedule_total_steps", schedule.total_steps)
-    arcn = _build_arcn(groups["arcn"])
-    dparn = _build_dataclass(DparnConfig, groups["dparn"], "dparn")
-    base = Path(path).parent
-
-    def _resolve(p):
-        q = Path(str(p))
-        return str(q if q.is_absolute() else base / q)
-
-    return RunSpec(
-        train=train, arcn=arcn, dparn=dparn, schedule=schedule,
-        train_manifest=_resolve(top["train_manifest"]),
-        valid_manifest=_resolve(top["valid_manifest"]),
-        out_dir=_resolve(top["out_dir"]),
-    )
+            section, name = key.split(".", 1)
+            if not isinstance(spec.get(section), dict):
+                raise ConfigError(f"{path}: unknown config section {section!r}")
+            table = spec[section]
+            if section == "arcn" and name in _ARCN_ALIASES:
+                sub, name = _ARCN_ALIASES[name]
+                table = table[sub]
+        if isinstance(table.get(name), dict):
+            raise ConfigError(f"{path}: {key!r} is a table, not a value")
+        table[name] = value
+    spec["arcn"]["temb"]["max_steps"] = spec["schedule"]["total_steps"]
+    for key in ("train_manifest", "valid_manifest", "out_dir"):
+        if key in spec:
+            spec[key] = str(Path(path).parent / str(spec[key]))
+    return from_dict(RunSpec, spec, str(path))
 
 
-def arch_meta(arcn: ArcnConfig, dparn: DparnConfig) -> dict:
-    return {"arcn": asdict(arcn), "dparn": asdict(dparn)}
+def from_dict(cls, values, where: str, _name: str = ""):
+    """Build dataclass ``cls`` from a plain dict (config sections, checkpoint meta).
 
-
-def arch_from_meta(meta: dict) -> tuple[ArcnConfig, DparnConfig]:
-    a = dict(meta["arcn"])
+    Every field is required and no other key is allowed. A dataclass field
+    is rebuilt recursively; any other value must fit its annotation (a
+    ``float`` takes an int, nothing takes a bool). Raises ConfigError naming
+    ``where`` and the dotted field, also for the constructor's errors.
+    """
+    label = repr(_name) if _name else cls.__name__
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where}: {label} must be a table, got {values!r}")
+    hints = get_type_hints(cls)
+    for problem, keys in (("unknown", values.keys() - hints), ("missing", hints.keys() - values)):
+        if keys:
+            dotted = ", ".join(sorted(repr(f"{_name}.{k}".lstrip(".")) for k in keys))
+            raise ConfigError(f"{where}: {problem} key {dotted}")
+    kwargs = {}
+    for name, hint in hints.items():
+        value, dotted = values[name], f"{_name}.{name}".lstrip(".")
+        kinds = tuple((int, float) if t is float else t for t in get_args(hint) or (hint,))
+        if is_dataclass(hint):
+            value = from_dict(hint, value, where, dotted)
+        elif isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"{where}: {dotted!r} must be "
+                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+        kwargs[name] = value
     try:
-        a["stft"] = FrameConfig(**a["stft"])
-        a["temb"] = TimeEmbeddingConfig(**a["temb"])
-        return ArcnConfig(**a), DparnConfig(**meta["dparn"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid architecture metadata: {exc}") from exc
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {label}: {exc}") from exc

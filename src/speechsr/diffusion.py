@@ -11,7 +11,7 @@ diffusion) and stitches the known low band back in after every step
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class NoiseSchedule:
     inference_steps: int = 10
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0 < self.sigma_min < self.sigma_max:
             raise ValueError("need 0 < sigma_min < sigma_max")
         if self.gamma <= 0:

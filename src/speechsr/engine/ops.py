@@ -80,20 +80,6 @@ def mul(a, b):
     return make_result(data, (a, b), vjp)
 
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
-
-    def vjp(g):
-        ga = unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        gb = unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
-        return ga, gb
-
-    return make_result(data, (a, b), vjp)
-
-
 def reshape(a, shape):
     a = as_tensor(a)
     a_shape = a.shape

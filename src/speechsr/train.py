@@ -3,7 +3,7 @@
 Checkpoints carry everything needed to resume bit-exactly: parameters,
 Adam moments and step count, the EMA shadow, the plateau scheduler state,
 and the master RNG state. This module alone names their arrays
-(``_state_table``) and meta keys (``META_KEYS``). Validation draws its
+(``_state_table``) and meta fields (``CheckpointMeta``). Validation draws its
 diffusion step and noise from per-utterance side seeds, so it is
 deterministic across epochs and never advances the training RNG.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import TrainConfig, arch_from_meta, arch_meta
+from .config import Arch, TrainConfig, from_dict
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import NoiseSchedule, reverse_infer, train_step, validation_loss
 from .dsp import FrameConfig, stft
@@ -115,9 +115,28 @@ def _validation_draws(cfg: TrainConfig, sched: NoiseSchedule, items):
     return draws
 
 
-# The meta keys of every checkpoint ``fit`` saves; a reader needs them all.
-META_KEYS = ("version", "arch", "train_config", "schedule", "epoch", "global_step",
-             "adam_step", "scheduler", "rng_state")
+@dataclass(frozen=True)
+class CheckpointMeta:
+    """The meta of every checkpoint ``fit`` saves; ``_read_checkpoint`` checks it all."""
+
+    version: str
+    arch: Arch
+    train_config: TrainConfig
+    schedule: NoiseSchedule
+    epoch: int
+    global_step: int
+    adam_step: int
+    scheduler: PlateauScheduler
+    rng_state: dict
+
+    def __post_init__(self):
+        try:
+            np.random.PCG64().state = self.rng_state
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"rng_state is not a PCG64 state: {exc!r}") from exc
+
+
+META_KEYS = tuple(f.name for f in fields(CheckpointMeta))
 
 
 def _state_table(model, opt, ema) -> dict[str, dict[str, np.ndarray]]:
@@ -132,13 +151,10 @@ def _flatten(table: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
             for name, array in named.items()}
 
 
-def _read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """``load_state``, raising ConfigError if the meta lacks a key ``fit`` writes."""
+def _read_checkpoint(path) -> tuple[CheckpointMeta, dict[str, np.ndarray]]:
+    """``load_state`` with the meta rebuilt and checked by ``from_dict``."""
     meta, arrays = load_state(path)
-    for key in META_KEYS:
-        if key not in meta:
-            raise ConfigError(f"{path}: checkpoint meta has no {key!r}")
-    return meta, arrays
+    return from_dict(CheckpointMeta, meta, str(path)), arrays
 
 
 def _restore(arrays: dict[str, np.ndarray], table: dict[str, dict[str, np.ndarray]]):
@@ -159,11 +175,10 @@ def _restore(arrays: dict[str, np.ndarray], table: dict[str, dict[str, np.ndarra
         target[...] = arrays[key]
 
 
-def load_model(ckpt_path) -> tuple[TwoStageModel, dict]:
+def load_model(ckpt_path) -> tuple[TwoStageModel, CheckpointMeta]:
     """Rebuild the model a checkpoint was trained with, holding its EMA weights."""
     meta, arrays = _read_checkpoint(ckpt_path)
-    arcn_cfg, dparn_cfg = arch_from_meta(meta["arch"])
-    model = TwoStageModel(arcn_cfg, dparn_cfg, seed=meta["train_config"]["seed"])
+    model = TwoStageModel(meta.arch.arcn, meta.arch.dparn, seed=meta.train_config.seed)
     params = {p.name: p.data for p in model.params()}
     _restore(arrays, {"param": params, "ema": params})
     return model, meta
@@ -185,23 +200,23 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     start_epoch = 0
     global_step = 0
 
-    run_meta = {"version": __version__, "train_config": asdict(cfg),
-                "arch": arch_meta(arcn_cfg, dparn_cfg), "schedule": asdict(sched)}
+    arch = Arch(arcn_cfg, dparn_cfg)
 
     if resume_from is not None:
         meta, arrays = _read_checkpoint(resume_from)
-        if meta["arch"] != run_meta["arch"]:
+        if meta.arch != arch:
             raise ConfigError("checkpoint architecture differs from configuration")
         _restore(arrays, _state_table(model, opt, ema))
-        opt.step_count = int(meta["adam_step"])
-        scheduler = PlateauScheduler(**meta["scheduler"])
-        rng.bit_generator.state = meta["rng_state"]
-        start_epoch = meta["epoch"]
-        global_step = meta["global_step"]
+        opt.step_count = meta.adam_step
+        scheduler = meta.scheduler
+        rng.bit_generator.state = meta.rng_state
+        start_epoch = meta.epoch
+        global_step = meta.global_step
 
-    (out / "run_meta.json").write_text(json.dumps(
-        {**run_meta, "resumed_from": str(resume_from) if resume_from else None},
-        indent=2, sort_keys=True))
+    run_meta = {"version": __version__, "train_config": asdict(cfg), "arch": asdict(arch),
+                "schedule": asdict(sched),
+                "resumed_from": str(resume_from) if resume_from else None}
+    (out / "run_meta.json").write_text(json.dumps(run_meta, indent=2, sort_keys=True))
 
     batcher = Batcher(train_manifest, cfg.batch_size, cfg.crop_seconds, ratio,
                       cfg.filter_kind, cfg.sample_rate)
@@ -218,10 +233,9 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     stop = False
 
     def save(path, epoch):
-        meta = dict(run_meta, epoch=epoch, global_step=global_step,
-                    adam_step=opt.step_count, scheduler=asdict(scheduler),
-                    rng_state=rng.bit_generator.state)
-        save_state(path, meta, _flatten(_state_table(model, opt, ema)))
+        meta = CheckpointMeta(__version__, arch, cfg, sched, epoch, global_step,
+                              opt.step_count, scheduler, rng.bit_generator.state)
+        save_state(path, asdict(meta), _flatten(_state_table(model, opt, ema)))
 
     try:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
@@ -313,9 +327,8 @@ def evaluate(ckpt_path, manifest: Manifest, ratio: UpsamplingRatio,
     """Checkpoint-level evaluation of the EMA weights, with the schedule,
     sample rate and repainting filter stored at training time."""
     model, meta = load_model(ckpt_path)
-    train_cfg = meta["train_config"]
-    return evaluate_model(model, manifest, ratio, eval_kind, train_cfg["filter_kind"],
-                          NoiseSchedule(**meta["schedule"]), train_cfg["sample_rate"], seed)
+    return evaluate_model(model, manifest, ratio, eval_kind, meta.train_config.filter_kind,
+                          meta.schedule, meta.train_config.sample_rate, seed)
 
 
 def write_report(path, rows: list[EvalRow]):

@@ -203,11 +203,19 @@ class TestExitCodes:
         cfg.write_text("nonsense_key = 1\n")
         assert main(["train", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("line", ["train.validate_every = 0", "train.max_steps = -1"])
-    def test_bad_loop_setting_fails_before_training(self, tmp_path, cli_corpus, line):
+    @pytest.mark.parametrize("line", [
+        "train.validate_every = 0", "train.max_steps = -1",
+        "train.learning_rate = nan", "schedule.gamma = nan", "schedule.sigma_max = inf",
+        "train.crop_seconds = inf", "train.clip_norm = inf", "train.batch_size = 1.5",
+        "train.epochs = 1.5", "dparn.feature_dim = 8.5", "train.ratio = 2.0",
+    ])
+    def test_bad_loop_setting_fails_before_training(self, tmp_path, cli_corpus, capsys, line):
+        """An out-of-range, non-finite or mistyped value exits 2 naming its field,
+        before ``out_dir`` exists."""
         cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
                                   extra=line + "\n")
         assert main(["train", "--config", str(cfg)]) == 2
+        assert line.split(".", 1)[1].split(" ")[0] in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 
@@ -322,6 +330,53 @@ class TestMalformedCheckpoint:
         ckpt.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
         assert main(_enhance_args(ckpt, cli_corpus, tmp_path)) == 2
         assert "'arrays'" in capsys.readouterr().err
+
+
+_DELETE = object()
+
+# (dotted meta key, the value it is set to or _DELETE, the field the error names)
+META_DAMAGE = [
+    ("schedule", {}, "schedule.sigma_min"),
+    ("schedule.sigma_min", "x", "schedule.sigma_min"),
+    ("train_config.seed", _DELETE, "train_config.seed"),
+    ("scheduler.momentum", 0.9, "scheduler.momentum"),
+    ("arch.arcn.base_channels", _DELETE, "arch.arcn.base_channels"),
+    ("epoch", "3", "epoch"),
+    ("rng_state.state", _DELETE, "rng_state"),
+]
+
+
+@pytest.mark.parametrize("command", ["enhance", "evaluate", "resume"])
+@pytest.mark.parametrize("key, value, field", META_DAMAGE, ids=[
+    f"{key}={'del' if value is _DELETE else repr(value)}" for key, value, _ in META_DAMAGE])
+def test_damaged_meta_field_is_a_data_error_naming_it(cli_run, cli_corpus, tmp_path, capsys,
+                                                      command, key, value, field):
+    """Every meta field is rebuilt and checked on load: a missing, extra or
+    mistyped one exits 2 before a WAV, a report or a checkpoint is written."""
+    meta, arrays = load_state(cli_run / "last.ckpt")
+    *parents, name = key.split(".")
+    table = meta
+    for part in parents:
+        table = table[part]
+    if value is _DELETE:
+        del table[name]
+    else:
+        table[name] = value
+    ckpt = tmp_path / "damaged.ckpt"
+    save_state(ckpt, meta, arrays)
+    if command == "enhance":
+        args = _enhance_args(ckpt, cli_corpus, tmp_path)
+    elif command == "evaluate":
+        args = ["evaluate", "--ckpt", str(ckpt), "--manifest", str(cli_corpus / "manifest.tsv"),
+                "--ratio", "2", "--report", str(tmp_path / "report.csv")]
+    else:
+        cfg = _write_train_config(tmp_path / "train.cfg", cli_corpus, tmp_path / "run")
+        args = ["train", "--config", str(cfg), "--resume", str(ckpt)]
+    assert main(args) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "sr.wav").exists()
+    assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "run" / "last.ckpt").exists()
 
 
 class TestRunMetadata:

@@ -1,0 +1,114 @@
+"""Config files and the strict dict reader behind them and checkpoint meta."""
+
+from dataclasses import dataclass
+
+import pytest
+
+from speechsr.config import TrainConfig, from_dict, load_run_spec
+from speechsr.diffusion import NoiseSchedule
+from speechsr.errors import ConfigError
+from speechsr.networks import ArcnConfig, DparnConfig
+
+PATHS = "train_manifest = m.tsv\nvalid_manifest = m.tsv\nout_dir = run\n"
+
+
+def _spec(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return load_run_spec(path)
+
+
+class TestLoadRunSpec:
+    def test_empty_sections_give_the_defaults(self, tmp_path):
+        spec = _spec(tmp_path, PATHS)
+        assert spec.train == TrainConfig()
+        assert spec.schedule == NoiseSchedule()
+        assert spec.arcn == ArcnConfig()
+        assert spec.dparn == DparnConfig()
+
+    def test_section_values_overlay_the_defaults(self, tmp_path):
+        spec = _spec(tmp_path, PATHS + "train.epochs = 7\ndparn.num_blocks = 3\n")
+        assert spec.train == TrainConfig(epochs=7)
+        assert spec.dparn == DparnConfig(num_blocks=3)
+
+    @pytest.mark.parametrize("key, value, read", [
+        ("frame_ms", 16, lambda a: a.stft.frame_ms),
+        ("hop_ms", 4, lambda a: a.stft.hop_ms),
+        ("temb_dim", 32, lambda a: a.temb.dim),
+        ("temb_out", 48, lambda a: a.temb.out),
+    ], ids=["frame_ms", "hop_ms", "temb_dim", "temb_out"])
+    def test_each_arcn_alias_lands_in_its_nested_field(self, tmp_path, key, value, read):
+        assert read(_spec(tmp_path, PATHS + f"arcn.{key} = {value}\n").arcn) == value
+
+    def test_time_embedding_range_follows_the_schedule(self, tmp_path):
+        spec = _spec(tmp_path, PATHS + "schedule.total_steps = 200\n")
+        assert spec.schedule.total_steps == 200
+        assert spec.arcn.temb.max_steps == 200
+
+    def test_schedule_total_steps_is_not_an_arcn_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="arcn.schedule_total_steps"):
+            _spec(tmp_path, PATHS + "arcn.schedule_total_steps = 50\n")
+
+    def test_paths_resolve_against_the_config_directory(self, tmp_path):
+        absolute = tmp_path / "elsewhere" / "valid.tsv"
+        spec = _spec(tmp_path, f"train_manifest = corpus/m.tsv\nvalid_manifest = {absolute}\n"
+                               "out_dir = runs/demo\n")
+        assert spec.train_manifest == str(tmp_path / "corpus" / "m.tsv")
+        assert spec.valid_manifest == str(absolute)
+        assert spec.out_dir == str(tmp_path / "runs" / "demo")
+
+    @pytest.mark.parametrize("text", [
+        PATHS + "optimizer.momentum = 0.9\n",
+        PATHS + "train.momentum = 0.9\n",
+        PATHS + "nonsense_key = 1\n",
+        "train_manifest = m.tsv\nvalid_manifest = m.tsv\n",
+    ], ids=["unknown section", "unknown key", "unknown top-level key", "missing out_dir"])
+    def test_unknown_or_missing_keys_are_config_errors(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            _spec(tmp_path, text)
+
+
+@dataclass(frozen=True)
+class Inner:
+    count: int
+    scale: float
+    note: str
+    best: float | None
+
+
+@dataclass(frozen=True)
+class Outer:
+    inner: Inner
+    state: dict
+
+
+GOOD = {"inner": {"count": 3, "scale": 2, "note": "x", "best": None}, "state": {}}
+
+
+class TestFromDict:
+    def test_rebuilds_nested_dataclasses(self):
+        assert from_dict(Outer, GOOD, "f") == Outer(Inner(3, 2, "x", None), {})
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 1.5), ("count", 2.0), ("count", True), ("scale", "1"), ("scale", False),
+        ("note", 1), ("best", "x"),
+    ])
+    def test_refuses_a_value_that_does_not_fit_its_annotation(self, field, value):
+        bad = {**GOOD, "inner": {**GOOD["inner"], field: value}}
+        with pytest.raises(ConfigError, match=rf"f: 'inner\.{field}' must be"):
+            from_dict(Outer, bad, "f")
+
+    def test_refuses_a_scalar_where_a_table_belongs(self):
+        with pytest.raises(ConfigError, match="'inner' must be a table"):
+            from_dict(Outer, {**GOOD, "inner": 3}, "f")
+
+    def test_names_unknown_and_missing_nested_keys(self):
+        with pytest.raises(ConfigError, match="unknown key 'inner.extra'"):
+            from_dict(Outer, {**GOOD, "inner": {**GOOD["inner"], "extra": 1}}, "f")
+        with pytest.raises(ConfigError, match="missing key 'state'"):
+            from_dict(Outer, {"inner": GOOD["inner"]}, "f")
+
+    def test_constructor_errors_become_config_errors(self):
+        with pytest.raises(ConfigError, match="f: NoiseSchedule: need 0 < sigma_min"):
+            from_dict(NoiseSchedule, {"sigma_min": 0.5, "sigma_max": 0.05, "gamma": 1.5,
+                                      "total_steps": 10, "inference_steps": 2}, "f")

@@ -382,3 +382,9 @@ class TestScheduleValidation:
     def test_bad_inference_steps_rejected(self):
         with pytest.raises(ValueError):
             NoiseSchedule(inference_steps=0)
+
+    @pytest.mark.parametrize("field", ["sigma_min", "sigma_max", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoiseSchedule(**{field: value})

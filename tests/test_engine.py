@@ -53,7 +53,7 @@ class TestBackward:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((4, 3))
         p1 = Parameter("p", data.copy())
-        loss = ops.sum_(ops.silu(ops.matmul(p1, Tensor(rng.standard_normal((3, 2))))))
+        loss = ops.sum_(ops.silu(ops.linear(p1, Tensor(rng.standard_normal((2, 3))))))
         loss.backward()
         loss.backward()
         twice = p1.grad.copy()
@@ -61,8 +61,8 @@ class TestBackward:
         p2 = Parameter("p", data.copy())
         rng2 = np.random.default_rng(2)
         rng2.standard_normal((4, 3))
-        w = rng2.standard_normal((3, 2))
-        ops.mul(ops.sum_(ops.silu(ops.matmul(p2, Tensor(w)))), 2.0).backward()
+        w = rng2.standard_normal((2, 3))
+        ops.mul(ops.sum_(ops.silu(ops.linear(p2, Tensor(w)))), 2.0).backward()
         np.testing.assert_allclose(twice, p2.grad, rtol=1e-12, atol=1e-15)
 
     def test_composite_stack_matches_fd(self):
@@ -1065,7 +1065,7 @@ class TestDeterminism:
             ema = Ema([w], decay=0.9)
             for _ in range(5):
                 x = Tensor(rng.standard_normal((4, 4)))
-                loss = ops.sum_(ops.abs_(ops.silu(ops.matmul(x, w))))
+                loss = ops.sum_(ops.abs_(ops.silu(ops.linear(x, w))))
                 opt.zero_grad()
                 loss.backward()
                 clip_global_norm([w], 1.0)

@@ -46,6 +46,13 @@ class TestTrainConfig:
             micro_train_config(max_steps=-1)
         assert micro_train_config(max_steps=0).max_steps == 0
 
+    @pytest.mark.parametrize("field", ["crop_seconds", "learning_rate", "lr_factor",
+                                       "clip_norm", "ema_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            micro_train_config(**{field: value})
+
 
 class TestPlateauScheduler:
     def test_flat_sequence_halves_once(self):
