@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError("learning_rate and clip_norm must be positive")
         if not 0 <= self.ema_decay <= 1:
             raise ConfigError("ema_decay must lie in [0, 1]")
+        if self.sample_rate < 1:
+            raise ConfigError(f"sample_rate must be at least 1 Hz, got {self.sample_rate}")
         if self.validate_every < 1:
             raise ConfigError("validate_every must be at least 1")
         if self.max_steps < 0:

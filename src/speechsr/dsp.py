@@ -15,6 +15,7 @@ windows; synthesis truncates back to a requested length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,12 @@ class FrameConfig:
     frame_ms: float = 32.0
     hop_ms: float = 8.0
 
+    def __post_init__(self):
+        for name in ("frame_ms", "hop_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
     def frame_len(self, sample_rate: int) -> int:
         n = self.frame_ms * sample_rate / 1000.0
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
@@ -97,9 +104,11 @@ class FrameConfig:
         hop = int(round(n))
         frame = self.frame_len(sample_rate)
         if hop >= frame:
-            raise ValueError(f"hop {hop} must be smaller than frame {frame}")
+            raise ValueError(f"hop_ms {self.hop_ms} gives hop {hop}, which must be smaller"
+                             f" than frame {frame}")
         if frame % hop != 0:
-            raise ValueError(f"frame {frame} must be an integer multiple of hop {hop}")
+            raise ValueError(f"hop_ms {self.hop_ms} gives hop {hop}, which must divide"
+                             f" frame {frame}")
         return hop
 
 

@@ -74,9 +74,15 @@ def load_state(path) -> tuple[dict, dict[str, np.ndarray]]:
     for field in ("meta", "arrays"):
         if field not in header:
             raise ValueError(f"{path}: checkpoint header has no {field!r}")
+    if not isinstance(header["arrays"], list):
+        raise ValueError(f"{path}: checkpoint header's 'arrays' is not a list")
     payload = np.frombuffer(raw[12 + hlen:], dtype="<f8")
     arrays = {}
     for entry in header["arrays"]:
+        if not _well_formed(entry):
+            raise ValueError(f"{path}: malformed checkpoint array entry {entry!r}; needs a string"
+                             " 'name', a list of non-negative ints 'shape' and a non-negative"
+                             " int 'offset'")
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
@@ -84,3 +90,14 @@ def load_state(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"{path}: truncated checkpoint payload at {entry['name']}")
         arrays[entry["name"]] = payload[start:start + n].reshape(shape).astype(np.float64)
     return header["meta"], arrays
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _well_formed(entry) -> bool:
+    """An array entry as :func:`save_state` writes it."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list) and all(map(_is_count, entry["shape"]))
+            and _is_count(entry.get("offset")))

@@ -6,14 +6,22 @@ computes ``softmax(q kᵀ) v`` in blocks of query rows and keeps only the
 probabilities for backward. ``conv2d`` adds its bias inside its own node
 and has two GEMM layouts, chosen by operand shape alone: im2col patches, or
 one GEMM of every kernel tap against the flat input when that intermediate
-is the smaller (few output channels, as in ARCN's output conv). Patches are
-built and multiplied one block of output rows at a time, so a long input
-never holds a whole patch matrix (55 MB for the tiny ARCN's input conv on
-4 s) and the output keeps the unblocked product's bits. Its vjp keeps only
-the padded input and builds dX as a forward correlation. The layers
-are primitives, not compositions: ``linear``, ``pointwise_channels``,
+is the smaller (few output channels, as in ARCN's output conv). Both run
+in blocks of at most ``CONV_BLOCK_BYTES``, so a long input never holds a
+whole patch matrix (55 MB for the tiny ARCN's input conv on 4 s) or a whole
+tap-response matrix, and both keep the unblocked product's bits: a GEMM
+column computed in a slice that starts on a 16-column panel and spans whole
+panels has the whole product's bits. im2col takes blocks of output rows
+whose patches fill whole panels. The per-tap GEMM takes windows of the flat
+padded input that start on a panel; its last window ends in the product's
+partial tail panel, which a narrow GEMM computes with other bits, so that
+window starts early enough to be as wide as the others. Without a graph
+the padded input is built one block of rows at a time; with one, the vjp
+keeps it whole and builds dX as a forward correlation. The layers are
+primitives, not compositions: ``linear``, ``pointwise_channels``,
 ``fir_resample_freq``, the whole-sequence ``gru`` and the fused
-``group_norm_silu`` are one graph node each and add their bias in place.
+``group_norm_silu`` are one graph node each and add their bias in place;
+``group_norm_silu`` works through its groups in chunks of the same budget.
 
 A vjp closure is the only thing in the graph that keeps arrays, so each
 captures only what it reads: an input's shape where that is all it needs
@@ -36,7 +44,8 @@ from .tensor import as_tensor, make_result, records, unbroadcast
 # flat from 128 to 512 rows and slower below 128.
 ATTENTION_BLOCK = 256
 
-# Bytes of im2col patches that conv2d builds per block of output rows.
+# Bytes of im2col patches or tap responses that conv2d builds per block, and
+# of GroupNorm scratch per chunk of groups.
 CONV_BLOCK_BYTES = 2 << 20
 # Columns per panel of OpenBLAS's AVX-512 dgemm kernel. A GEMM computes its
 # last partial panel with another kernel, so a column slice of a product
@@ -258,39 +267,117 @@ def _row_blocks(k: int, ho: int, wo: int):
         yield lo, min(lo + rows, ho)
 
 
-def _conv_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
-    """Stride-1 correlation as one GEMM of every tap against the flat input.
+def _tap_windows(k: int, n: int):
+    """``(a, b)`` windows of the ``n`` flat input columns whose ``k``-row tap
+    responses :func:`_conv_taps` computes one at a time.
+
+    A window holds as many columns as fit in ``CONV_BLOCK_BYTES``, rounded
+    down to whole GEMM panels, and starts on a panel, so each column keeps
+    the whole product's bits. The last window ends at ``n``, in the
+    product's partial panel; a GEMM narrower than a few thousand columns
+    computes that panel with other bits, so the last window starts early
+    enough to be at least as wide as the others.
+    """
+    width = max(_GEMM_PANEL, CONV_BLOCK_BYTES // (8 * k) // _GEMM_PANEL * _GEMM_PANEL)
+    a = 0
+    while a + width < n:
+        yield a, a + width
+        a += width
+    yield max(n - width, 0) // _GEMM_PANEL * _GEMM_PANEL, n
+
+
+def _padded_rows(x: np.ndarray, pt: int, pf: int):
+    """``rows(lo, hi)``: rows [lo, hi) of ``x`` zero-padded by ``pt`` rows and
+    ``pf`` columns per side, shape (C, hi - lo, W + 2*pf).
+
+    Unpadded rows are views of ``x``. Otherwise each call copies its rows
+    into one reused buffer, valid until the next call, so the whole padded
+    map never exists.
+    """
+    if pt == 0 and pf == 0:
+        return lambda lo, hi: x[:, lo:hi]
+    c, h, f = x.shape
+    buf = np.zeros((c, 0, f + 2 * pf))
+
+    def rows(lo, hi):
+        nonlocal buf
+        if hi - lo > buf.shape[1]:
+            buf = np.zeros((c, hi - lo, f + 2 * pf))
+        block = buf[:, :hi - lo]
+        src_lo = max(lo - pt, 0)
+        src_hi = max(min(hi - pt, h), src_lo)
+        top = src_lo - (lo - pt)
+        bottom = top + src_hi - src_lo
+        block[:, :top] = 0.0  # the zero halo; the column pads are never written
+        block[:, bottom:] = 0.0
+        block[:, top:bottom, pf:pf + f] = x[:, src_lo:src_hi]
+        return block
+
+    return rows
+
+
+def _conv_taps(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
+    """Stride-1 correlation as GEMMs of every tap against the flat padded input.
 
     ``(kh*kw*O, C) @ (C, Hp*Wp)`` gives each tap's response at every padded
     position; output (t, f) sums tap (i, j) at flat offset
-    ``t*Wp + f + i*Wp + j``, so each tap is one contiguous shifted slice of
-    length ``(Ho-1)*Wp + Wo``. Columns past ``Wo`` wrap rows and are cropped.
+    ``t*Wp + f + i*Wp + j``, so each tap is a shifted slice of the flat
+    responses. The product runs one window of flat columns at a time
+    (:func:`_tap_windows`), read from the padded rows ``rows(lo, hi)`` that
+    span it. Each window's responses are added to the positions they feed,
+    tap by tap in the unblocked order, into an accumulator that holds only
+    the rows not yet complete; complete rows are cropped to ``Wo`` columns
+    and moved to the output.
     """
     o, c, kh, kw = w.shape
-    _, hp, wp = xp.shape
-    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c) @ xp.reshape(c, hp * wp)
-    taps = taps.reshape(kh * kw, o, hp * wp)
-    span = (ho - 1) * wp + wo
-    acc = np.empty((o, ho * wp))
-    acc[:, :span] = taps[0, :, :span]
-    for i in range(kh):
-        for j in range(kw):
-            if i or j:
-                shift = i * wp + j
-                acc[:, :span] += taps[i * kw + j, :, shift:shift + span]
-    return np.ascontiguousarray(acc.reshape(o, ho, wp)[:, :, :wo])
+    ho, wo = hp - kh + 1, wp - kw + 1
+    w2 = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+    shifts = [i * wp + j for i in range(kh) for j in range(kw)]
+    span = (ho - 1) * wp + wo  # flat output positions; columns past Wo wrap rows
+    out = acc = None
+    base = done = 0  # flat position of acc[:, 0] (a row start); columns already summed
+    for a, b in _tap_windows(kh * kw * o, hp * wp):
+        r0, r1 = a // wp, -(-b // wp)
+        window = rows(r0, r1).reshape(c, -1)[:, a - r0 * wp:b - r0 * wp]
+        resp = (w2 @ window).reshape(kh * kw, o, b - a)
+        if acc is None:
+            # Allocated after the first responses, as the unwindowed product did;
+            # unfinished rows reach back at most shifts[-1] + Wp before new columns.
+            acc = np.empty((o, min(ho * wp, b + shifts[-1] + 2 * wp)))
+            out = np.empty((o, ho, wo))
+        for tap, shift in enumerate(shifts):
+            lo, hi = max(done - shift, base), min(b - shift, span)
+            if lo >= hi:
+                continue
+            src = resp[tap, :, lo + shift - a:hi + shift - a]
+            if tap:
+                acc[:, lo - base:hi - base] += src
+            else:
+                acc[:, lo - base:hi - base] = src
+        resp = src = None  # freed before the next window's GEMM allocates its own
+        done = b
+        # Row t is complete once every tap of its last column, (t + kh)*Wp - 1, is summed.
+        t0, t1 = base // wp, min(b // wp - kh + 1, ho)
+        if t1 > t0:
+            out[:, t0:t1] = acc[:, :(t1 - t0) * wp].reshape(o, t1 - t0, wp)[:, :, :wo]
+            held = min(b, span) - t1 * wp
+            if held > 0:
+                acc[:, :held] = acc[:, (t1 - t0) * wp:(t1 - t0) * wp + held]
+            base = t1 * wp
+    return out
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
-    """Stride-1 correlation of padded ``xp`` with ``w`` in the smaller-intermediate layout."""
+def _correlate(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
+    """Stride-1 correlation of the padded rows ``rows(lo, hi)`` of an
+    (C, Hp, Wp) map with ``w``, in the smaller-intermediate layout."""
     o, c, kh, kw = w.shape
-    _, hp, wp = xp.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
     if o * hp * wp < c * ho * wo:
-        return _conv_taps(xp, w, ho, wo)
+        return _conv_taps(rows, w, hp, wp)
     out = np.empty((o, ho, wo))
     w2, flat = w.reshape(o, -1), out.reshape(o, ho * wo)
     for lo, hi in _row_blocks(c * kh * kw, ho, wo):
-        np.matmul(w2, _im2col(xp[:, lo:hi + kh - 1], kh, kw), out=flat[:, lo * wo:hi * wo])
+        np.matmul(w2, _im2col(rows(lo, hi + kh - 1), kh, kw), out=flat[:, lo * wo:hi * wo])
     return out
 
 
@@ -327,10 +414,15 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     (few output channels, or more input channels than output). im2col's
     GEMM runs per block of output rows (:func:`_row_blocks`) into its slice
     of the output, so at most ``CONV_BLOCK_BYTES`` of patches exist at once
-    whatever the input length. The per-tap GEMM is not blocked: it spans the
-    flat padded input, whose length mostly ends in a partial GEMM panel, so
-    blocks would move output bits. The vjp keeps only the padded input and
-    the kernel:
+    whatever the input length. The per-tap GEMM runs per window of the flat
+    padded input (:func:`_tap_windows`) under the same budget. Windows start
+    on a 16-column GEMM panel, and the last one, which ends in the product's
+    partial tail panel, is as wide as the others: a tail panel computed by a
+    GEMM narrower than a few thousand columns moves output bits. Without a
+    graph each block's padded rows are copied from the unpadded map into one
+    reused buffer; with one, the padded input is built whole, because the
+    vjp keeps it, and the blocks read it. The vjp keeps only the padded
+    input and the kernel:
     - dX is the forward correlation of the padded upstream gradient with
       the flipped, transposed kernel, in the layout the same rule picks;
       it is skipped when x needs no gradient.
@@ -352,14 +444,16 @@ def conv2d(x, w, b=None, pad=(0, 0)):
             raise ValueError(f"bias shape {b.shape} != ({o},)")
         parents = (x, w, b)
     pt, pf = pad
-    _, h, f = x.shape
-    if h + 2 * pt < kh or f + 2 * pf < kw:
+    c_in, h, f = x.shape
+    hp, wp = h + 2 * pt, f + 2 * pf
+    if hp < kh or wp < kw:
         raise ValueError("kernel larger than padded input")
-    xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf)))
-    c_in, hp, wp = xp.shape
     ho, wo = hp - kh + 1, wp - kw + 1
     wd = w.data
-    data = _correlate(xp, wd, ho, wo)
+    # The vjp reads the padded input whole; without a graph only blocks of it exist.
+    xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf))) if records(parents) else None
+    data = _correlate(_padded_rows(x.data, pt, pf) if xp is None else _padded_rows(xp, 0, 0),
+                      wd, hp, wp)
     if b is not None:
         data += b.data.reshape(o, 1, 1)
 
@@ -381,7 +475,8 @@ def conv2d(x, w, b=None, pad=(0, 0)):
             gp = np.pad(g, ((0, 0), (max(et, 0),) * 2, (max(ef, 0),) * 2))
             ct, cf = max(-et, 0), max(-ef, 0)
             gp = gp[:, ct:gp.shape[1] - ct, cf:gp.shape[2] - cf]
-            gx = _correlate(gp, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, f)
+            flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _correlate(_padded_rows(gp, 0, 0), flipped, *gp.shape[1:])
         return (gx, gw, g.sum((1, 2))) if has_bias else (gx, gw)
 
     return make_result(data, parents, vjp)
@@ -539,9 +634,12 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
     """``silu(x̂·γ + β)``, x̂ standardized per group over (channels-in-group, T, F).
 
     One node. The statistics are those of ``np.var``, bit for bit: centre
-    once, then the mean square of the centred values. The vjp recomputes
-    ``x̂·γ + β`` from x̂, so only x̂ and the sigmoid are kept; without a graph
-    the output overwrites the pre-activation.
+    once, then the mean square of the centred values. The groups are worked
+    through in chunks of whole groups, as many as fit in
+    ``CONV_BLOCK_BYTES`` (at least one), with one chunk of scratch, so a map
+    within the budget is one chunk. Without a graph the output and that
+    scratch are all the op allocates. With one, x̂ and the sigmoid are kept
+    whole for the vjp, which recomputes ``x̂·γ + β`` from x̂.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c, t, f = x.shape
@@ -549,23 +647,41 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
         raise ValueError(f"channels {c} not divisible by groups {groups}")
     parents = (x, gamma, beta)
     keep = records(parents)
-    xg = x.data.reshape(groups, -1)
-    xc = xg - xg.mean(axis=1, keepdims=True)
-    var = np.square(xc).sum(axis=1, keepdims=True) / xc.shape[1]
-    istd = 1.0 / np.sqrt(var + eps)
-    xc *= istd
-    xhat = xc.reshape(c, t, f)
-    gam = gamma.data.reshape(c, 1, 1)
-    bet = beta.data.reshape(c, 1, 1)
-    s = xhat * gam if keep else np.multiply(xhat, gam, out=xhat)
-    s += bet
-    sig = np.negative(s)
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.reciprocal(sig, out=sig)
+    per, n = c // groups, c // groups * t * f  # channels and values per group
+    chunk = min(groups, max(1, CONV_BLOCK_BYTES // (8 * n)))
+    xg = x.data.reshape(groups, n)
+    # Allocated in the order the unchunked arithmetic made its arrays: another
+    # order left the heap to be trimmed and faulted back in on every call
+    # (about 3% of a tiny train step). Without a graph the output overwrites x̂.
+    xhat = np.empty((groups, n))
+    scratch = np.empty((chunk, n))
+    sig = np.empty((groups, n)) if keep else None
+    out = np.empty((groups, n)) if keep else xhat
+    istd = np.empty((groups, 1))
+    gam = gamma.data.reshape(groups, per, 1)
+    bet = beta.data.reshape(groups, per, 1)
+    for lo in range(0, groups, chunk):
+        hi = min(lo + chunk, groups)
+        rows, tmp = slice(lo, hi), scratch[:hi - lo]
+        xc = np.subtract(xg[rows], xg[rows].mean(axis=1, keepdims=True), out=xhat[rows])
+        var = np.square(xc, out=tmp).sum(axis=1, keepdims=True) / n
+        istd[rows] = 1.0 / np.sqrt(var + eps)
+        xc *= istd[rows]
+        # s = x̂·γ + β goes to the scratch when x̂ is kept, else over x̂; the
+        # sigmoid goes where s does not.
+        s = np.multiply(xc.reshape(hi - lo, per, -1), gam[rows],
+                        out=(tmp if keep else xc).reshape(hi - lo, per, -1))
+        s += bet[rows]
+        sg = np.negative(s, out=(sig[rows] if keep else tmp).reshape(s.shape))
+        np.exp(sg, out=sg)
+        sg += 1.0
+        np.reciprocal(sg, out=sg)
+        np.multiply(s, sg, out=out[rows].reshape(s.shape))
+    out = out.reshape(c, t, f)
     if not keep:
-        s *= sig
-        return make_result(s, parents, None)
+        return make_result(out, parents, None)
+    xhat, sig = xhat.reshape(c, t, f), sig.reshape(c, t, f)
+    gam, bet = gam.reshape(c, 1, 1), bet.reshape(c, 1, 1)
 
     def vjp(g):
         s = xhat * gam
@@ -586,7 +702,7 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
         dxh *= istd
         return gs, dgamma, dbeta
 
-    return make_result(s * sig, parents, vjp)
+    return make_result(out, parents, vjp)
 
 
 def gru(x, h0, w_ih, w_hh, b_ih, b_hh):

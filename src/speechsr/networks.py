@@ -150,10 +150,9 @@ class FrameAttention(Module):
 
     def __call__(self, x):
         c, t, f = x.shape
-        q2 = self.q(x).transpose(1, 0, 2).reshape(t, -1)
-        k2 = self.k(x).transpose(1, 0, 2).reshape(t, -1)
-        v2 = self.v(x).transpose(1, 0, 2).reshape(t, -1)
-        att = ops.attention(q2, k2, v2)
+        # The projections are arguments only, so they die when attention returns.
+        att = ops.attention(*(proj(x).transpose(1, 0, 2).reshape(t, -1)
+                              for proj in (self.q, self.k, self.v)))
         return ops.add(x, att.reshape(t, c, f).transpose(1, 0, 2))
 
 
@@ -286,15 +285,25 @@ class ResidualBlock(Module):
                                     cfg.norm_groups, rng)
         self.attention = FrameAttention(f"{name}.attn", c_out, cfg.attention_embed, rng)
 
+    def stages(self, temb, lossmap) -> list:
+        """The block as functions of one map, applied in order.
+
+        A caller that rebinds its map to each stage's result holds no map
+        past its last reader: the block's input dies once ``layer1`` has
+        added it to its skip.
+        """
+        stages = [lambda h: self.layer1(h, temb, lossmap),
+                  lambda h: self.layer2(h, temb, lossmap),
+                  self.attention]
+        if self.direction != "bottleneck":
+            resample = "down" if self.direction == "encoder" else "up"
+            stages.append(lambda h: ops.fir_resample_freq(h, resample))
+        return stages
+
     def __call__(self, x, temb, lossmap):
-        h = self.layer1(x, temb, lossmap)
-        h = self.layer2(h, temb, lossmap)
-        h = self.attention(h)
-        if self.direction == "encoder":
-            return ops.fir_resample_freq(h, "down")
-        if self.direction == "decoder":
-            return ops.fir_resample_freq(h, "up")
-        return h
+        for stage in self.stages(temb, lossmap):
+            x = stage(x)
+        return x
 
 
 class Arcn(Module):
@@ -367,19 +376,22 @@ class Arcn(Module):
 
         h = self.in_conv(x)
         # Drop each map after its last reader: the input stack here, each
-        # skip once the decoder has concatenated it.
+        # skip once the decoder has concatenated it, and each block's input
+        # once its first layer has read it (``h`` is rebound stage by stage).
         del x, chans, re, im
+        depth = self.cfg.encoder_blocks
+        plan = ([(block, i) for i, block in enumerate(self.encoder)]
+                + [(block, depth) for block in self.bottleneck]
+                + [(block, depth - j) for j, block in enumerate(self.decoder)]
+                + [(self.final, 0)])
         skips = []
-        for i, block in enumerate(self.encoder):
-            h = block(h, temb, Tensor(lm_levels[i]))
-            skips.append(h)
-        for i, block in enumerate(self.bottleneck):
-            h = block(h, temb, Tensor(lm_levels[-1]))
-        for j, block in enumerate(self.decoder):
-            scale = self.cfg.encoder_blocks - j
-            h = ops.concat([h, skips.pop()], axis=0)
-            h = block(h, temb, Tensor(lm_levels[scale]))
-        h = self.final(h, temb, Tensor(lm_levels[0]))
+        for block, scale in plan:
+            if block.direction == "decoder":
+                h = ops.concat([h, skips.pop()], axis=0)
+            for stage in block.stages(temb, Tensor(lm_levels[scale])):
+                h = stage(h)
+            if block.direction == "encoder":
+                skips.append(h)
         out = self.out_conv(h)
         # The Nyquist bin, which the network does not model, is synthesized as zero.
         residual = ops.istft_pair(out[0], out[1], frame_len, hop, n)

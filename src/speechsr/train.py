@@ -188,10 +188,11 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         sched: NoiseSchedule, train_manifest: Manifest, valid_manifest: Manifest,
         out_dir, resume_from=None) -> FitResult:
     """Run the training loop; writes checkpoints, logs, and run metadata."""
+    model = TwoStageModel(arcn_cfg, dparn_cfg, seed=cfg.seed)
+    model.arcn.frame_geometry(cfg.sample_rate)  # refuse bad framing before any file exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ratio = UpsamplingRatio(cfg.ratio)
-    model = TwoStageModel(arcn_cfg, dparn_cfg, seed=cfg.seed)
     opt = Adam(model.params(), lr=cfg.learning_rate)
     ema = Ema(model.params(), decay=cfg.ema_decay)
     scheduler = PlateauScheduler(lr=cfg.learning_rate, factor=cfg.lr_factor,

@@ -106,6 +106,30 @@ def correlate_oracle(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w.reshape(o, -1) @ ops._im2col(xp, kh, kw)).reshape(o, ho, wo)
 
 
+def taps_oracle(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 correlation of an already padded ``xp`` with ``w`` as one GEMM
+    of every tap against the whole flat input, without windows.
+
+    Output (t, f) sums tap (i, j)'s response at flat offset
+    ``t*Wp + f + i*Wp + j``, taps in row-major order; columns past ``Wo``
+    wrap rows and are cropped.
+    """
+    o, c, kh, kw = w.shape
+    _, hp, wp = xp.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c) @ xp.reshape(c, hp * wp)
+    taps = taps.reshape(kh * kw, o, hp * wp)
+    span = (ho - 1) * wp + wo
+    acc = np.empty((o, ho * wp))
+    acc[:, :span] = taps[0, :, :span]
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                shift = i * wp + j
+                acc[:, :span] += taps[i * kw + j, :, shift:shift + span]
+    return np.ascontiguousarray(acc.reshape(o, ho, wp)[:, :, :wo])
+
+
 def attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``softmax(q kᵀ) v`` with every product as one GEMM, no row blocking."""
     s = q @ np.swapaxes(k, -1, -2)

@@ -208,10 +208,23 @@ class TestExitCodes:
         "train.learning_rate = nan", "schedule.gamma = nan", "schedule.sigma_max = inf",
         "train.crop_seconds = inf", "train.clip_norm = inf", "train.batch_size = 1.5",
         "train.epochs = 1.5", "dparn.feature_dim = 8.5", "train.ratio = 2.0",
+        "train.sample_rate = 0",
     ])
     def test_bad_loop_setting_fails_before_training(self, tmp_path, cli_corpus, capsys, line):
         """An out-of-range, non-finite or mistyped value exits 2 naming its field,
         before ``out_dir`` exists."""
+        cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
+                                  extra=line + "\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert line.split(".", 1)[1].split(" ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+    @pytest.mark.parametrize("line", ["arcn.frame_ms = nan", "arcn.hop_ms = 3",
+                                      "arcn.network_bins = 32"])
+    def test_bad_arcn_framing_fails_before_out_dir(self, tmp_path, cli_corpus, capsys, line):
+        """Framing that the network cannot use exits 2 naming the field, before
+        ``out_dir``, ``run_meta.json`` or a run log exists."""
         cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
                                   extra=line + "\n")
         assert main(["train", "--config", str(cfg)]) == 2
@@ -300,6 +313,9 @@ def _without_meta_key(cli_run, tmp_path, key):
     return path
 
 
+_DELETE = object()
+
+
 class TestMalformedCheckpoint:
     """A checkpoint whose header or meta lacks a field is a data error (exit 2), not a traceback."""
 
@@ -331,8 +347,26 @@ class TestMalformedCheckpoint:
         assert main(_enhance_args(ckpt, cli_corpus, tmp_path)) == 2
         assert "'arrays'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("offset", _DELETE), ("shape", "4"),
+                                              ("offset", -4)],
+                             ids=["no offset", "string shape", "negative offset"])
+    def test_malformed_array_entry_names_it(self, cli_run, cli_corpus, tmp_path, capsys,
+                                            field, value):
+        raw = (cli_run / "last.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        entry = header["arrays"][1]
+        if value is _DELETE:
+            del entry[field]
+        else:
+            entry[field] = value
+        text = json.dumps(header).encode()
+        ckpt = tmp_path / "bad_entry.ckpt"
+        ckpt.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + raw[12 + hlen:])
+        assert main(_enhance_args(ckpt, cli_corpus, tmp_path)) == 2
+        assert repr(entry["name"]) in capsys.readouterr().err
+        assert not (tmp_path / "sr.wav").exists()
 
-_DELETE = object()
 
 # (dotted meta key, the value it is set to or _DELETE, the field the error names)
 META_DAMAGE = [

@@ -15,6 +15,7 @@ from helpers import (
     group_norm_silu_oracle,
     gru_loop_oracle,
     stft_matrix_oracle,
+    taps_oracle,
 )
 from speechsr import dsp
 from speechsr.errors import NumericsError
@@ -280,10 +281,12 @@ class TestConv2d:
     @pytest.mark.parametrize("xshape, wshape, pad, block_bytes", BLOCK_CASES)
     def test_row_blocks_keep_the_whole_products_bits(self, monkeypatch, xshape, wshape, pad,
                                                       block_bytes, one_panel):
-        """Forward and dX equal one GEMM over the whole patch matrix, bit for bit.
+        """Forward, recorded or not, and dX equal one GEMM over the whole patch
+        matrix, bit for bit.
 
         One byte per block leaves the fewest rows that fill whole panels: a
-        single row where Wo is a multiple of 16.
+        single row where Wo is a multiple of 16. Without a graph each block
+        pads its own rows, the zero halo included.
         """
         monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1 if one_panel else block_bytes)
         rng = np.random.default_rng(16)
@@ -291,10 +294,12 @@ class TestConv2d:
         w = Tensor(rng.standard_normal(wshape))
         b = Tensor(rng.standard_normal(wshape[0]))
         out = ops.conv2d(x, w, b, pad=pad)
+        with no_grad():
+            unrecorded = ops.conv2d(Tensor(x.data), w, b, pad=pad)
         (pt, pf), (_, _, kh, kw) = pad, wshape
         ref = correlate_oracle(np.pad(x.data, ((0, 0), (pt, pt), (pf, pf))), w.data)
         ref += b.data.reshape(-1, 1, 1)
-        assert np.array_equal(out.data, ref)
+        assert np.array_equal(out.data, ref) and np.array_equal(unrecorded.data, ref)
 
         g = rng.standard_normal(out.shape)
         gx = out._node.vjp(g)[0]
@@ -306,6 +311,71 @@ class TestConv2d:
         gp = gp[:, ct:gp.shape[1] - ct, cf:gp.shape[2] - cf]
         flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         assert np.array_equal(gx, correlate_oracle(gp, flipped))
+
+    # (input, kernel, pad, bytes per window) for the per-tap layout: the
+    # decoder's narrowing 1x3 conv1 at T = 2,003 and output convs at tiny and
+    # paper scale. Each budget leaves a short remainder, so the last window
+    # starts early; each regular window stays wider than the few thousand
+    # columns below which a GEMM computes its partial tail panel with
+    # other bits.
+    TAP_CASES = [
+        ((16, 2003, 32), (8, 16, 1, 3), (0, 1), 1_500_000),
+        ((8, 500, 64), (2, 8, 3, 3), (1, 1), 1_250_000),
+        ((64, 60, 256), (2, 64, 7, 7), (3, 3), 300_000),
+    ]
+
+    @pytest.mark.parametrize("default_budget", [True, False], ids=["default", "short_last"])
+    @pytest.mark.parametrize("xshape, wshape, pad, block_bytes", TAP_CASES)
+    def test_tap_windows_keep_the_whole_products_bits(self, monkeypatch, xshape, wshape, pad,
+                                                       block_bytes, default_budget):
+        """The per-tap forward, recorded or not, equals one unwindowed product
+        bit for bit, and dX its correlation oracle."""
+        if not default_budget:
+            monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", block_bytes)
+        (pt, pf), (o, _, kh, kw) = pad, wshape
+        hp, wp = xshape[1] + 2 * pt, xshape[2] + 2 * pf
+        assert o * hp * wp < xshape[0] * (hp - kh + 1) * (wp - kw + 1)  # the per-tap layout
+        windows = list(ops._tap_windows(kh * kw * o, hp * wp))
+        assert len(windows) > 1 and windows[-1][0] < windows[-2][1]  # the last starts early
+        rng = np.random.default_rng(20)
+        x = Parameter("x", rng.standard_normal(xshape))
+        w = Tensor(rng.standard_normal(wshape))
+        out = ops.conv2d(x, w, pad=pad)
+        with no_grad():
+            unrecorded = ops.conv2d(Tensor(x.data), w, pad=pad)
+        ref = taps_oracle(np.pad(x.data, ((0, 0), (pt, pt), (pf, pf))), w.data)
+        assert np.array_equal(out.data, ref) and np.array_equal(unrecorded.data, ref)
+
+        g = rng.standard_normal(out.shape)
+        gp = np.pad(g, ((0, 0), (kh - 1 - pt,) * 2, (kw - 1 - pf,) * 2))
+        flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        assert np.array_equal(out._node.vjp(g)[0], correlate_oracle(gp, flipped))
+
+    # (input, kernel, pad) of the widening input conv at paper and tiny scale.
+    # Its forward takes im2col, but its dX narrows 64 or 8 channels to 6,
+    # the per-tap layout, over several windows at the default budget.
+    WIDENING_CASES = [
+        ((6, 125, 256), (64, 6, 7, 7), (3, 3)),
+        ((6, 501, 64), (8, 6, 3, 3), (1, 1)),
+    ]
+
+    @pytest.mark.parametrize("xshape, wshape, pad", WIDENING_CASES)
+    def test_widening_input_gradient_keeps_the_whole_products_bits(self, xshape, wshape, pad):
+        """dX of a widening conv, which training computes for ``in_conv``,
+        equals one unwindowed per-tap product bit for bit."""
+        (pt, pf), (_, c, kh, kw) = pad, wshape
+        rng = np.random.default_rng(22)
+        x = Parameter("x", rng.standard_normal(xshape))
+        w = Tensor(rng.standard_normal(wshape))
+        out = ops.conv2d(x, w, pad=pad)
+        g = rng.standard_normal(out.shape)
+        gp = np.pad(g, ((0, 0), (kh - 1 - pt,) * 2, (kw - 1 - pf,) * 2))
+        hp, wp = gp.shape[1:]
+        assert c * hp * wp < wshape[0] * xshape[1] * xshape[2]  # dX takes the per-tap layout
+        windows = list(ops._tap_windows(kh * kw * c, hp * wp))
+        assert len(windows) > 2 and windows[-1][0] < windows[-2][1]  # the last starts early
+        flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        assert np.array_equal(out._node.vjp(g)[0], taps_oracle(gp, flipped))
 
     @staticmethod
     def _traced_peak(run):
@@ -321,14 +391,24 @@ class TestConv2d:
         return peak - before, result
 
     def test_forward_transient_is_bounded_by_the_block(self):
-        """A no-grad 6->8 3x3 conv on 4,000 rows: the whole patch matrix is 110 MB."""
+        """A no-grad 6->8 3x3 conv on 4,000 rows: the whole patch matrix is 110 MB
+        and the whole padded input 13 MB; neither is built."""
         rng = np.random.default_rng(17)
         x = Tensor(rng.standard_normal((6, 4000, 64)))
         w = Tensor(rng.standard_normal((8, 6, 3, 3)))
         with no_grad():
             peak, out = self._traced_peak(lambda: ops.conv2d(x, w, pad=(1, 1)))
-        padded = 6 * 4002 * 66 * 8
-        assert peak < out.data.nbytes + padded + 2 * ops.CONV_BLOCK_BYTES
+        assert peak < out.data.nbytes + 2 * ops.CONV_BLOCK_BYTES
+
+    def test_no_grad_tap_transient_is_bounded_by_the_block(self):
+        """A no-grad 64->2 7x7 conv on 400 rows: its whole response matrix is 22 MB
+        and its whole padded input 15 MB; neither is built."""
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((64, 400, 64)))
+        w = Tensor(rng.standard_normal((2, 64, 7, 7)))
+        with no_grad():
+            peak, out = self._traced_peak(lambda: ops.conv2d(x, w, pad=(3, 3)))
+        assert peak < out.data.nbytes + 2 * ops.CONV_BLOCK_BYTES
 
     def test_input_gradient_transient_is_bounded_by_the_block(self):
         """dX of an 8->8 1x3 conv on 4,000 rows: its whole patch matrix is 49 MB."""
@@ -430,6 +510,23 @@ class TestGroupNorm:
         x = Parameter("x", rng.standard_normal((4, 3, 5)))
         gamma, beta = Parameter("gamma", np.ones(4)), Parameter("beta", np.zeros(4))
         assert _is_one_node(ops.group_norm_silu(x, gamma, beta, groups=2), x, gamma, beta)
+
+    def test_no_grad_transient_is_the_output_and_one_chunk(self):
+        """16 channels x 1,000 x 64 in 4 groups: each group is 2 MB, one chunk."""
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.standard_normal((16, 1000, 64)))
+        gamma, beta = Tensor(rng.standard_normal(16)), Tensor(rng.standard_normal(16))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = ops.group_norm_silu(x, gamma, beta, groups=4)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A second whole-map temporary would add 8 MB.
+        assert peak - before < out.data.nbytes + 2 * ops.CONV_BLOCK_BYTES
 
     @pytest.mark.parametrize("shape, groups", [((4, 3, 5), 2), ((64, 35, 256), 8)])
     def test_equals_oracle_bitwise(self, shape, groups):

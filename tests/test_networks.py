@@ -1,6 +1,8 @@
 """Tests for the DPARN-lite and ARCN architectures and the time embedding."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -208,9 +210,10 @@ class TestArcn:
     def test_no_grad_forward_on_4_s_stays_within_its_memory_budget(self):
         """Tiny ARCN on 4 s (2,003 frames): the traced peak stays below 65 MB.
 
-        It measures 45 MB since conv2d builds its im2col patches one block of
-        output rows at a time and the forward drops each map after its last
-        reader; it was 96 MB with whole patch matrices and the maps kept.
+        It measures 33 MB since both conv2d layouts work one block at a time,
+        GroupNorm keeps one chunk of scratch and each map, a block's input
+        included, dies at its last reader; it was 45 MB with whole per-tap
+        responses and block inputs kept, and 96 MB with whole patch matrices.
         """
         rng = np.random.default_rng(16)
         net = Arcn(tiny_arcn_config(), rng)
@@ -226,6 +229,29 @@ class TestArcn:
             tracemalloc.stop()
         assert out.shape == (64000,)
         assert peak - before < 65e6
+
+    def test_block_input_is_dead_while_the_first_block_attends(self):
+        """Without a graph, in_conv's output dies once encoder[0]'s first layer has read it."""
+        rng = np.random.default_rng(17)
+        net = Arcn(micro_arcn_config(), rng)
+        in_conv, attention = net.in_conv, net.encoder[0].attention
+        refs, alive = [], []
+
+        def probe_in_conv(x):
+            out = in_conv(x)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        def probe_attention(h):
+            gc.collect()
+            alive.append(refs[0]() is not None)
+            return attention(h)
+
+        net.in_conv, net.encoder[0].attention = probe_in_conv, probe_attention
+        x_t, s_pred, s_inp = (rng.standard_normal(400) for _ in range(3))
+        with no_grad():
+            net.forward(x_t, s_pred, s_inp, UpsamplingRatio(2), 10.0, 16000)
+        assert alive == [False]
 
     def test_gradients_match_fd(self):
         cfg = micro_arcn_config()
