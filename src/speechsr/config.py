@@ -107,6 +107,7 @@ def _coerce(raw: str):
 
 def parse_kv_text(text: str) -> dict[str, object]:
     out: dict[str, object] = {}
+    seen: dict[str, int] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -114,7 +115,11 @@ def parse_kv_text(text: str) -> dict[str, object]:
         if "=" not in stripped:
             raise ConfigError(f"line {ln}: expected 'key = value'")
         key, value = stripped.split("=", 1)
-        out[key.strip()] = _coerce(value)
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"line {ln}: {key!r} is already set on line {seen[key]}")
+        seen[key] = ln
+        out[key] = _coerce(value)
     return out
 
 

@@ -1,8 +1,9 @@
 """WAV I/O, corpus manifests, preprocessing, synthetic corpus, batching.
 
 The on-disk manifest is one line per utterance:
-``id<TAB>path<TAB>sample_rate<TAB>n_samples``. WAV support covers mono
-PCM-16 and IEEE float-32. The synthetic corpus generator produces
+``id<TAB>path<TAB>sample_rate<TAB>n_samples``. WAV files are read as mono
+PCM-16 or IEEE float-32 and written as mono float-32, both through
+:mod:`scipy.io.wavfile`. The synthetic corpus generator produces
 deterministic pseudo-speech (pitch-drifting harmonics under a formant-like
 envelope plus high-band noise bursts) with at least 10% of its energy
 above 4 kHz; its harmonic phases and high-band noise are independent of the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,64 +35,41 @@ from .resample import (
 # WAV files
 # ---------------------------------------------------------------------------
 
-_FMT_PCM = 1
-_FMT_FLOAT = 3
-
 
 def read_wav(path) -> Waveform:
-    """Read a mono PCM-16 or float-32 RIFF/WAVE file."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: malformed WAV header")
-    pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(raw):
-        cid = raw[pos:pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4:pos + 8])
-        body = raw[pos + 8:pos + 8 + size]
-        if len(body) < size:
-            raise WavFormatError(f"{path}: truncated chunk {cid!r}")
-        if cid == b"fmt ":
-            if size < 16:
-                raise WavFormatError(f"{path}: malformed fmt chunk")
-            fmt = struct.unpack("<HHIIHH", body[:16])
-        elif cid == b"data":
-            data = body
-        pos += 8 + size + (size & 1)
-    if fmt is None or data is None:
-        raise WavFormatError(f"{path}: missing fmt or data chunk")
-    audio_format, channels, rate, _, _, bits = fmt
-    if channels != 1:
-        raise WavFormatError(f"{path}: only mono supported, got {channels} channels")
-    if audio_format == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    """Read a mono PCM-16 (scaled by 1/32768) or float-32 WAV file."""
+    from scipy.io import wavfile  # 0.2 s to import: only commands that read WAVs pay it
+
+    with warnings.catch_warnings():
+        # scipy only warns when it skips a chunk it does not know (``cue ``) or
+        # trailing bytes: the file reads. A data chunk cut short only warns too.
+        warnings.filterwarnings("ignore", category=wavfile.WavFileWarning)
+        warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+        try:
+            rate, data = wavfile.read(path)
+        # scipy fails on a bad header in several ways: ValueError, struct.error
+        # (a header cut short), ZeroDivisionError (no channels), TypeError (a
+        # block size no dtype has) and UnboundLocalError (no data chunk).
+        except (ValueError, struct.error, ZeroDivisionError, TypeError, UnboundLocalError,
+                wavfile.WavFileWarning) as exc:
+            raise WavFormatError(f"{path}: malformed or unsupported WAV: {exc}") from exc
+    if data.ndim != 1:
+        raise WavFormatError(f"{path}: only mono supported, got {data.shape[1]} channels")
+    kind = data.dtype.str[1:]  # "<i2" -> "i2", in either byte order
+    if kind == "i2":
+        samples = data.astype(np.float64) / 32768.0
+    elif kind == "f4":
+        samples = data.astype(np.float64)
     else:
-        raise WavFormatError(
-            f"{path}: unsupported codec (format {audio_format}, {bits} bits)"
-        )
+        raise WavFormatError(f"{path}: need PCM-16 or float-32 samples, got {data.dtype}")
     return Waveform(samples, rate)
 
 
-def write_wav(path, w: Waveform, bit_depth: int = 32):
-    """Write mono PCM-16 (bit_depth=16) or float-32 (bit_depth=32)."""
-    if bit_depth == 16:
-        clipped = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
-        payload = np.rint(clipped * 32768.0).astype("<i2").tobytes()
-        fmt = struct.pack("<HHIIHH", _FMT_PCM, 1, w.sample_rate,
-                          w.sample_rate * 2, 2, 16)
-    elif bit_depth == 32:
-        payload = w.samples.astype("<f4").tobytes()
-        fmt = struct.pack("<HHIIHH", _FMT_FLOAT, 1, w.sample_rate,
-                          w.sample_rate * 4, 4, 32)
-    else:
-        raise ValueError(f"bit_depth must be 16 or 32, got {bit_depth}")
-    with open(path, "wb") as fh:
-        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-        body += b"data" + struct.pack("<I", len(payload)) + payload
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+def write_wav(path, w: Waveform):
+    """Write a mono float-32 WAV file."""
+    from scipy.io import wavfile
+
+    wavfile.write(path, w.sample_rate, w.samples.astype("<f4"))
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +98,12 @@ class Manifest:
         return len(self.entries)
 
 
-def write_manifest(path, manifest: Manifest, relative: bool = False):
-    """Write the TSV; with ``relative``, paths are stored relative to it."""
+def write_manifest(path, manifest: Manifest):
+    """Write the TSV, with each WAV path stored relative to it."""
     base = Path(path).parent
-    lines = []
-    for e in manifest.entries:
-        p = os.path.relpath(e.path, base) if relative else e.path
-        lines.append(f"{e.utt_id}\t{p}\t{e.sample_rate}\t{e.n_samples}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(path).write_text("".join(
+        f"{e.utt_id}\t{os.path.relpath(e.path, base)}\t{e.sample_rate}\t{e.n_samples}\n"
+        for e in manifest.entries))
 
 
 def read_manifest(path) -> Manifest:
@@ -139,6 +116,9 @@ def read_manifest(path) -> Manifest:
         if len(parts) != 4:
             raise ValueError(f"{path}:{ln}: expected 4 tab-separated fields")
         utt_id, wav_path, rate, n = parts
+        for field, text, least in (("sample_rate", rate, 1), ("n_samples", n, 0)):
+            if not (text.isdecimal() and int(text) >= least):
+                raise ValueError(f"{path}:{ln}: {field} must be an integer >= {least}: {text!r}")
         if not Path(wav_path).is_absolute():
             wav_path = str(base / wav_path)
         if not Path(wav_path).exists():
@@ -169,6 +149,9 @@ def preprocess(w: Waveform, target_rate: int) -> Waveform:
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------
+
+
+_LONGEST_BURST_S = 0.12
 
 
 def _synth_utterance(rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
@@ -217,7 +200,7 @@ def _synth_utterance(rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
     hf_noise /= max(np.std(hf_noise), 1e-12)
     bursts = np.zeros(n)
     for _ in range(max(2, int(n / rate * 3))):
-        width = int(rng.uniform(0.03, 0.12) * rate)
+        width = int(rng.uniform(0.03, _LONGEST_BURST_S) * rate)
         start = int(rng.uniform(0, max(n - width, 1)))
         win = 0.5 * (1 - np.cos(2 * np.pi * np.arange(width) / width))
         bursts[start:start + width] += win
@@ -240,19 +223,25 @@ def synth_corpus(out_dir, n_utts: int, duration_s: float, seed: int,
     """Generate a deterministic pseudo-speech corpus and its manifest."""
     if n_utts < 1:
         raise ValueError("need at least one utterance")
+    if sample_rate < 1:
+        raise ValueError(f"sample_rate must be at least 1 Hz, got {sample_rate}")
+    if not _LONGEST_BURST_S <= duration_s < np.inf:  # the longest noise burst must fit
+        raise ValueError(f"duration_s must be finite and >= {_LONGEST_BURST_S} s, got {duration_s}")
+    n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise ValueError(f"duration_s {duration_s} s at sample_rate {sample_rate} Hz gives no samples")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n = int(round(duration_s * sample_rate))
     entries = []
     for i in range(n_utts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         x = _synth_utterance(rng, n, sample_rate)
         utt_id = f"utt{i:04d}"
         path = out / f"{utt_id}.wav"
-        write_wav(path, Waveform(x, sample_rate), bit_depth=32)
+        write_wav(path, Waveform(x, sample_rate))
         entries.append(ManifestEntry(utt_id, str(path), sample_rate, n))
     manifest = Manifest(tuple(entries))
-    write_manifest(out / "manifest.tsv", manifest, relative=True)
+    write_manifest(out / "manifest.tsv", manifest)
     return manifest
 
 

@@ -198,6 +198,17 @@ class TestExitCodes:
         assert main(["spectrogram", "--in", str(bad),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--rate", "0", "sample_rate"), ("--dur", "0", "duration_s"),
+        ("--dur", "0.1", "duration_s"),
+    ])
+    def test_bad_corpus_setting_fails_before_out_dir(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "corpus"
+        argv = ["synth-corpus", "--out", str(out), "--n", "1", "--dur", "0.5", "--seed", "1"]
+        assert main(argv + [flag, value]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key = 1\n")
@@ -431,12 +442,14 @@ class TestRunMetadata:
 
 
 def test_importing_the_cli_loads_neither_scipy_signal_nor_interpolate():
-    """``resample`` imports them where it filters or interpolates, so the
-    commands that do neither skip their import (over a second)."""
+    """``resample`` imports them where it filters or interpolates, and ``data``
+    imports ``scipy.io`` where it reads or writes a WAV file, so the commands
+    that do neither skip their import (over a second)."""
     paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     code = ("import sys, speechsr.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules])")
+            "print([m for m in ('scipy.signal', 'scipy.interpolate', 'scipy.io')"
+            " if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

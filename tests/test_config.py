@@ -67,6 +67,10 @@ class TestLoadRunSpec:
         with pytest.raises(ConfigError):
             _spec(tmp_path, text)
 
+    def test_a_key_set_twice_names_both_lines(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"line 5: 'train.epochs' is already set on line 4"):
+            _spec(tmp_path, PATHS + "train.epochs = 5\ntrain.epochs = 7\n")
+
 
 @dataclass(frozen=True)
 class Inner:

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from helpers import band_energy_fraction
 from speechsr.data import (
@@ -22,36 +23,48 @@ from speechsr.errors import DegenerateInputError, WavFormatError
 from speechsr.resample import UpsamplingRatio
 
 
+def _riff(*chunks):
+    """A RIFF/WAVE file of ``(id, body)`` chunks, each odd-sized body padded."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
+                              for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(audio_format, channels, bits, rate=8000):
+    align = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", audio_format, channels, rate, rate * align, align, bits)
+
+
 class TestWav:
     def test_float32_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 5000).astype(np.float32).astype(np.float64)
         path = tmp_path / "f32.wav"
-        write_wav(path, Waveform(x, 16000), bit_depth=32)
+        write_wav(path, Waveform(x, 16000))
         back = read_wav(path)
         assert back.sample_rate == 16000
         np.testing.assert_array_equal(back.samples, x)
 
     def test_pcm16_full_scale_square(self, tmp_path):
-        x = np.tile([1.0, -1.0], 100)
         path = tmp_path / "sq.wav"
-        write_wav(path, Waveform(x, 8000), bit_depth=16)
+        wavfile.write(path, 8000, np.tile(np.array([32767, -32768], np.int16), 100))
         back = read_wav(path)
         assert set(np.unique(back.samples)) == {32767.0 / 32768.0, -1.0}
 
     def test_pcm16_grid_roundtrip_exact(self, tmp_path):
-        x = np.random.default_rng(1).integers(-32768, 32768, 400) / 32768.0
+        q = np.random.default_rng(1).integers(-32768, 32768, 400).astype(np.int16)
         path = tmp_path / "grid.wav"
-        write_wav(path, Waveform(x, 16000), bit_depth=16)
-        np.testing.assert_array_equal(read_wav(path).samples, x)
+        wavfile.write(path, 16000, q)
+        np.testing.assert_array_equal(read_wav(path).samples, q / 32768.0)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "t.wav"
         write_wav(path, Waveform(np.zeros(100), 8000))
         raw = path.read_bytes()
-        path.write_bytes(raw[:40])
-        with pytest.raises(WavFormatError):
-            read_wav(path)
+        for keep in (40, len(raw) - 201):  # in the header, mid-samples
+            path.write_bytes(raw[:keep])
+            with pytest.raises(WavFormatError):
+                read_wav(path)
 
     def test_not_riff_rejected(self, tmp_path):
         path = tmp_path / "x.wav"
@@ -60,23 +73,28 @@ class TestWav:
             read_wav(path)
 
     def test_stereo_rejected(self, tmp_path):
-        fmt = struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16)
-        payload = b"\x00" * 64
-        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-        body += b"data" + struct.pack("<I", len(payload)) + payload
         path = tmp_path / "st.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        path.write_bytes(_riff(_fmt(1, 2, 16), (b"data", b"\x00" * 64)))
         with pytest.raises(WavFormatError):
             read_wav(path)
 
     def test_unsupported_codec_rejected(self, tmp_path):
-        fmt = struct.pack("<HHIIHH", 7, 1, 8000, 8000, 1, 8)  # mu-law
-        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-        body += b"data" + struct.pack("<I", 4) + b"\x00" * 4
-        path = tmp_path / "mu.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        with pytest.raises(WavFormatError):
-            read_wav(path)
+        path = tmp_path / "codec.wav"
+        for audio_format, bits in [(7, 8), (1, 8), (1, 32), (3, 64)]:  # mu-law, PCM-8/32, float-64
+            path.write_bytes(_riff(_fmt(audio_format, 1, bits), (b"data", b"\x00" * 8)))
+            with pytest.raises(WavFormatError):
+                read_wav(path)
+
+    @pytest.mark.parametrize("chunk", [(b"LIST", b"INFOISFT\x04\x00\x00\x00abc\x00"),
+                                       (b"cue ", b"\x00" * 4), (b"zzzz", b"\x01\x02\x03")],
+                             ids=["LIST", "cue", "odd-sized"])
+    def test_extra_chunks_are_skipped(self, tmp_path, chunk):
+        q = np.array([0, 1, -2, 32767, -32768], dtype="<i2")
+        path = tmp_path / "extra.wav"
+        path.write_bytes(_riff(_fmt(1, 1, 16), chunk, (b"data", q.tobytes())))
+        back = read_wav(path)
+        assert back.sample_rate == 8000
+        np.testing.assert_array_equal(back.samples, q / 32768.0)
 
 
 class TestManifest:
@@ -86,6 +104,7 @@ class TestManifest:
         m = Manifest((ManifestEntry("a", str(wav), 16000, 100),))
         path = tmp_path / "m.tsv"
         write_manifest(path, m)
+        assert path.read_text() == "a\ta.wav\t16000\t100\n"
         back = read_manifest(path)
         assert back.entries == m.entries
 
@@ -100,6 +119,18 @@ class TestManifest:
         path = tmp_path / "m.tsv"
         path.write_text("a\t/nonexistent/a.wav\t16000\t100\n")
         with pytest.raises(FileNotFoundError):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("fields, named", [
+        ("abc\t100", "sample_rate"), ("16000\t1.5", "n_samples"),
+        ("-5\t100", "sample_rate"), ("0\t100", "sample_rate"), ("16000\t-1", "n_samples"),
+    ], ids=["non-integer rate", "non-integer count", "negative rate", "zero rate",
+            "negative count"])
+    def test_bad_number_names_line_and_field(self, tmp_path, fields, named):
+        write_wav(tmp_path / "a.wav", Waveform(np.zeros(100), 16000))
+        path = tmp_path / "m.tsv"
+        path.write_text(f"a\ta.wav\t16000\t100\nb\ta.wav\t{fields}\n")
+        with pytest.raises(ValueError, match=f"m.tsv:2: {named} "):
             read_manifest(path)
 
 
