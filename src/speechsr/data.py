@@ -55,7 +55,12 @@ def read_wav(path) -> Waveform:
             raise WavFormatError(f"{path}: malformed or unsupported WAV: {exc}") from exc
     if data.ndim != 1:
         raise WavFormatError(f"{path}: only mono supported, got {data.shape[1]} channels")
+    if rate < 1:
+        raise WavFormatError(f"{path}: sample rate must be positive, got {rate}")
     kind = data.dtype.str[1:]  # "<i2" -> "i2", in either byte order
+    # Checked before the cast, which warns on a signalling NaN.
+    if kind == "f4" and not np.isfinite(data).all():
+        raise WavFormatError(f"{path}: non-finite samples")
     if kind == "i2":
         samples = data.astype(np.float64) / 32768.0
     elif kind == "f4":

@@ -16,4 +16,11 @@ __all__ = [
     "no_grad",
     "ops",
     "save_state",
+    "thread_counts",
 ]
+
+
+def thread_counts() -> dict:
+    """Block workers the engine splits ops over, and threads numpy's BLAS runs
+    one GEMM on (None where that BLAS is not scipy-openblas)."""
+    return {"workers": ops._workers(), "blas": ops._blas_threads()}

@@ -23,6 +23,16 @@ primitives, not compositions: ``linear``, ``pointwise_channels``,
 ``group_norm_silu`` are one graph node each and add their bias in place;
 ``group_norm_silu`` works through its groups in chunks of the same budget.
 
+The blocks that already exist run on every CPU: attention's query blocks,
+im2col's row blocks (forward and dX) and GroupNorm's chunks are shared
+among one worker per CPU in the process's affinity mask
+(:func:`_run_blocks`), each with its own scratch. Every block keeps its
+boundary and writes its own slice of the output, and numpy's OpenBLAS is
+pinned to one thread at import, so each GEMM runs whole on one thread and
+the output bits depend on neither the worker nor the BLAS thread count.
+The per-tap windows, the accumulated dW and every other vjp run on the
+calling thread.
+
 A vjp closure is the only thing in the graph that keeps arrays, so each
 captures only what it reads: an input's shape where that is all it needs
 (``add``, ``sub``, ``reshape``, ``getitem``, ``sum_``, ``fir_resample_freq``),
@@ -32,7 +42,12 @@ an input's data only where the vjp reads it (``mul``, ``linear``,
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -41,7 +56,9 @@ from ..dsp import (frame_signal, hann_window, istft_values, overlap_add, stft_va
 from .tensor import as_tensor, make_result, records, unbroadcast
 
 # Query rows per attention block. One-thread timings at T = 2,003 frames were
-# flat from 128 to 512 rows and slower below 128.
+# flat from 128 to 512 rows, but the boundary is part of the output bits
+# (128-row blocks give other bits), so 256 rows it stays, however many
+# workers share the blocks.
 ATTENTION_BLOCK = 256
 
 # Bytes of im2col patches or tap responses that conv2d builds per block, and
@@ -51,6 +68,95 @@ CONV_BLOCK_BYTES = 2 << 20
 # last partial panel with another kernel, so a column slice of a product
 # keeps the whole product's bits only if it starts and ends on whole panels.
 _GEMM_PANEL = 16
+
+# ---------------------------------------------------------------------------
+# block runner: independent blocks of one op on every CPU, BLAS on one thread
+# ---------------------------------------------------------------------------
+
+
+def _openblas():
+    """numpy's scipy-openblas library, or None where numpy links another BLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    for lib in libs:
+        try:
+            blas = ctypes.CDLL(lib)
+            get = blas.scipy_openblas_get_num_threads64_
+            set_ = blas.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return blas
+    return None
+
+
+# A GEMM that OpenBLAS splits over threads can give other bits at another
+# thread count; one thread per GEMM, with the blocks below on every CPU,
+# makes the bits independent of both counts.
+_OPENBLAS = _openblas()
+if _OPENBLAS is not None:
+    _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+
+
+def _blas_threads():
+    """Threads numpy's OpenBLAS runs one GEMM on, or None where it is not found."""
+    return None if _OPENBLAS is None else _OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+def _workers() -> int:
+    """Block workers: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # the runner's threads, made on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # A forked child has only the forking thread; an inherited executor would
+    # count its parent's idle threads as its own and never start any.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(run, blocks) -> None:
+    """Call ``run(part)`` on up to ``_workers()`` non-empty parts of ``blocks`` at once.
+
+    A part is a contiguous run of whole blocks, so each block is computed as
+    it is alone, and ``run`` keeps one scratch buffer per part. The calling
+    thread takes the first part and pool threads the others; one part runs
+    inline. Once every part has finished, an exception from any of them is
+    raised here. ``run`` calls only numpy, never a public op or
+    :func:`make_result`: a tracer may wrap those with a span stack that is
+    not thread-safe.
+    """
+    global _pool
+    blocks = list(blocks)
+    n = min(_workers(), len(blocks))
+    if n <= 1:
+        if blocks:
+            run(blocks)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(_workers() - 1, 1), "speechsr-block")
+        pool = _pool
+    parts = [blocks[len(blocks) * i // n:len(blocks) * (i + 1) // n] for i in range(n)]
+    futures = [pool.submit(run, part) for part in parts[1:]]
+    try:
+        run(parts[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
 
 # ---------------------------------------------------------------------------
 # elementwise and shape primitives
@@ -162,11 +268,13 @@ def tanh(a):
 def attention(q, k, v):
     """``softmax(q kᵀ) v`` over the last two axes, with any leading batch axes.
 
-    Query rows are taken ``ATTENTION_BLOCK`` at a time: scores into one
+    Query rows are taken ``ATTENTION_BLOCK`` at a time: scores into a
     reused block buffer, an in-place stable softmax, then ``@ v`` into the
-    preallocated output, so the transient memory is one block of scores.
-    When the graph is recorded the probabilities are also kept; they are
-    all the vjp needs besides q, k and v.
+    preallocated output. The blocks are shared among the block workers
+    (:func:`_run_blocks`), each with its own buffer, so the transient memory
+    is one block of scores per worker. When the graph is recorded the
+    probabilities are also kept; they are all the vjp needs besides q, k
+    and v.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -174,18 +282,25 @@ def attention(q, k, v):
     tq, tk = q.shape[-2], k.shape[-2]
     kt = k.data.swapaxes(-1, -2)
     out = np.empty(q.shape[:-1] + v.shape[-1:])
-    scores = np.empty(q.shape[:-2] + (min(tq, ATTENTION_BLOCK), tk))
+    block = q.shape[:-2] + (min(tq, ATTENTION_BLOCK), tk)
+    # The calling thread's scores, allocated before probs: the order of same-sized
+    # allocations moves the heap's trimming (see group_norm_silu).
+    first = np.empty(block)
     probs = np.empty(q.shape[:-1] + (tk,)) if records((q, k, v)) else None
-    for lo in range(0, tq, ATTENTION_BLOCK):
-        hi = min(lo + ATTENTION_BLOCK, tq)
-        rows = (..., slice(lo, hi), slice(None))
-        s = np.matmul(q.data[rows], kt, out=scores[..., :hi - lo, :])
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        np.matmul(s, v.data, out=out[rows])
-        if probs is not None:
-            probs[rows] = s
+
+    def run(blocks):
+        scores = first if blocks[0][0] == 0 else np.empty(block)
+        for lo, hi in blocks:
+            rows = (..., slice(lo, hi), slice(None))
+            s = np.matmul(q.data[rows], kt, out=scores[..., :hi - lo, :])
+            s -= s.max(axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=-1, keepdims=True)
+            np.matmul(s, v.data, out=out[rows])
+            if probs is not None:
+                probs[rows] = s
+
+    _run_blocks(run, [(lo, min(lo + ATTENTION_BLOCK, tq)) for lo in range(0, tq, ATTENTION_BLOCK)])
 
     def vjp(g):
         gv = np.matmul(probs.swapaxes(-1, -2), g)
@@ -367,17 +482,28 @@ def _conv_taps(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
     return out
 
 
-def _correlate(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
-    """Stride-1 correlation of the padded rows ``rows(lo, hi)`` of an
-    (C, Hp, Wp) map with ``w``, in the smaller-intermediate layout."""
+def _correlate(x: np.ndarray, pt: int, pf: int, w: np.ndarray) -> np.ndarray:
+    """Stride-1 correlation of (C, H, W) ``x``, zero-padded by ``pt`` rows and
+    ``pf`` columns per side, with ``w``, in the smaller-intermediate layout.
+
+    im2col's row blocks are shared among the block workers, each reading
+    its rows through its own :func:`_padded_rows`; the per-tap windows run
+    on the calling thread.
+    """
     o, c, kh, kw = w.shape
+    hp, wp = x.shape[1] + 2 * pt, x.shape[2] + 2 * pf
     ho, wo = hp - kh + 1, wp - kw + 1
     if o * hp * wp < c * ho * wo:
-        return _conv_taps(rows, w, hp, wp)
+        return _conv_taps(_padded_rows(x, pt, pf), w, hp, wp)
     out = np.empty((o, ho, wo))
     w2, flat = w.reshape(o, -1), out.reshape(o, ho * wo)
-    for lo, hi in _row_blocks(c * kh * kw, ho, wo):
-        np.matmul(w2, _im2col(rows(lo, hi + kh - 1), kh, kw), out=flat[:, lo * wo:hi * wo])
+
+    def run(blocks):
+        rows = _padded_rows(x, pt, pf)
+        for lo, hi in blocks:
+            np.matmul(w2, _im2col(rows(lo, hi + kh - 1), kh, kw), out=flat[:, lo * wo:hi * wo])
+
+    _run_blocks(run, _row_blocks(c * kh * kw, ho, wo))
     return out
 
 
@@ -413,16 +539,17 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     per-tap responses of :func:`_conv_taps` when ``O*Hp*Wp < C*Ho*Wo``
     (few output channels, or more input channels than output). im2col's
     GEMM runs per block of output rows (:func:`_row_blocks`) into its slice
-    of the output, so at most ``CONV_BLOCK_BYTES`` of patches exist at once
-    whatever the input length. The per-tap GEMM runs per window of the flat
+    of the output, the blocks shared among the block workers, so at most
+    ``CONV_BLOCK_BYTES`` of patches per worker exist at once whatever the
+    input length. The per-tap GEMM runs per window of the flat
     padded input (:func:`_tap_windows`) under the same budget. Windows start
     on a 16-column GEMM panel, and the last one, which ends in the product's
     partial tail panel, is as wide as the others: a tail panel computed by a
     GEMM narrower than a few thousand columns moves output bits. Without a
-    graph each block's padded rows are copied from the unpadded map into one
-    reused buffer; with one, the padded input is built whole, because the
-    vjp keeps it, and the blocks read it. The vjp keeps only the padded
-    input and the kernel:
+    graph each block's padded rows are copied from the unpadded map into a
+    reused buffer, one per worker; with one, the padded input is built
+    whole, because the vjp keeps it, and the blocks read it. The vjp keeps
+    only the padded input and the kernel:
     - dX is the forward correlation of the padded upstream gradient with
       the flipped, transposed kernel, in the layout the same rule picks;
       it is skipped when x needs no gradient.
@@ -452,8 +579,7 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     wd = w.data
     # The vjp reads the padded input whole; without a graph only blocks of it exist.
     xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf))) if records(parents) else None
-    data = _correlate(_padded_rows(x.data, pt, pf) if xp is None else _padded_rows(xp, 0, 0),
-                      wd, hp, wp)
+    data = _correlate(x.data, pt, pf, wd) if xp is None else _correlate(xp, 0, 0, wd)
     if b is not None:
         data += b.data.reshape(o, 1, 1)
 
@@ -476,7 +602,7 @@ def conv2d(x, w, b=None, pad=(0, 0)):
             ct, cf = max(-et, 0), max(-ef, 0)
             gp = gp[:, ct:gp.shape[1] - ct, cf:gp.shape[2] - cf]
             flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _correlate(_padded_rows(gp, 0, 0), flipped, *gp.shape[1:])
+            gx = _correlate(gp, 0, 0, flipped)
         return (gx, gw, g.sum((1, 2))) if has_bias else (gx, gw)
 
     return make_result(data, parents, vjp)
@@ -636,10 +762,12 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
     One node. The statistics are those of ``np.var``, bit for bit: centre
     once, then the mean square of the centred values. The groups are worked
     through in chunks of whole groups, as many as fit in
-    ``CONV_BLOCK_BYTES`` (at least one), with one chunk of scratch, so a map
-    within the budget is one chunk. Without a graph the output and that
-    scratch are all the op allocates. With one, x̂ and the sigmoid are kept
-    whole for the vjp, which recomputes ``x̂·γ + β`` from x̂.
+    ``CONV_BLOCK_BYTES`` (at least one), shared among the block workers
+    (:func:`_run_blocks`) with one chunk of scratch each; the statistics are
+    per group, so any chunking gives the same bits, and several chunks are
+    evened out to a multiple of the workers. Without a graph the output and
+    that scratch are all the op allocates. With one, x̂ and the sigmoid are
+    kept whole for the vjp, which recomputes ``x̂·γ + β`` from x̂.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c, t, f = x.shape
@@ -648,35 +776,43 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
     parents = (x, gamma, beta)
     keep = records(parents)
     per, n = c // groups, c // groups * t * f  # channels and values per group
-    chunk = min(groups, max(1, CONV_BLOCK_BYTES // (8 * n)))
+    chunks = -(-groups // max(1, CONV_BLOCK_BYTES // (8 * n)))  # fewest within the budget
+    if chunks > 1:  # evened out over the workers; a map within the budget stays one chunk
+        workers = _workers()
+        chunks = -(-chunks // workers) * workers
+    chunk = -(-groups // chunks)
     xg = x.data.reshape(groups, n)
     # Allocated in the order the unchunked arithmetic made its arrays: another
     # order left the heap to be trimmed and faulted back in on every call
     # (about 3% of a tiny train step). Without a graph the output overwrites x̂.
     xhat = np.empty((groups, n))
-    scratch = np.empty((chunk, n))
+    first = np.empty((chunk, n))  # the calling thread's scratch
     sig = np.empty((groups, n)) if keep else None
     out = np.empty((groups, n)) if keep else xhat
     istd = np.empty((groups, 1))
     gam = gamma.data.reshape(groups, per, 1)
     bet = beta.data.reshape(groups, per, 1)
-    for lo in range(0, groups, chunk):
-        hi = min(lo + chunk, groups)
-        rows, tmp = slice(lo, hi), scratch[:hi - lo]
-        xc = np.subtract(xg[rows], xg[rows].mean(axis=1, keepdims=True), out=xhat[rows])
-        var = np.square(xc, out=tmp).sum(axis=1, keepdims=True) / n
-        istd[rows] = 1.0 / np.sqrt(var + eps)
-        xc *= istd[rows]
-        # s = x̂·γ + β goes to the scratch when x̂ is kept, else over x̂; the
-        # sigmoid goes where s does not.
-        s = np.multiply(xc.reshape(hi - lo, per, -1), gam[rows],
-                        out=(tmp if keep else xc).reshape(hi - lo, per, -1))
-        s += bet[rows]
-        sg = np.negative(s, out=(sig[rows] if keep else tmp).reshape(s.shape))
-        np.exp(sg, out=sg)
-        sg += 1.0
-        np.reciprocal(sg, out=sg)
-        np.multiply(s, sg, out=out[rows].reshape(s.shape))
+
+    def run(blocks):
+        scratch = first if blocks[0][0] == 0 else np.empty((chunk, n))
+        for lo, hi in blocks:
+            rows, tmp = slice(lo, hi), scratch[:hi - lo]
+            xc = np.subtract(xg[rows], xg[rows].mean(axis=1, keepdims=True), out=xhat[rows])
+            var = np.square(xc, out=tmp).sum(axis=1, keepdims=True) / n
+            istd[rows] = 1.0 / np.sqrt(var + eps)
+            xc *= istd[rows]
+            # s = x̂·γ + β goes to the scratch when x̂ is kept, else over x̂; the
+            # sigmoid goes where s does not.
+            s = np.multiply(xc.reshape(hi - lo, per, -1), gam[rows],
+                            out=(tmp if keep else xc).reshape(hi - lo, per, -1))
+            s += bet[rows]
+            sg = np.negative(s, out=(sig[rows] if keep else tmp).reshape(s.shape))
+            np.exp(sg, out=sg)
+            sg += 1.0
+            np.reciprocal(sg, out=sg)
+            np.multiply(s, sg, out=out[rows].reshape(s.shape))
+
+    _run_blocks(run, [(lo, min(lo + chunk, groups)) for lo in range(0, groups, chunk)])
     out = out.reshape(c, t, f)
     if not keep:
         return make_result(out, parents, None)

@@ -13,8 +13,10 @@ backward calls equal one backward of the doubled loss. An intermediate
 result's gradient lives only until the walk has passed it on to its
 parents; its ``.grad`` stays None.
 
-Everything is single-threaded and deterministic: same inputs, same seed,
-same bits.
+The graph is built and walked on the calling thread, and it is
+deterministic: same inputs, same seed, same bits, whatever the thread
+counts. Inside a few ops (:mod:`.ops`), independent blocks run on one
+thread per CPU, with BLAS at one thread per GEMM.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .config import Arch, TrainConfig, from_dict
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import NoiseSchedule, reverse_infer, train_step, validation_loss
 from .dsp import FrameConfig, stft
-from .engine import Adam, Ema, load_state, save_state
+from .engine import Adam, Ema, load_state, save_state, thread_counts
 from .errors import ConfigError, NumericsError
 from .networks import ArcnConfig, DparnConfig, TwoStageModel
 from .objectives import LossReport, MetricReport, lsd, sisnr
@@ -215,7 +215,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         global_step = meta.global_step
 
     run_meta = {"version": __version__, "train_config": asdict(cfg), "arch": asdict(arch),
-                "schedule": asdict(sched),
+                "schedule": asdict(sched), "threads": thread_counts(),
                 "resumed_from": str(resume_from) if resume_from else None}
     (out / "run_meta.json").write_text(json.dumps(run_meta, indent=2, sort_keys=True))
 

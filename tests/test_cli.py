@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from speechsr.cli import main
-from speechsr.data import read_wav
-from speechsr.engine import load_state, save_state
+from speechsr.data import read_wav, write_wav
+from speechsr.dsp import Waveform
+from speechsr.engine import load_state, save_state, thread_counts
 from speechsr.engine.checkpoint import FORMAT_VERSION, MAGIC
 from speechsr.train import META_KEYS
 
@@ -125,6 +126,44 @@ class TestEnhance:
         assert sr.sample_rate == 16000
         assert len(sr) == 2 * len(lr)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_bytes_do_not_depend_on_thread_counts(self, cli_run, tmp_path):
+        """A 1 s input, over two query blocks of ARCN attention, enhanced by
+        one block worker on one CPU with one BLAS thread, and by every CPU
+        with ``OPENBLAS_NUM_THREADS=2``, gives the same WAV bytes.
+
+        The float64 samples are compared too: the float-32 WAV rounds away
+        the last-bit differences that a BLAS thread split makes.
+        """
+        inp = tmp_path / "in.wav"
+        write_wav(inp, Waveform(0.1 * np.random.default_rng(8).standard_normal(8000), 8000))
+        # The affinity is set before speechsr is imported, as a launcher would.
+        code = ("import hashlib, os, sys\n"
+                "if sys.argv[1] == '1':\n"
+                "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from speechsr import cli\n"
+                "from speechsr.engine import thread_counts\n"
+                "write = cli.write_wav\n"
+                "def digest_and_write(path, w):\n"
+                "    print(hashlib.sha256(w.samples.tobytes()).hexdigest())\n"
+                "    write(path, w)\n"
+                "cli.write_wav = digest_and_write\n"
+                "print(thread_counts()['workers'])\n"
+                "sys.exit(cli.main(sys.argv[2:]))\n")
+        paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        workers, samples = {}, {}
+        for blas in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": blas}
+            proc = subprocess.run(
+                [sys.executable, "-c", code, blas, "enhance", "--ckpt", str(cli_run / "best.ckpt"),
+                 "--in", str(inp), "--ratio", "2", "--seed", "4",
+                 "--out", str(tmp_path / f"blas{blas}.wav")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            workers[blas], samples[blas] = proc.stdout.split()[:2]
+        assert workers == {"1": "1", "2": str(len(os.sched_getaffinity(0)))}
+        assert samples["1"] == samples["2"]
+        assert (tmp_path / "blas1.wav").read_bytes() == (tmp_path / "blas2.wav").read_bytes()
 
     def test_rate_mismatch_names_needed_rate(self, cli_run, cli_corpus, tmp_path, capsys):
         """A 16 kHz input at ratio 2 against a 16 kHz model is a data error."""
@@ -430,6 +469,11 @@ class TestRunMetadata:
         assert meta["train_config"]["seed"] == 2
         assert meta["arch"]["arcn"]["base_channels"] == 4
         assert meta["schedule"]["sigma_min"] == 0.05
+
+    def test_thread_counts_recorded(self, cli_run):
+        meta = json.loads((cli_run / "run_meta.json").read_text())
+        assert meta["threads"] == thread_counts()
+        assert meta["threads"]["workers"] >= 1 and meta["threads"]["blas"] in (1, None)
 
     def test_checkpoint_carries_arch(self, cli_run):
         meta, _ = load_state(cli_run / "best.ckpt")

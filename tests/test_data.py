@@ -85,6 +85,26 @@ class TestWav:
             with pytest.raises(WavFormatError):
                 read_wav(path)
 
+    def test_zero_sample_rate_names_the_file(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(_riff(_fmt(1, 1, 16, rate=0), (b"data", b"\x00" * 8)))
+        with pytest.raises(WavFormatError, match="rate0.wav: sample rate must be positive"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0x7FA00000],
+                             ids=["inf", "-inf", "quiet-nan", "signalling-nan"])
+    def test_non_finite_float_samples_name_the_file(self, tmp_path, bad):
+        """Refused before the cast to float64, which would warn on a signalling NaN."""
+        samples = np.zeros(8, dtype="<f4")
+        if isinstance(bad, int):
+            samples.view("<u4")[3] = bad
+        else:
+            samples[3] = bad
+        path = tmp_path / "nan.wav"
+        path.write_bytes(_riff(_fmt(3, 1, 32), (b"data", samples.tobytes())))
+        with pytest.raises(WavFormatError, match="nan.wav: non-finite samples"):
+            read_wav(path)
+
     @pytest.mark.parametrize("chunk", [(b"LIST", b"INFOISFT\x04\x00\x00\x00abc\x00"),
                                        (b"cue ", b"\x00" * 4), (b"zzzz", b"\x01\x02\x03")],
                              ids=["LIST", "cue", "odd-sized"])

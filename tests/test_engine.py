@@ -1,8 +1,12 @@
 """Tests for the autodiff engine: primitives, layers, optimizer machinery."""
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from speechsr.engine import (
     ops,
     save_state,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestBackward:
@@ -390,15 +396,18 @@ class TestConv2d:
             tracemalloc.stop()
         return peak - before, result
 
-    def test_forward_transient_is_bounded_by_the_block(self):
+    def test_forward_transient_is_bounded_by_the_block(self, monkeypatch):
         """A no-grad 6->8 3x3 conv on 4,000 rows: the whole patch matrix is 110 MB
-        and the whole padded input 13 MB; neither is built."""
+        and the whole padded input 13 MB; neither is built. Each extra block
+        worker holds one more block."""
         rng = np.random.default_rng(17)
         x = Tensor(rng.standard_normal((6, 4000, 64)))
         w = Tensor(rng.standard_normal((8, 6, 3, 3)))
-        with no_grad():
-            peak, out = self._traced_peak(lambda: ops.conv2d(x, w, pad=(1, 1)))
-        assert peak < out.data.nbytes + 2 * ops.CONV_BLOCK_BYTES
+        for workers in (1, ops._workers()):
+            monkeypatch.setattr(ops, "_workers", lambda: workers)
+            with no_grad():
+                peak, out = self._traced_peak(lambda: ops.conv2d(x, w, pad=(1, 1)))
+            assert peak < out.data.nbytes + (1 + workers) * ops.CONV_BLOCK_BYTES
 
     def test_no_grad_tap_transient_is_bounded_by_the_block(self):
         """A no-grad 64->2 7x7 conv on 400 rows: its whole response matrix is 22 MB
@@ -968,27 +977,161 @@ class TestAttention:
             assert np.all(np.isfinite(a))
         assert np.all(out.data <= v.data.max(axis=0)) and np.all(out.data >= v.data.min(axis=0))
 
-    def test_no_graph_and_no_retained_probabilities_under_no_grad(self):
+    def test_no_graph_and_no_retained_probabilities_under_no_grad(self, monkeypatch):
+        """The transient is one block of scores (a quarter of the full matrix)
+        per block worker, plus one."""
         rng = np.random.default_rng(23)
         t = 4 * BLOCK + 3
         q, k, v = _qkv(rng, (), t, t, d=2, dv=2)
         full = t * t * 8
         tracemalloc.start()
         try:
-            with no_grad():
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                out = ops.attention(q, k, v)
-                held, peak = tracemalloc.get_traced_memory()
-            assert out._node is None and not out.requires_grad
-            assert held - before < full / 10
-            assert peak - before < full / 2
+            for workers in (1, ops._workers()):
+                monkeypatch.setattr(ops, "_workers", lambda: workers)
+                with no_grad():
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    out = ops.attention(q, k, v)
+                    held, peak = tracemalloc.get_traced_memory()
+                assert out._node is None and not out.requires_grad
+                assert held - before < full / 10
+                assert peak - before < (1 + workers) * full / 4
             before = tracemalloc.get_traced_memory()[0]
             recorded = ops.attention(q, k, v)
             assert recorded.requires_grad
             assert tracemalloc.get_traced_memory()[0] - before >= full
         finally:
             tracemalloc.stop()
+
+
+def _at_workers(monkeypatch, workers, run):
+    """``run()`` with the block runner at ``workers`` workers (None: the default)."""
+    with monkeypatch.context() as m:
+        if workers is not None:
+            m.setattr(ops, "_workers", lambda: workers)
+        return run()
+
+
+def _assert_same_bits_at_any_worker_count(monkeypatch, run):
+    """``run()``'s arrays are bit-identical at one worker, the default, and
+    three (more than this host may have CPUs)."""
+    ref = _at_workers(monkeypatch, 1, run)
+    for workers in (None, 3):
+        got = _at_workers(monkeypatch, workers, run)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+class TestBlockWorkers:
+    def test_attention(self, monkeypatch):
+        """Three query blocks: the no-grad and recorded outputs and all three vjp outputs."""
+        t = 2 * BLOCK + 5
+
+        def run():
+            q, k, v = _qkv(np.random.default_rng(50), (2,), t, t, d=8, dv=6)
+            with no_grad():
+                plain = ops.attention(q, k, v).data
+            out = ops.attention(q, k, v)
+            g = np.random.default_rng(51).standard_normal(out.shape)
+            return (plain, out.data, *out._node.vjp(g))
+
+        _assert_same_bits_at_any_worker_count(monkeypatch, run)
+
+    def test_conv2d_im2col(self, monkeypatch):
+        """A padded 16->16 3x3 conv over three row blocks (28, 28 and 4 rows):
+        the no-grad and recorded outputs and dX, all through im2col."""
+        rng = np.random.default_rng(52)
+        x, w = rng.standard_normal((16, 60, 64)), rng.standard_normal((16, 16, 3, 3))
+        assert len(list(ops._row_blocks(16 * 9, 60, 64))) == 3
+        g = rng.standard_normal((16, 60, 64))
+
+        def run():
+            with no_grad():
+                plain = ops.conv2d(Tensor(x), Tensor(w), pad=(1, 1)).data
+            out = ops.conv2d(Parameter("x", x), Tensor(w), pad=(1, 1))
+            return plain, out.data, out._node.vjp(g)[0]
+
+        _assert_same_bits_at_any_worker_count(monkeypatch, run)
+
+    @pytest.mark.parametrize("groups_per_chunk", [1, 3, 5, 8])
+    def test_group_norm_silu(self, monkeypatch, groups_per_chunk):
+        """Eight groups of (8, 35, 256), the paper-scale map, at four budgets
+        (3 groups is the default's): any chunking, evened out over any number
+        of workers, gives the oracle's bits."""
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((64, 35, 256)) + 0.5
+        gamma, beta = rng.standard_normal(64), rng.standard_normal(64)
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", groups_per_chunk * 8 * 8 * 35 * 256)
+        ref = group_norm_silu_oracle(x, gamma, beta, 8)
+
+        def run():
+            with no_grad():
+                plain = ops.group_norm_silu(Tensor(x), gamma, beta, 8).data
+            return plain, ops.group_norm_silu(Parameter("x", x), gamma, beta, 8).data
+
+        _assert_same_bits_at_any_worker_count(monkeypatch, run)
+        assert all(np.array_equal(a, ref) for a in run())
+
+    def test_no_query_rows_make_no_block(self):
+        out = ops.attention(np.zeros((0, 4)), np.ones((5, 4)), np.ones((5, 3)))
+        assert out.shape == (0, 3)
+
+    def test_a_failing_block_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ops, "_workers", lambda: 3)
+        done = []
+
+        def run(blocks):
+            if blocks[0] == 1:
+                raise RuntimeError("block 1")
+            done.extend(blocks)
+
+        with pytest.raises(RuntimeError, match="block 1"):
+            ops._run_blocks(run, range(3))
+        assert sorted(done) == [0, 2]
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports speechsr from this checkout."""
+    paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_importing_the_engine_starts_no_thread():
+    """The block runner's threads start at the first split op, so commands
+    that never run a model pay nothing for them."""
+    assert _python("import threading, speechsr.engine; print(threading.active_count())") == "1"
+
+
+def test_a_forked_child_runs_split_ops():
+    """After a split op, a forked child runs the same op and exits 0: it
+    makes its own pool instead of waiting on its parent's threads."""
+    code = f"""
+import os, time
+import numpy as np
+from speechsr.engine import ops
+q = np.random.default_rng(0).standard_normal(({3 * BLOCK}, 8))
+ops.attention(q, q, q)
+pid = os.fork()
+if pid == 0:
+    ops.attention(q, q, q)
+    os._exit(0)
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print(os.waitstatus_to_exitcode(status))
+        break
+    time.sleep(0.05)
+else:
+    os.kill(pid, 9)
+    print("timeout")
+"""
+    assert _python(code) == "0"
 
 
 class TestAdam:
