@@ -148,8 +148,10 @@ def _cmd_evaluate(args) -> int:
     write_report(args.report, rows)
     mean_sisnr = float(np.mean([r.metrics.sisnr_db for r in rows]))
     mean_lsd = float(np.mean([r.metrics.lsd_db for r in rows]))
+    mean_band = float(np.mean([r.metrics.band_error_db for r in rows]))
     print(f"evaluated {len(rows)} utterances ({args.filter} simulation)")
-    print(f"mean SISNR {mean_sisnr:.2f} dB | mean LSD {mean_lsd:.3f} | report {args.report}")
+    print(f"mean SISNR {mean_sisnr:.2f} dB | mean LSD {mean_lsd:.3f} | mean band energy"
+          f" error {mean_band:.2f} dB | report {args.report}")
     return 0
 
 

@@ -23,15 +23,21 @@ primitives, not compositions: ``linear``, ``pointwise_channels``,
 ``group_norm_silu`` are one graph node each and add their bias in place;
 ``group_norm_silu`` works through its groups in chunks of the same budget.
 
-The blocks that already exist run on every CPU: attention's query blocks,
-im2col's row blocks (forward and dX) and GroupNorm's chunks are shared
-among one worker per CPU in the process's affinity mask
+The forward passes over whole maps run on every CPU: attention's query
+blocks, im2col's row blocks (forward and dX) with conv2d's bias,
+GroupNorm's chunks, ``pointwise_channels``' column blocks, and the
+leading-axis blocks of ``add``, ``mul`` and ``fir_resample_freq`` are
+shared among one worker per CPU in the process's affinity mask
 (:func:`_run_blocks`), each with its own scratch. Every block keeps its
 boundary and writes its own slice of the output, and numpy's OpenBLAS is
 pinned to one thread at import, so each GEMM runs whole on one thread and
 the output bits depend on neither the worker nor the BLAS thread count.
-The per-tap windows, the accumulated dW and every other vjp run on the
-calling thread.
+A map within ``CONV_BLOCK_BYTES`` stays one block on the calling thread,
+and so do the per-tap windows, the accumulated dW and every vjp but dX.
+
+At import the engine also raises glibc's mmap and trim thresholds, so the
+maps one step frees are reused by the next instead of being returned to
+the kernel and faulted back in.
 
 A vjp closure is the only thing in the graph that keeps arrays, so each
 captures only what it reads: an input's shape where that is all it needs
@@ -99,6 +105,32 @@ if _OPENBLAS is not None:
     _OPENBLAS.scipy_openblas_set_num_threads64_(1)
 
 
+# glibc returns a freed block above its mmap threshold to the kernel at once,
+# and trims the heap when more than its trim threshold is free at the top; the
+# next step then faults the same pages in again. With the largest mmap
+# threshold glibc accepts on 64-bit and a trim threshold above what a
+# desk-scale step frees, one step's freed maps serve the next. A trim
+# threshold of 256 MiB or more would also spare a paper-scale 4 s forward
+# most of its remaining faults, but would raise its peak from 287 to 350 MB
+# (271 MB with glibc's defaults). <malloc.h>'s parameter numbers:
+_MALLOPT = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 128 << 20)}
+
+
+def _raise_malloc_thresholds():
+    """The thresholds ``mallopt`` accepted, or None where it is absent or took none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # not glibc, or no dlopen(NULL)
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    applied = {name: value for name, (param, value) in _MALLOPT.items()
+               if mallopt(param, value) == 1}
+    return applied or None
+
+
+_MALLOC = _raise_malloc_thresholds()
+
+
 def _blas_threads():
     """Threads numpy's OpenBLAS runs one GEMM on, or None where it is not found."""
     return None if _OPENBLAS is None else _OPENBLAS.scipy_openblas_get_num_threads64_()
@@ -113,6 +145,13 @@ def _workers() -> int:
 
 _pool = None  # the runner's threads, made on first use
 _pool_lock = threading.Lock()
+
+
+_in_pool = threading.local()  # ``worker`` is set in the pool's own threads
+
+
+def _mark_pool_thread():
+    _in_pool.worker = True
 
 
 def _forget_pool():
@@ -132,21 +171,23 @@ def _run_blocks(run, blocks) -> None:
     A part is a contiguous run of whole blocks, so each block is computed as
     it is alone, and ``run`` keeps one scratch buffer per part. The calling
     thread takes the first part and pool threads the others; one part runs
-    inline. Once every part has finished, an exception from any of them is
-    raised here. ``run`` calls only numpy, never a public op or
-    :func:`make_result`: a tracer may wrap those with a span stack that is
-    not thread-safe.
+    inline, and so does every call made from a pool thread, which would
+    otherwise wait on parts queued behind its own. Once every part has
+    finished, an exception from any of them is raised here. ``run`` calls
+    only numpy, never a public op or :func:`make_result`: a tracer may wrap
+    those with a span stack that is not thread-safe.
     """
     global _pool
     blocks = list(blocks)
     n = min(_workers(), len(blocks))
-    if n <= 1:
+    if n <= 1 or getattr(_in_pool, "worker", False):
         if blocks:
             run(blocks)
         return
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max(_workers() - 1, 1), "speechsr-block")
+            _pool = ThreadPoolExecutor(max(_workers() - 1, 1), "speechsr-block",
+                                       initializer=_mark_pool_thread)
         pool = _pool
     parts = [blocks[len(blocks) * i // n:len(blocks) * (i + 1) // n] for i in range(n)]
     futures = [pool.submit(run, part) for part in parts[1:]]
@@ -158,6 +199,49 @@ def _run_blocks(run, blocks) -> None:
         future.result()
 
 
+def _blocks(n: int, item_bytes: int) -> list:
+    """``(lo, hi)`` bounds of the fewest blocks of ``n`` items of ``item_bytes``
+    each that hold at most ``CONV_BLOCK_BYTES`` (at least one item).
+
+    Items within the budget stay one block. Several blocks are evened out to
+    a multiple of the workers, so each worker gets as many.
+    """
+    count = -(-n // max(1, CONV_BLOCK_BYTES // max(item_bytes, 1)))
+    if count > 1:
+        workers = _workers()
+        count = -(-count // workers) * workers
+    size = max(1, -(-n // max(count, 1)))
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _leading_blocks(kernel, out: np.ndarray, *operands) -> np.ndarray:
+    """``kernel(*operands, out)`` in blocks of the leading axis, on the block workers.
+
+    An operand whose leading axis is the output's is sliced with it; any
+    other (a broadcast one) is passed whole. A map within
+    ``CONV_BLOCK_BYTES`` is one call on the calling thread.
+    """
+    if out.ndim < 2 or out.nbytes <= CONV_BLOCK_BYTES:
+        kernel(*operands, out)
+        return out
+    sliced = [x.ndim == out.ndim and x.shape[0] == out.shape[0] for x in operands]
+
+    def run(blocks):
+        for lo, hi in blocks:
+            kernel(*(x[lo:hi] if cut else x for x, cut in zip(operands, sliced)), out[lo:hi])
+
+    _run_blocks(run, _blocks(out.shape[0], out.nbytes // out.shape[0]))
+    return out
+
+
+def _elementwise(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)`` with broadcasting; an operand above ``CONV_BLOCK_BYTES``
+    makes it run in leading-axis blocks into a C-ordered output."""
+    if max(a.nbytes, b.nbytes) <= CONV_BLOCK_BYTES:
+        return ufunc(a, b)
+    return _leading_blocks(ufunc, np.empty(np.broadcast_shapes(a.shape, b.shape)), a, b)
+
+
 # ---------------------------------------------------------------------------
 # elementwise and shape primitives
 # ---------------------------------------------------------------------------
@@ -165,7 +249,7 @@ def _run_blocks(run, blocks) -> None:
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
+    data = _elementwise(np.add, a.data, b.data)
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -187,7 +271,7 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
+    data = _elementwise(np.multiply, a.data, b.data)
 
     def vjp(g):
         return unbroadcast(g * b.data, a.shape), unbroadcast(g * a.data, b.shape)
@@ -283,13 +367,10 @@ def attention(q, k, v):
     kt = k.data.swapaxes(-1, -2)
     out = np.empty(q.shape[:-1] + v.shape[-1:])
     block = q.shape[:-2] + (min(tq, ATTENTION_BLOCK), tk)
-    # The calling thread's scores, allocated before probs: the order of same-sized
-    # allocations moves the heap's trimming (see group_norm_silu).
-    first = np.empty(block)
     probs = np.empty(q.shape[:-1] + (tk,)) if records((q, k, v)) else None
 
     def run(blocks):
-        scores = first if blocks[0][0] == 0 else np.empty(block)
+        scores = np.empty(block)
         for lo, hi in blocks:
             rows = (..., slice(lo, hi), slice(None))
             s = np.matmul(q.data[rows], kt, out=scores[..., :hi - lo, :])
@@ -431,7 +512,7 @@ def _padded_rows(x: np.ndarray, pt: int, pf: int):
     return rows
 
 
-def _conv_taps(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
+def _conv_taps(rows, w: np.ndarray, hp: int, wp: int, bias=None) -> np.ndarray:
     """Stride-1 correlation as GEMMs of every tap against the flat padded input.
 
     ``(kh*kw*O, C) @ (C, Hp*Wp)`` gives each tap's response at every padded
@@ -442,24 +523,22 @@ def _conv_taps(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
     span it. Each window's responses are added to the positions they feed,
     tap by tap in the unblocked order, into an accumulator that holds only
     the rows not yet complete; complete rows are cropped to ``Wo`` columns
-    and moved to the output.
+    and moved to the output, where ``bias`` (O, 1, 1), if any, is added.
     """
     o, c, kh, kw = w.shape
     ho, wo = hp - kh + 1, wp - kw + 1
     w2 = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
     shifts = [i * wp + j for i in range(kh) for j in range(kw)]
     span = (ho - 1) * wp + wo  # flat output positions; columns past Wo wrap rows
-    out = acc = None
+    windows = list(_tap_windows(kh * kw * o, hp * wp))
+    # Unfinished rows reach back at most shifts[-1] + Wp before a window's columns.
+    acc = np.empty((o, min(ho * wp, windows[0][1] + shifts[-1] + 2 * wp)))
+    out = np.empty((o, ho, wo))
     base = done = 0  # flat position of acc[:, 0] (a row start); columns already summed
-    for a, b in _tap_windows(kh * kw * o, hp * wp):
+    for a, b in windows:
         r0, r1 = a // wp, -(-b // wp)
         window = rows(r0, r1).reshape(c, -1)[:, a - r0 * wp:b - r0 * wp]
         resp = (w2 @ window).reshape(kh * kw, o, b - a)
-        if acc is None:
-            # Allocated after the first responses, as the unwindowed product did;
-            # unfinished rows reach back at most shifts[-1] + Wp before new columns.
-            acc = np.empty((o, min(ho * wp, b + shifts[-1] + 2 * wp)))
-            out = np.empty((o, ho, wo))
         for tap, shift in enumerate(shifts):
             lo, hi = max(done - shift, base), min(b - shift, span)
             if lo >= hi:
@@ -475,6 +554,8 @@ def _conv_taps(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
         t0, t1 = base // wp, min(b // wp - kh + 1, ho)
         if t1 > t0:
             out[:, t0:t1] = acc[:, :(t1 - t0) * wp].reshape(o, t1 - t0, wp)[:, :, :wo]
+            if bias is not None:
+                out[:, t0:t1] += bias
             held = min(b, span) - t1 * wp
             if held > 0:
                 acc[:, :held] = acc[:, (t1 - t0) * wp:(t1 - t0) * wp + held]
@@ -482,26 +563,31 @@ def _conv_taps(rows, w: np.ndarray, hp: int, wp: int) -> np.ndarray:
     return out
 
 
-def _correlate(x: np.ndarray, pt: int, pf: int, w: np.ndarray) -> np.ndarray:
+def _correlate(x: np.ndarray, pt: int, pf: int, w: np.ndarray, b=None) -> np.ndarray:
     """Stride-1 correlation of (C, H, W) ``x``, zero-padded by ``pt`` rows and
-    ``pf`` columns per side, with ``w``, in the smaller-intermediate layout.
+    ``pf`` columns per side, with ``w``, in the smaller-intermediate layout,
+    plus the (O,) bias ``b`` if one is given.
 
-    im2col's row blocks are shared among the block workers, each reading
-    its rows through its own :func:`_padded_rows`; the per-tap windows run
-    on the calling thread.
+    im2col's row blocks, each adding the bias to its own rows, are shared
+    among the block workers, each reading its rows through its own
+    :func:`_padded_rows`; the per-tap windows run on the calling thread.
     """
     o, c, kh, kw = w.shape
     hp, wp = x.shape[1] + 2 * pt, x.shape[2] + 2 * pf
     ho, wo = hp - kh + 1, wp - kw + 1
     if o * hp * wp < c * ho * wo:
-        return _conv_taps(_padded_rows(x, pt, pf), w, hp, wp)
+        return _conv_taps(_padded_rows(x, pt, pf), w, hp, wp,
+                          None if b is None else b.reshape(o, 1, 1))
     out = np.empty((o, ho, wo))
     w2, flat = w.reshape(o, -1), out.reshape(o, ho * wo)
 
     def run(blocks):
         rows = _padded_rows(x, pt, pf)
         for lo, hi in blocks:
-            np.matmul(w2, _im2col(rows(lo, hi + kh - 1), kh, kw), out=flat[:, lo * wo:hi * wo])
+            block = np.matmul(w2, _im2col(rows(lo, hi + kh - 1), kh, kw),
+                              out=flat[:, lo * wo:hi * wo])
+            if b is not None:
+                block += b.reshape(o, 1)
 
     _run_blocks(run, _row_blocks(c * kh * kw, ho, wo))
     return out
@@ -533,8 +619,9 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     """2-D cross-correlation over (C_in, T, F) with zero padding, stride 1.
 
     ``w`` has shape (C_out, C_in, kh, kw); ``b`` (C_out,) is added per
-    output channel in place, so the conv with its bias is one node. The
-    forward takes whichever GEMM layout has the smaller intermediate:
+    output channel in place, block by block of the output, so the conv with
+    its bias is one node. The forward takes whichever GEMM layout has the
+    smaller intermediate:
     im2col's ``(C*kh*kw, Ho*Wo)`` patches, or the ``(kh*kw*O, Hp*Wp)``
     per-tap responses of :func:`_conv_taps` when ``O*Hp*Wp < C*Ho*Wo``
     (few output channels, or more input channels than output). im2col's
@@ -579,9 +666,8 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     wd = w.data
     # The vjp reads the padded input whole; without a graph only blocks of it exist.
     xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf))) if records(parents) else None
-    data = _correlate(x.data, pt, pf, wd) if xp is None else _correlate(xp, 0, 0, wd)
-    if b is not None:
-        data += b.data.reshape(o, 1, 1)
+    bias = None if b is None else b.data
+    data = _correlate(x.data, pt, pf, wd, bias) if xp is None else _correlate(xp, 0, 0, wd, bias)
 
     x_grad, has_bias = x.requires_grad, b is not None
 
@@ -682,16 +768,32 @@ def linear(x, w, b=None):
 
 
 def pointwise_channels(x, w, b=None):
-    """1x1 convolution, (C,T,F) x (O,C) -> (O,T,F), as one ``(O,C) @ (C,T·F)`` GEMM."""
+    """1x1 convolution, (C,T,F) x (O,C) -> (O,T,F), as one ``(O,C) @ (C,T·F)`` GEMM.
+
+    Above ``CONV_BLOCK_BYTES`` the GEMM and the bias run in blocks of whole
+    16-column panels, shared among the block workers, so each column keeps
+    the whole product's bits; ``T·F`` that ends in a partial panel is one block.
+    """
     x, w = as_tensor(x), as_tensor(w)
     c, t, f = x.shape
     o = w.shape[0]
     if w.shape[1] != c:
         raise ValueError(f"channel mismatch: input {c} vs weight {w.shape}")
     parents = (x, w) if b is None else (x, w, as_tensor(b))
-    data = w.data @ x.data.reshape(c, t * f)
-    if b is not None:
-        data += parents[2].data.reshape(o, 1)
+    cols, xf = t * f, x.data.reshape(c, t * f)
+    data = np.empty((o, cols))
+    blocks = [(0, cols)]
+    if cols % _GEMM_PANEL == 0:
+        panels = _blocks(cols // _GEMM_PANEL, 8 * _GEMM_PANEL * max(c, o))
+        blocks = [(lo * _GEMM_PANEL, hi * _GEMM_PANEL) for lo, hi in panels]
+
+    def run(blocks):
+        for lo, hi in blocks:
+            block = np.matmul(w.data, xf[:, lo:hi], out=data[:, lo:hi])
+            if b is not None:
+                block += parents[2].data.reshape(o, 1)
+
+    _run_blocks(run, blocks)
 
     def vjp(g):
         g2 = g.reshape(o, t * f)
@@ -702,6 +804,25 @@ def pointwise_channels(x, w, b=None):
     return make_result(data.reshape(o, t, f), parents, vjp)
 
 
+def _resample_down(x: np.ndarray, out: np.ndarray) -> None:
+    """``fir_resample_freq``'s down pass over the last axis, written to ``out``."""
+    np.multiply(x[..., 0::2], 0.5, out=out)
+    quarter = x[..., 1::2] * 0.25  # right neighbours; shifted, the left ones
+    out[..., 1:] += quarter[..., :-1]
+    out[..., :1] += quarter[..., :1]
+    out += quarter
+
+
+def _resample_up(x: np.ndarray, out: np.ndarray) -> None:
+    """``fir_resample_freq``'s up pass over the last axis, written to ``out``."""
+    out[..., 0::2] = x
+    half = x * 0.5
+    odd = out[..., 1::2]
+    odd[...] = half
+    odd[..., :-1] += half[..., 1:]
+    odd[..., -1:] += half[..., -1:]
+
+
 def fir_resample_freq(x, direction: str):
     """Halve or double the last (frequency) axis with a binomial anti-artifact blur.
 
@@ -710,7 +831,8 @@ def fir_resample_freq(x, direction: str):
     up:   zero-interleave to 2F and blur by [1,2,1]/2, so ``y[2i] = x[i]``
           and ``y[2i+1] = x[i]/2 + x[i+1]/2`` with ``x[F] = x[F-1]``.
 
-    Strided slices compute it in one node. The blur is linear, so the vjp
+    Strided slices compute it in one node, in leading-axis blocks on the
+    block workers above ``CONV_BLOCK_BYTES``. The blur is linear, so the vjp
     is its adjoint and keeps only the input's shape.
     """
     x = as_tensor(x)
@@ -719,11 +841,7 @@ def fir_resample_freq(x, direction: str):
     if direction == "down":
         if f % 2 != 0:
             raise ValueError(f"frequency size {f} must be even to downsample")
-        data = x.data[..., 0::2] * 0.5
-        quarter = x.data[..., 1::2] * 0.25  # right neighbours; shifted, the left ones
-        data[..., 1:] += quarter[..., :-1]
-        data[..., :1] += quarter[..., :1]
-        data += quarter
+        data = _leading_blocks(_resample_down, np.empty(x_shape[:-1] + (f // 2,)), x.data)
 
         def vjp(g):
             quarter = g * 0.25
@@ -736,13 +854,7 @@ def fir_resample_freq(x, direction: str):
             return (gx,)
 
     elif direction == "up":
-        data = np.empty(x.shape[:-1] + (2 * f,))
-        data[..., 0::2] = x.data
-        half = x.data * 0.5
-        odd = data[..., 1::2]
-        odd[...] = half
-        odd[..., :-1] += half[..., 1:]
-        odd[..., -1:] += half[..., -1:]
+        data = _leading_blocks(_resample_up, np.empty(x_shape[:-1] + (2 * f,)), x.data)
 
         def vjp(g):
             half = g[..., 1::2] * 0.5
@@ -762,12 +874,12 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
     One node. The statistics are those of ``np.var``, bit for bit: centre
     once, then the mean square of the centred values. The groups are worked
     through in chunks of whole groups, as many as fit in
-    ``CONV_BLOCK_BYTES`` (at least one), shared among the block workers
-    (:func:`_run_blocks`) with one chunk of scratch each; the statistics are
-    per group, so any chunking gives the same bits, and several chunks are
-    evened out to a multiple of the workers. Without a graph the output and
-    that scratch are all the op allocates. With one, x̂ and the sigmoid are
-    kept whole for the vjp, which recomputes ``x̂·γ + β`` from x̂.
+    ``CONV_BLOCK_BYTES`` (at least one; :func:`_blocks`), shared among the
+    block workers (:func:`_run_blocks`) with one chunk of scratch each; the
+    statistics are per group, so any chunking gives the same bits. Without
+    a graph the output and that scratch are all the op allocates. With one,
+    x̂ and the sigmoid are kept whole for the vjp, which recomputes
+    ``x̂·γ + β`` from x̂.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c, t, f = x.shape
@@ -776,25 +888,18 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
     parents = (x, gamma, beta)
     keep = records(parents)
     per, n = c // groups, c // groups * t * f  # channels and values per group
-    chunks = -(-groups // max(1, CONV_BLOCK_BYTES // (8 * n)))  # fewest within the budget
-    if chunks > 1:  # evened out over the workers; a map within the budget stays one chunk
-        workers = _workers()
-        chunks = -(-chunks // workers) * workers
-    chunk = -(-groups // chunks)
+    blocks = _blocks(groups, 8 * n)
+    chunk = blocks[0][1] - blocks[0][0]
     xg = x.data.reshape(groups, n)
-    # Allocated in the order the unchunked arithmetic made its arrays: another
-    # order left the heap to be trimmed and faulted back in on every call
-    # (about 3% of a tiny train step). Without a graph the output overwrites x̂.
     xhat = np.empty((groups, n))
-    first = np.empty((chunk, n))  # the calling thread's scratch
     sig = np.empty((groups, n)) if keep else None
-    out = np.empty((groups, n)) if keep else xhat
+    out = np.empty((groups, n)) if keep else xhat  # without a graph the output overwrites x̂
     istd = np.empty((groups, 1))
     gam = gamma.data.reshape(groups, per, 1)
     bet = beta.data.reshape(groups, per, 1)
 
     def run(blocks):
-        scratch = first if blocks[0][0] == 0 else np.empty((chunk, n))
+        scratch = np.empty((chunk, n))
         for lo, hi in blocks:
             rows, tmp = slice(lo, hi), scratch[:hi - lo]
             xc = np.subtract(xg[rows], xg[rows].mean(axis=1, keepdims=True), out=xhat[rows])
@@ -812,7 +917,7 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
             np.reciprocal(sg, out=sg)
             np.multiply(s, sg, out=out[rows].reshape(s.shape))
 
-    _run_blocks(run, [(lo, min(lo + chunk, groups)) for lo in range(0, groups, chunk)])
+    _run_blocks(run, blocks)
     out = out.reshape(c, t, f)
     if not keep:
         return make_result(out, parents, None)

@@ -23,10 +23,10 @@ from .config import Arch, TrainConfig, from_dict
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import NoiseSchedule, reverse_infer, train_step, validation_loss
 from .dsp import FrameConfig, stft
-from .engine import Adam, Ema, load_state, save_state, thread_counts
+from .engine import Adam, Ema, load_state, malloc_settings, save_state, thread_counts
 from .errors import ConfigError, NumericsError
 from .networks import ArcnConfig, DparnConfig, TwoStageModel
-from .objectives import LossReport, MetricReport, lsd, sisnr
+from .objectives import LossReport, MetricReport, band_energy_error, lsd, sisnr
 from .resample import UpsamplingRatio, simulate_lr
 
 METRIC_STFT = FrameConfig()  # 32 ms / 8 ms analysis for reported metrics
@@ -216,6 +216,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
 
     run_meta = {"version": __version__, "train_config": asdict(cfg), "arch": asdict(arch),
                 "schedule": asdict(sched), "threads": thread_counts(),
+                "malloc": malloc_settings(),
                 "resumed_from": str(resume_from) if resume_from else None}
     (out / "run_meta.json").write_text(json.dumps(run_meta, indent=2, sort_keys=True))
 
@@ -300,8 +301,10 @@ def evaluate_model(model, manifest: Manifest, ratio: UpsamplingRatio,
 
     ``repaint_kind`` is the filter family the model was trained with; the
     repainting chain must keep using it even under mismatched evaluation.
-    The baseline column scores the cubic-spline interpolation itself.
+    The baseline column scores the cubic-spline interpolation itself. The
+    band energy error is taken above the low-rate Nyquist frequency.
     """
+    f_lo = 0.5 * sample_rate / ratio.ratio
     rows = []
     for i, entry in enumerate(manifest.entries):
         hr = preprocess(read_wav(entry.path), sample_rate)
@@ -309,17 +312,13 @@ def evaluate_model(model, manifest: Manifest, ratio: UpsamplingRatio,
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, i]))
         s_hat = reverse_infer(s_lr, model, sched, ratio, repaint_kind, rng)
         ref_spec = stft(hr, METRIC_STFT)
-        rows.append(EvalRow(
-            utterance_id=entry.utt_id,
-            metrics=MetricReport(
-                sisnr_db=sisnr(s_hat.samples, hr.samples),
-                lsd_db=lsd(ref_spec, stft(s_hat, METRIC_STFT)),
-            ),
-            baseline=MetricReport(
-                sisnr_db=sisnr(s_inp.samples, hr.samples),
-                lsd_db=lsd(ref_spec, stft(s_inp, METRIC_STFT)),
-            ),
-        ))
+        reports = []
+        for est in (s_hat, s_inp):
+            est_spec = stft(est, METRIC_STFT)
+            reports.append(MetricReport(sisnr_db=sisnr(est.samples, hr.samples),
+                                        lsd_db=lsd(ref_spec, est_spec),
+                                        band_error_db=band_energy_error(ref_spec, est_spec, f_lo)))
+        rows.append(EvalRow(entry.utt_id, *reports))
     return rows
 
 
@@ -333,20 +332,14 @@ def evaluate(ckpt_path, manifest: Manifest, ratio: UpsamplingRatio,
 
 
 def write_report(path, rows: list[EvalRow]):
-    """CSV metric table with the cubic-upsampling baseline columns."""
+    """CSV metric table with the cubic-upsampling baseline columns. The band
+    energy error columns come last, so the older columns keep their places."""
+    table = [[r.metrics.sisnr_db, r.metrics.lsd_db, r.baseline.sisnr_db, r.baseline.lsd_db,
+              r.metrics.band_error_db, r.baseline.band_error_db] for r in rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["utterance_id", "sisnr_db", "lsd_db",
-                         "baseline_sisnr_db", "baseline_lsd_db"])
-        for row in rows:
-            writer.writerow([row.utterance_id, row.metrics.sisnr_db,
-                             row.metrics.lsd_db, row.baseline.sisnr_db,
-                             row.baseline.lsd_db])
+        writer.writerow(["utterance_id", "sisnr_db", "lsd_db", "baseline_sisnr_db",
+                         "baseline_lsd_db", "band_error_db", "baseline_band_error_db"])
+        writer.writerows([r.utterance_id, *values] for r, values in zip(rows, table))
         if rows:
-            writer.writerow([
-                "MEAN",
-                float(np.mean([r.metrics.sisnr_db for r in rows])),
-                float(np.mean([r.metrics.lsd_db for r in rows])),
-                float(np.mean([r.baseline.sisnr_db for r in rows])),
-                float(np.mean([r.baseline.lsd_db for r in rows])),
-            ])
+            writer.writerow(["MEAN", *(float(np.mean(col)) for col in np.array(table).T)])

@@ -198,35 +198,6 @@ def band_lsd(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float, f_hi: float,
     return float(np.mean(np.sqrt(np.mean(d**2, axis=1))))
 
 
-def band_energy_error(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float,
-                      cfg: dsp.FrameConfig = dsp.FrameConfig()) -> float:
-    """Mean per-frame |dB| error of the STFT energy in bins centered above ``f_lo``.
-
-    Scores whether an estimate puts the right amount of energy in the band
-    it has to regenerate, frame by frame. It sums the band's cells before
-    taking the log, so it ignores phase and gives near-empty cells only
-    their (negligible) energy. That is why the toy-overfit criterion
-    asserts this measure and not LSD or SI-SNR:
-
-    - SI-SNR compares waveforms. The synthetic corpus draws each harmonic's
-      phase offset and the 4-7.5 kHz noise independently of the low band,
-      so a sample that gets pitch, envelope, modulation and bursts right
-      but redraws those phases and noise still scores below cubic
-      interpolation, which leaves the high band empty.
-    - LSD averages per-cell log ratios. The synthetic high band has
-      inter-harmonic valleys below -80 dB, and those cells dominate it:
-      the truth plus white 4-8 kHz noise at -40 dB (SI-SNR 40 dB) scores
-      about the LSD of cubic interpolation, and worse on some utterances.
-    """
-    s_ref = dsp.stft(ref, cfg)
-    s_est = dsp.stft(est, cfg)
-    centers = np.arange(s_ref.n_bins) * ref.sample_rate / s_ref.frame_len
-    sel = centers > f_lo
-    e_ref = np.maximum(np.sum(s_ref.magnitude()[:, sel] ** 2, axis=1), 1e-16)
-    e_est = np.maximum(np.sum(s_est.magnitude()[:, sel] ** 2, axis=1), 1e-16)
-    return float(np.mean(np.abs(10.0 * np.log10(e_est / e_ref))))
-
-
 def band_energy_fraction(w: dsp.Waveform, f_lo: float) -> float:
     """Fraction of total spectral energy above ``f_lo`` Hz."""
     spec = np.fft.rfft(w.samples)

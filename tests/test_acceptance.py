@@ -13,7 +13,7 @@ utterances twice and checks three things:
 
 The corpus draws the high band's phases and noise independently of the low
 band, so no model can reproduce its exact waveform; LSD and SI-SNR against
-cubic are printed but not asserted (see ``helpers.band_energy_error``).
+cubic are printed but not asserted (see ``objectives.band_energy_error``).
 Everything else is property-based or oracle-checked and fast.
 """
 
@@ -25,7 +25,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import band_energy_error, band_lsd, fd_gradient_check, speechlike
+from helpers import band_lsd, fd_gradient_check, speechlike
 from speechsr import dsp
 from speechsr.config import TrainConfig
 from speechsr.data import preprocess, read_wav, synth_corpus, validation_items
@@ -48,7 +48,8 @@ from speechsr.networks import (
     tiny_arcn_config,
     tiny_dparn_config,
 )
-from speechsr.objectives import ALPHA, LossReport, lambda_weight, loss_tf, lsd, sisnr
+from speechsr.objectives import (ALPHA, LossReport, band_energy_error, lambda_weight, loss_tf,
+                                 lsd, sisnr)
 from speechsr.resample import UpsamplingRatio, simulate_lr
 from speechsr.train import (
     METRIC_STFT,
@@ -301,8 +302,8 @@ def test_criterion_07_filter_robustness_harness(overfit):
         write_report(path, rows)
         with open(path) as fh:
             table = list(csv.reader(fh))
-        assert table[0] == ["utterance_id", "sisnr_db", "lsd_db",
-                            "baseline_sisnr_db", "baseline_lsd_db"]
+        assert table[0] == ["utterance_id", "sisnr_db", "lsd_db", "baseline_sisnr_db",
+                            "baseline_lsd_db", "band_error_db", "baseline_band_error_db"]
         assert table[-1][0] == "MEAN"
         reports[kind] = rows
     # baseline column is simulation-dependent but checkpoint-independent
@@ -368,15 +369,14 @@ def test_criterion_08_toy_overfit(overfit):
     lr_nyquist = 0.5 * cfg.sample_rate / cfg.ratio
     errors = []
     for hr, s_inp, (s_hat, s_init) in _infer_corpus(corpus, (trained, untrained)):
-        err = band_energy_error(hr, s_hat, lr_nyquist, METRIC_STFT)
-        err_cubic = band_energy_error(hr, s_inp, lr_nyquist, METRIC_STFT)
-        err_init = band_energy_error(hr, s_init, lr_nyquist, METRIC_STFT)
+        ref_spec, spec_hat, spec_inp, spec_init = (dsp.stft(w, METRIC_STFT)
+                                                   for w in (hr, s_hat, s_inp, s_init))
+        err = band_energy_error(ref_spec, spec_hat, lr_nyquist)
+        err_cubic = band_energy_error(ref_spec, spec_inp, lr_nyquist)
+        err_init = band_energy_error(ref_spec, spec_init, lr_nyquist)
         assert err < err_cubic, (err, err_cubic)
         assert err < err_init, (err, err_init)
-        ref_spec = dsp.stft(hr, METRIC_STFT)
-        errors.append((err, err_cubic,
-                       lsd(ref_spec, dsp.stft(s_inp, METRIC_STFT))
-                       - lsd(ref_spec, dsp.stft(s_hat, METRIC_STFT)),
+        errors.append((err, err_cubic, lsd(ref_spec, spec_inp) - lsd(ref_spec, spec_hat),
                        sisnr(s_hat.samples, hr.samples) - sisnr(s_inp.samples, hr.samples)))
     errors = np.array(errors)
 

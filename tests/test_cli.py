@@ -14,7 +14,7 @@ import pytest
 from speechsr.cli import main
 from speechsr.data import read_wav, write_wav
 from speechsr.dsp import Waveform
-from speechsr.engine import load_state, save_state, thread_counts
+from speechsr.engine import load_state, malloc_settings, save_state, thread_counts
 from speechsr.engine.checkpoint import FORMAT_VERSION, MAGIC
 from speechsr.train import META_KEYS
 
@@ -474,6 +474,14 @@ class TestRunMetadata:
         meta = json.loads((cli_run / "run_meta.json").read_text())
         assert meta["threads"] == thread_counts()
         assert meta["threads"]["workers"] >= 1 and meta["threads"]["blas"] in (1, None)
+
+    def test_malloc_thresholds_recorded(self, cli_run):
+        """The thresholds the engine applied, or null where it applied none."""
+        meta = json.loads((cli_run / "run_meta.json").read_text())
+        assert meta["malloc"] == malloc_settings()
+        if meta["malloc"] is not None:
+            assert set(meta["malloc"]) <= {"mmap_threshold", "trim_threshold"}
+            assert meta["malloc"].get("mmap_threshold", 32 << 20) == 32 << 20
 
     def test_checkpoint_carries_arch(self, cli_run):
         meta, _ = load_state(cli_run / "best.ckpt")

@@ -31,6 +31,7 @@ from speechsr.engine import (
     Tensor,
     clip_global_norm,
     load_state,
+    malloc_settings,
     no_grad,
     ops,
     save_state,
@@ -1012,6 +1013,10 @@ def _at_workers(monkeypatch, workers, run):
         return run()
 
 
+# A block budget that splits the (16, 40, 64) maps of the tests below.
+SMALL_BUDGET = 64 << 10
+
+
 def _assert_same_bits_at_any_worker_count(monkeypatch, run):
     """``run()``'s arrays are bit-identical at one worker, the default, and
     three (more than this host may have CPUs)."""
@@ -1073,6 +1078,80 @@ class TestBlockWorkers:
         _assert_same_bits_at_any_worker_count(monkeypatch, run)
         assert all(np.array_equal(a, ref) for a in run())
 
+    @pytest.mark.parametrize("op, ufunc", [(ops.add, np.add), (ops.mul, np.multiply)],
+                             ids=["add", "mul"])
+    def test_elementwise(self, monkeypatch, op, ufunc):
+        """A (16, 40, 64) map over several leading-axis blocks, with a
+        same-shape operand, a (C, 1, F) gate on either side, a (1, T, 1) one
+        and a transposed view: the plain ufunc's bits."""
+        rng = np.random.default_rng(54)
+        x = rng.standard_normal((16, 40, 64))
+        pairs = [(x, rng.standard_normal(x.shape)), (x, rng.standard_normal((16, 1, 64))),
+                 (rng.standard_normal((16, 1, 64)), x), (x, rng.standard_normal((1, 40, 1))),
+                 (x, rng.standard_normal((40, 16, 64)).transpose(1, 0, 2))]
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", SMALL_BUDGET)
+        assert len(ops._blocks(16, x.nbytes // 16)) > 1
+
+        def run():
+            return [op(Parameter("a", a), b).data for a, b in pairs]
+
+        _assert_same_bits_at_any_worker_count(monkeypatch, run)
+        for got, (a, b) in zip(run(), pairs):
+            assert got.flags.c_contiguous and np.array_equal(got, ufunc(a, b))
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_fir_resample_freq(self, monkeypatch, direction):
+        """A (16, 40, 64) map over several leading-axis blocks: the oracle's bits."""
+        x = np.random.default_rng(55).standard_normal((16, 40, 64))
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", SMALL_BUDGET)
+
+        def run():
+            with no_grad():
+                return [ops.fir_resample_freq(Tensor(x), direction).data]
+
+        _assert_same_bits_at_any_worker_count(monkeypatch, run)
+        assert np.array_equal(run()[0], fir_resample_oracle(x, direction))
+
+    @pytest.mark.parametrize("o", [16, 2], ids=["im2col", "taps"])
+    def test_conv2d_bias(self, monkeypatch, o):
+        """The bias added block by block, in both layouts, over several blocks:
+        the bits of the biasless conv plus the bias, with and without a graph."""
+        rng = np.random.default_rng(56)
+        x, w = rng.standard_normal((16, 60, 64)), rng.standard_normal((o, 16, 3, 3))
+        b = rng.standard_normal(o)
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", SMALL_BUDGET)
+        if o == 2:
+            assert 2 * 62 * 66 < 16 * 60 * 64 and len(list(ops._tap_windows(18, 62 * 66))) > 1
+        else:
+            assert len(list(ops._row_blocks(16 * 9, 60, 64))) > 1
+
+        def run():
+            with no_grad():
+                plain = ops.conv2d(Tensor(x), w, b, pad=(1, 1)).data
+                bare = ops.conv2d(Tensor(x), w, pad=(1, 1)).data
+            recorded = ops.conv2d(Parameter("x", x), w, b, pad=(1, 1)).data
+            return plain, recorded, bare + b[:, None, None]
+
+        _assert_same_bits_at_any_worker_count(monkeypatch, run)
+        plain, recorded, reference = run()
+        assert np.array_equal(plain, reference) and np.array_equal(recorded, reference)
+
+    def test_pointwise_channels(self, monkeypatch):
+        """A 16->24 map over several 16-column panel blocks, with and without a
+        bias: the bits of the one-block GEMM."""
+        rng = np.random.default_rng(57)
+        x, w, b = rng.standard_normal((16, 40, 64)), rng.standard_normal((24, 16)), rng.standard_normal(24)
+
+        def run():
+            return [ops.pointwise_channels(Parameter("x", x), w, bias).data for bias in (None, b)]
+
+        whole = run()
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", SMALL_BUDGET)
+        assert len(ops._blocks(40 * 64 // 16, 8 * 16 * 24)) > 1
+        _assert_same_bits_at_any_worker_count(monkeypatch, run)
+        for got, ref in zip(run(), whole):
+            assert np.array_equal(got, ref)
+
     def test_no_query_rows_make_no_block(self):
         out = ops.attention(np.zeros((0, 4)), np.ones((5, 4)), np.ones((5, 3)))
         assert out.shape == (0, 3)
@@ -1099,6 +1178,76 @@ def _python(code):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def test_a_block_worker_that_splits_again_runs_inline():
+    """A block that calls the runner from a pool thread runs its blocks there
+    instead of waiting on parts queued behind its own. At two workers the
+    pool has one thread, so a wait would never end."""
+    code = """
+import os, threading
+from speechsr.engine import ops
+ops._workers = lambda: 2
+done = []
+def inner(part):
+    done.extend(part)
+def outer(part):
+    for i in part:
+        ops._run_blocks(inner, [10 * i, 10 * i + 1])
+runner = threading.Thread(target=ops._run_blocks, args=(outer, [1, 2]), daemon=True)
+runner.start()
+runner.join(30)
+print("hung" if runner.is_alive() else sorted(done), flush=True)
+os._exit(0)
+"""
+    assert _python(code) == "[10, 11, 20, 21]"
+
+
+@pytest.mark.skipif(malloc_settings() is None, reason="no malloc thresholds were applied")
+def test_a_steady_state_call_faults_few_pages():
+    """Once the shapes repeat, a tiny no-grad 1 s ARCN forward and a tiny
+    B=4 train step reuse the memory the previous call freed instead of
+    faulting it back in (about 12,000 and 4,000-5,000 faults per call
+    without the thresholds)."""
+    code = """
+import resource
+import numpy as np
+from speechsr.data import Batch
+from speechsr.diffusion import NoiseSchedule, train_step
+from speechsr.dsp import Waveform
+from speechsr.engine import Adam, Ema, no_grad
+from speechsr.networks import Arcn, TwoStageModel, tiny_arcn_config, tiny_dparn_config
+from speechsr.resample import UpsamplingRatio, simulate_lr
+
+def per_call(call, warm=2, calls=3):
+    for _ in range(warm):
+        call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        call()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+rng = np.random.default_rng(3)
+arcn = Arcn(tiny_arcn_config(), np.random.default_rng(1))
+x = rng.standard_normal((3, 16000))
+def forward():
+    with no_grad():
+        arcn.forward(x[0], x[1], x[2], UpsamplingRatio(2), 500.0, 16000)
+
+model = TwoStageModel(tiny_arcn_config(), tiny_dparn_config(), seed=1)
+opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+hrs = [rng.standard_normal(4000) for _ in range(4)]
+inps = [simulate_lr(Waveform(hr, 16000), UpsamplingRatio(2))[1].samples for hr in hrs]
+batch = Batch(hr=tuple(hrs), inp=tuple(inps), ids=tuple("abcd"), sample_rate=16000)
+step_rng = np.random.default_rng(5)
+def step():
+    train_step(model, batch, NoiseSchedule(), opt, ema, step_rng, UpsamplingRatio(2))
+
+print(per_call(forward), per_call(step))
+"""
+    forward, step = map(float, _python(code).split())
+    assert forward <= 100, forward
+    assert step <= 100, step
 
 
 def test_importing_the_engine_starts_no_thread():

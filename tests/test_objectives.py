@@ -9,6 +9,7 @@ from speechsr.engine import Parameter
 from speechsr.objectives import (
     LossReport,
     MetricReport,
+    band_energy_error,
     lambda_weight,
     loss_pred,
     loss_tf,
@@ -185,6 +186,44 @@ class TestLsd:
             lsd(np.ones((2, 3)), np.ones((2, 4)))
 
 
+def _spectrogram(values):
+    """16-sample frames at 16 kHz: nine bins centred every 1 kHz."""
+    return dsp.Spectrogram(values, frame_len=16, hop=4, sample_rate=16000)
+
+
+class TestBandEnergyError:
+    def _values(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+
+    def test_identical_zero(self):
+        s = _spectrogram(self._values(15))
+        assert band_energy_error(s, s, 4000.0) == 0.0
+
+    def test_doubled_band_is_six_db(self):
+        v = self._values(16)
+        est = v.copy()
+        est[:, 5:] *= 2.0
+        est[:, :5] *= 7.0  # bins at and below f_lo do not count
+        np.testing.assert_allclose(band_energy_error(_spectrogram(v), _spectrogram(est), 4000.0),
+                                   20.0 * np.log10(2.0), rtol=1e-12)
+
+    def test_matches_loop_oracle(self):
+        a, b = self._values(17), self._values(18)
+        acc = 0.0
+        for t in range(6):
+            e_a = sum(abs(a[t, f]) ** 2 for f in range(5, 9))
+            e_b = sum(abs(b[t, f]) ** 2 for f in range(5, 9))
+            acc += abs(10.0 * np.log10(e_b / e_a))
+        val = band_energy_error(_spectrogram(a), _spectrogram(b), 4000.0)
+        assert abs(val - acc / 6) < 1e-12
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            band_energy_error(_spectrogram(self._values(19)),
+                              _spectrogram(self._values(19)[:5]), 4000.0)
+
+
 class TestReports:
     def test_loss_report_recombination(self):
         r = LossReport.build(l_pred=0.5, l_time=0.2, l_freq=0.4, lambda_weight=2.0)
@@ -193,5 +232,7 @@ class TestReports:
 
     def test_metric_report_validation(self):
         with pytest.raises(ValueError):
-            MetricReport(sisnr_db=1.0, lsd_db=-0.1)
+            MetricReport(sisnr_db=1.0, lsd_db=-0.1, band_error_db=0.0)
+        with pytest.raises(ValueError):
+            MetricReport(sisnr_db=1.0, lsd_db=0.1, band_error_db=-0.1)
 

@@ -240,13 +240,15 @@ class TestEvaluate:
             assert np.isfinite(row.metrics.sisnr_db)
             assert row.metrics.lsd_db >= 0
             assert np.isfinite(row.baseline.sisnr_db)
+            assert row.metrics.band_error_db >= 0 and row.baseline.band_error_db >= 0
         report = tmp_path / "report.csv"
         write_report(report, rows)
         with open(report) as fh:
             table = list(csv.reader(fh))
-        assert table[0] == ["utterance_id", "sisnr_db", "lsd_db",
-                            "baseline_sisnr_db", "baseline_lsd_db"]
+        assert table[0] == ["utterance_id", "sisnr_db", "lsd_db", "baseline_sisnr_db",
+                            "baseline_lsd_db", "band_error_db", "baseline_band_error_db"]
         assert table[-1][0] == "MEAN"
+        assert float(table[-1][5]) == np.mean([r.metrics.band_error_db for r in rows])
         assert len(table) == len(rows) + 2
 
     def test_matched_and_mismatched_both_run(self, micro_run, micro_corpus):
