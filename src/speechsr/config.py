@@ -55,6 +55,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.epochs < 1 or self.batch_size < 1 or self.crop_seconds <= 0:
             raise ConfigError("epochs, batch_size, crop_seconds must be positive")
+        if self.plateau_patience < 1:
+            raise ConfigError(f"plateau_patience must be at least 1, got {self.plateau_patience}")
         if not 0 < self.lr_factor < 1:
             raise ConfigError("lr_factor must lie in (0, 1)")
         if self.learning_rate <= 0 or self.clip_norm <= 0:
@@ -84,7 +86,7 @@ class Arch:
 @dataclass(frozen=True)
 class RunSpec:
     train: TrainConfig
-    schedule: NoiseSchedule  # before arcn, whose temb.max_steps is copied from it
+    schedule: NoiseSchedule
     arcn: ArcnConfig
     dparn: DparnConfig
     train_manifest: str
@@ -123,11 +125,6 @@ def parse_kv_text(text: str) -> dict[str, object]:
     return out
 
 
-# Flat config keys for ArcnConfig's nested framing and time-embedding fields.
-_ARCN_ALIASES = {"frame_ms": ("stft", "frame_ms"), "hop_ms": ("stft", "hop_ms"),
-                 "temb_dim": ("temb", "dim"), "temb_out": ("temb", "out")}
-
-
 def load_run_spec(path) -> RunSpec:
     """Parse a config file: each section's defaults overlaid with the file's values."""
     spec = {name: asdict(cls()) for name, cls in get_type_hints(RunSpec).items()
@@ -139,13 +136,9 @@ def load_run_spec(path) -> RunSpec:
             if not isinstance(spec.get(section), dict):
                 raise ConfigError(f"{path}: unknown config section {section!r}")
             table = spec[section]
-            if section == "arcn" and name in _ARCN_ALIASES:
-                sub, name = _ARCN_ALIASES[name]
-                table = table[sub]
         if isinstance(table.get(name), dict):
             raise ConfigError(f"{path}: {key!r} is a table, not a value")
         table[name] = value
-    spec["arcn"]["temb"]["max_steps"] = spec["schedule"]["total_steps"]
     for key in ("train_manifest", "valid_manifest", "out_dir"):
         if key in spec:
             spec[key] = str(Path(path).parent / str(spec[key]))

@@ -13,7 +13,7 @@ a row per scale marking the bins above the low-rate Nyquist, from the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,13 @@ from .resample import UpsamplingRatio
 
 def _init(rng, shape, fan_in) -> np.ndarray:
     return rng.standard_normal(shape) / np.sqrt(max(fan_in, 1))
+
+
+def _check_sizes(cfg, least: int, names: str) -> None:
+    """Refuse any of the space-separated fields ``names`` of ``cfg`` below ``least``."""
+    for name in names.split():
+        if getattr(cfg, name) < least:
+            raise ValueError(f"{name} must be at least {least}, got {getattr(cfg, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +168,18 @@ class FrameAttention(Module):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimeEmbeddingConfig:
-    dim: int = 128        # sinusoidal feature count (even)
-    out: int = 256        # width after the two linear layers
-    max_steps: int = 1000
-
-    def __post_init__(self):
-        if self.dim % 2 != 0 or self.dim < 2:
-            raise ValueError(f"embedding dim must be even and >= 2, got {self.dim}")
-
-
 class TimeEmbedding(Module):
-    """Sinusoidal features through linear -> SiLU -> linear."""
+    """``dim`` sinusoidal features (even) through linear -> SiLU -> linear to ``out``."""
 
-    def __init__(self, name, cfg: TimeEmbeddingConfig, rng):
-        self.cfg = cfg
-        self.lin1 = Linear(f"{name}.lin1", cfg.dim, cfg.out, rng)
-        self.lin2 = Linear(f"{name}.lin2", cfg.out, cfg.out, rng)
+    def __init__(self, name, dim, out, rng):
+        self.dim = dim
+        self.lin1 = Linear(f"{name}.lin1", dim, out, rng)
+        self.lin2 = Linear(f"{name}.lin2", out, out, rng)
 
     def fourier(self, step: float) -> np.ndarray:
-        cfg = self.cfg
-        if not 0.0 <= step <= cfg.max_steps:
-            raise ValueError(f"step {step} outside [0, {cfg.max_steps}]")
-        half = cfg.dim // 2
+        if not (np.isfinite(step) and step >= 0.0):
+            raise ValueError(f"step must be finite and nonnegative, got {step}")
+        half = self.dim // 2
         if half == 1:
             omega = np.ones(1)
         else:
@@ -202,41 +197,37 @@ class TimeEmbedding(Module):
 
 @dataclass(frozen=True)
 class ArcnConfig:
+    """ARCN sizes; the decoder mirrors the encoder, and the network models the
+    ``frame_len // 2`` bins below Nyquist of the ``frame_ms`` STFT frame."""
+
     base_channels: int = 64
     input_conv_kernel: int = 7
     encoder_blocks: int = 5
-    decoder_blocks: int = 5
     bottleneck_blocks: int = 1
     attention_embed: int = 5
     norm_groups: int = 8
-    network_bins: int = 256
-    stft: FrameConfig = field(default_factory=FrameConfig)
-    temb: TimeEmbeddingConfig = field(default_factory=TimeEmbeddingConfig)
+    frame_ms: float = 32.0
+    hop_ms: float = 8.0
+    temb_dim: int = 128       # sinusoidal feature count (even)
+    temb_out: int = 256       # width after the two linear layers
 
     def __post_init__(self):
-        if self.encoder_blocks != self.decoder_blocks:
-            raise ValueError("encoder and decoder block counts must match")
-        if self.network_bins % (2 ** self.encoder_blocks) != 0:
-            raise ValueError(
-                f"network_bins {self.network_bins} not divisible by 2^{self.encoder_blocks}"
-            )
+        _check_sizes(self, 1, "base_channels input_conv_kernel attention_embed norm_groups"
+                              " temb_out")
+        _check_sizes(self, 0, "encoder_blocks bottleneck_blocks")
+        if self.input_conv_kernel % 2 == 0:
+            raise ValueError(f"input_conv_kernel must be odd, got {self.input_conv_kernel}")
         if self.base_channels % self.norm_groups != 0:
             raise ValueError("base_channels must be divisible by norm_groups")
+        if self.temb_dim % 2 != 0 or self.temb_dim < 2:
+            raise ValueError(f"temb_dim must be even and >= 2, got {self.temb_dim}")
+        FrameConfig(self.frame_ms, self.hop_ms)  # both finite and positive
 
 
 def tiny_arcn_config(**overrides) -> ArcnConfig:
     """Desk-scale configuration used by tests and the toy overfit run."""
-    defaults = dict(
-        base_channels=8,
-        input_conv_kernel=3,
-        encoder_blocks=3,
-        decoder_blocks=3,
-        attention_embed=2,
-        norm_groups=4,
-        network_bins=64,
-        stft=FrameConfig(frame_ms=8.0, hop_ms=2.0),
-        temb=TimeEmbeddingConfig(dim=32, out=48),
-    )
+    defaults = dict(base_channels=8, input_conv_kernel=3, encoder_blocks=3, attention_embed=2,
+                    norm_groups=4, frame_ms=8.0, hop_ms=2.0, temb_dim=32, temb_out=48)
     defaults.update(overrides)
     return ArcnConfig(**defaults)
 
@@ -279,9 +270,9 @@ class ResidualBlock(Module):
         if direction not in ("encoder", "decoder", "bottleneck"):
             raise ValueError(f"bad direction {direction!r}")
         self.direction = direction
-        self.layer1 = ResidualLayer(f"{name}.layer1", c_in, c_out, cfg.temb.out,
+        self.layer1 = ResidualLayer(f"{name}.layer1", c_in, c_out, cfg.temb_out,
                                     cfg.norm_groups, rng)
-        self.layer2 = ResidualLayer(f"{name}.layer2", c_out, c_out, cfg.temb.out,
+        self.layer2 = ResidualLayer(f"{name}.layer2", c_out, c_out, cfg.temb_out,
                                     cfg.norm_groups, rng)
         self.attention = FrameAttention(f"{name}.attn", c_out, cfg.attention_embed, rng)
 
@@ -313,7 +304,7 @@ class Arcn(Module):
         self.cfg = cfg
         c = cfg.base_channels
         k = cfg.input_conv_kernel
-        self.time_embedding = TimeEmbedding(f"{name}.temb", cfg.temb, rng)
+        self.time_embedding = TimeEmbedding(f"{name}.temb", cfg.temb_dim, cfg.temb_out, rng)
         self.in_conv = Conv2d(f"{name}.in_conv", 6, c, k, k, rng)
         self.encoder = [
             ResidualBlock(f"{name}.enc{i}", c, c, cfg, "encoder", rng)
@@ -325,31 +316,32 @@ class Arcn(Module):
         ]
         self.decoder = [
             ResidualBlock(f"{name}.dec{i}", 2 * c, c, cfg, "decoder", rng)
-            for i in range(cfg.decoder_blocks)
+            for i in range(cfg.encoder_blocks)
         ]
         self.final = ResidualBlock(f"{name}.final", c, c, cfg, "bottleneck", rng)
         # Small head: training starts near the residual identity s_inp.
         self.out_conv = Conv2d(f"{name}.out_conv", c, 2, k, k, rng, init_scale=0.05)
 
     def frame_geometry(self, sample_rate: int) -> tuple[int, int]:
-        frame_len = self.cfg.stft.frame_len(sample_rate)
-        if frame_len // 2 != self.cfg.network_bins:
+        """(frame_len, hop) at ``sample_rate``; the network sees ``frame_len // 2`` bins."""
+        cfg = self.cfg
+        stft = FrameConfig(cfg.frame_ms, cfg.hop_ms)
+        frame_len = stft.frame_len(sample_rate)
+        if (frame_len // 2) % (2 ** cfg.encoder_blocks) != 0:
             raise ValueError(
-                f"network_bins {self.cfg.network_bins} requires frame {2 * self.cfg.network_bins}"
-                f" samples, got {frame_len} at {sample_rate} Hz"
+                f"frame_ms {cfg.frame_ms} gives {frame_len // 2} bins at {sample_rate} Hz,"
+                f" which 2^encoder_blocks = {2 ** cfg.encoder_blocks} does not divide"
             )
-        return frame_len, self.cfg.stft.hop(sample_rate)
+        return frame_len, stft.hop(sample_rate)
 
-    def lossmap_pyramid(self, ratio: UpsamplingRatio) -> list[np.ndarray]:
+    def lossmap_pyramid(self, ratio: UpsamplingRatio, bins: int) -> list[np.ndarray]:
         """Lossmap rows, one per scale: ones mark bins above the low-rate Nyquist.
 
-        Bin f of the ``2 * network_bins``-sample frame is centred at
-        f * rate / (2 * network_bins), which exceeds the low-rate Nyquist
-        rate / (2 * r) exactly when f * r > network_bins. Each coarser level
-        max-pools pairs of bins of the level above.
+        Bin f of the ``2 * bins``-sample frame is centred at f * rate / (2 * bins),
+        which exceeds the low-rate Nyquist rate / (2 * r) exactly when
+        f * r > bins. Each coarser level max-pools pairs of bins of the level above.
         """
-        f_net = self.cfg.network_bins
-        levels = [(np.arange(f_net) * ratio.ratio > f_net).astype(np.float64)]
+        levels = [(np.arange(bins) * ratio.ratio > bins).astype(np.float64)]
         for _ in range(self.cfg.encoder_blocks):
             levels.append(levels[-1].reshape(-1, 2).max(axis=1))
         return levels
@@ -364,14 +356,14 @@ class Arcn(Module):
                 f"length mismatch: {x_t.shape[0]}, {s_pred.shape[0]}, {s_inp.shape[0]}"
             )
         frame_len, hop = self.frame_geometry(sample_rate)
-        f_net = self.cfg.network_bins
+        f_net = frame_len // 2
         chans = []
         for wav in (x_t, s_pred, s_inp):
             re, im = ops.stft_pair(wav, frame_len, hop)
             chans.append(re[:, :f_net].reshape(1, -1, f_net))
             chans.append(im[:, :f_net].reshape(1, -1, f_net))
         x = ops.concat(chans, axis=0)
-        lm_levels = self.lossmap_pyramid(ratio)
+        lm_levels = self.lossmap_pyramid(ratio, f_net)
         temb = self.time_embedding(step)
 
         h = self.in_conv(x)
@@ -414,14 +406,14 @@ class DparnConfig:
     attention_embed: int = 16
 
     def __post_init__(self):
+        _check_sizes(self, 1, "frame_size frame_hop feature_dim chunk_len chunk_hop num_blocks"
+                              " attention_embed")
         if self.chunk_hop > self.chunk_len:
             raise ValueError("chunk_hop must not exceed chunk_len")
         if self.chunk_len % self.chunk_hop != 0:
             raise ValueError("chunk_len must be a multiple of chunk_hop")
         if self.frame_size % self.frame_hop != 0:
             raise ValueError("frame_size must be a multiple of frame_hop")
-        if self.num_blocks < 1:
-            raise ValueError("need at least one block")
 
 
 def tiny_dparn_config(**overrides) -> DparnConfig:

@@ -10,8 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from speechsr.config import TrainConfig
 from speechsr.data import synth_corpus
 from speechsr.diffusion import NoiseSchedule
-from speechsr.dsp import FrameConfig
-from speechsr.networks import TimeEmbeddingConfig, tiny_arcn_config, tiny_dparn_config
+from speechsr.networks import tiny_arcn_config, tiny_dparn_config
 from speechsr.train import fit
 
 
@@ -20,12 +19,12 @@ def micro_arch():
     arcn = tiny_arcn_config(
         base_channels=4,
         encoder_blocks=2,
-        decoder_blocks=2,
         norm_groups=2,
         attention_embed=2,
-        network_bins=64,
-        stft=FrameConfig(frame_ms=8.0, hop_ms=2.0),
-        temb=TimeEmbeddingConfig(dim=16, out=24),
+        frame_ms=8.0,
+        hop_ms=2.0,
+        temb_dim=16,
+        temb_out=24,
     )
     dparn = tiny_dparn_config(frame_size=128, frame_hop=64, feature_dim=8,
                               chunk_len=8, chunk_hop=4, attention_embed=4)

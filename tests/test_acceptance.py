@@ -38,12 +38,11 @@ from speechsr.diffusion import (
     sigma,
     validation_loss,
 )
-from speechsr.dsp import FrameConfig, Waveform
+from speechsr.dsp import Waveform
 from speechsr.engine import Parameter, Tensor, ops
 from speechsr.networks import (
     Arcn,
     Dparn,
-    TimeEmbeddingConfig,
     TwoStageModel,
     tiny_arcn_config,
     tiny_dparn_config,
@@ -93,10 +92,8 @@ def test_criterion_01_stft_round_trip():
 
 def _micro_arcn():
     return tiny_arcn_config(
-        base_channels=4, encoder_blocks=2, decoder_blocks=2, norm_groups=2,
-        attention_embed=2, network_bins=16,
-        stft=FrameConfig(frame_ms=2.0, hop_ms=0.5),
-        temb=TimeEmbeddingConfig(dim=8, out=12),
+        base_channels=4, encoder_blocks=2, norm_groups=2, attention_embed=2,
+        frame_ms=2.0, hop_ms=0.5, temb_dim=8, temb_out=12,
     )
 
 

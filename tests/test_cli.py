@@ -30,8 +30,9 @@ def cli_corpus(tmp_path_factory):
 
 
 def _write_train_config(path, corpus, out_dir, extra=""):
-    """A micro-architecture training config over ``corpus``; ``extra`` lines are appended."""
-    path.write_text(f"""
+    """A micro-architecture training config over ``corpus``; each ``extra`` line
+    replaces the line that sets its key, or is appended if none does."""
+    base = f"""
 train_manifest = {corpus / 'manifest.tsv'}
 valid_manifest = {corpus / 'manifest.tsv'}
 out_dir = {out_dir}
@@ -43,10 +44,8 @@ train.seed = 2
 arcn.base_channels = 4
 arcn.input_conv_kernel = 3
 arcn.encoder_blocks = 2
-arcn.decoder_blocks = 2
 arcn.attention_embed = 2
 arcn.norm_groups = 2
-arcn.network_bins = 64
 arcn.frame_ms = 8
 arcn.hop_ms = 2
 arcn.temb_dim = 16
@@ -57,7 +56,10 @@ dparn.feature_dim = 8
 dparn.chunk_len = 8
 dparn.chunk_hop = 4
 dparn.attention_embed = 4
-""" + extra)
+"""
+    replaced = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in base.splitlines() if line.split("=")[0].strip() not in replaced]
+    path.write_text("\n".join(kept) + "\n" + extra)
     return path
 
 
@@ -258,7 +260,12 @@ class TestExitCodes:
         "train.learning_rate = nan", "schedule.gamma = nan", "schedule.sigma_max = inf",
         "train.crop_seconds = inf", "train.clip_norm = inf", "train.batch_size = 1.5",
         "train.epochs = 1.5", "dparn.feature_dim = 8.5", "train.ratio = 2.0",
-        "train.sample_rate = 0",
+        "train.sample_rate = 0", "train.plateau_patience = 0",
+        "arcn.base_channels = 0", "arcn.input_conv_kernel = 0", "arcn.input_conv_kernel = 4",
+        "arcn.encoder_blocks = -1", "arcn.bottleneck_blocks = -1", "arcn.attention_embed = 0",
+        "arcn.norm_groups = 0", "arcn.norm_groups = -4", "arcn.temb_out = 0",
+        "dparn.frame_size = 0", "dparn.frame_hop = 0", "dparn.feature_dim = 0",
+        "dparn.chunk_len = 0", "dparn.chunk_hop = 0", "dparn.attention_embed = 0",
     ])
     def test_bad_loop_setting_fails_before_training(self, tmp_path, cli_corpus, capsys, line):
         """An out-of-range, non-finite or mistyped value exits 2 naming its field,
@@ -271,7 +278,7 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("line", ["arcn.frame_ms = nan", "arcn.hop_ms = 3",
-                                      "arcn.network_bins = 32"])
+                                      "arcn.encoder_blocks = 7"])
     def test_bad_arcn_framing_fails_before_out_dir(self, tmp_path, cli_corpus, capsys, line):
         """Framing that the network cannot use exits 2 naming the field, before
         ``out_dir``, ``run_meta.json`` or a run log exists."""
@@ -425,6 +432,7 @@ META_DAMAGE = [
     ("train_config.seed", _DELETE, "train_config.seed"),
     ("scheduler.momentum", 0.9, "scheduler.momentum"),
     ("arch.arcn.base_channels", _DELETE, "arch.arcn.base_channels"),
+    ("arch.arcn.network_bins", 256, "arch.arcn.network_bins"),
     ("epoch", "3", "epoch"),
     ("rng_state.state", _DELETE, "rng_state"),
 ]

@@ -1,6 +1,8 @@
 """Config files and the strict dict reader behind them and checkpoint meta."""
 
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from speechsr.errors import ConfigError
 from speechsr.networks import ArcnConfig, DparnConfig
 
 PATHS = "train_manifest = m.tsv\nvalid_manifest = m.tsv\nout_dir = run\n"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _spec(tmp_path, text):
@@ -32,18 +35,13 @@ class TestLoadRunSpec:
         assert spec.dparn == DparnConfig(num_blocks=3)
 
     @pytest.mark.parametrize("key, value, read", [
-        ("frame_ms", 16, lambda a: a.stft.frame_ms),
-        ("hop_ms", 4, lambda a: a.stft.hop_ms),
-        ("temb_dim", 32, lambda a: a.temb.dim),
-        ("temb_out", 48, lambda a: a.temb.out),
+        ("frame_ms", 16, lambda a: a.frame_ms),
+        ("hop_ms", 4, lambda a: a.hop_ms),
+        ("temb_dim", 32, lambda a: a.temb_dim),
+        ("temb_out", 48, lambda a: a.temb_out),
     ], ids=["frame_ms", "hop_ms", "temb_dim", "temb_out"])
     def test_each_arcn_alias_lands_in_its_nested_field(self, tmp_path, key, value, read):
         assert read(_spec(tmp_path, PATHS + f"arcn.{key} = {value}\n").arcn) == value
-
-    def test_time_embedding_range_follows_the_schedule(self, tmp_path):
-        spec = _spec(tmp_path, PATHS + "schedule.total_steps = 200\n")
-        assert spec.schedule.total_steps == 200
-        assert spec.arcn.temb.max_steps == 200
 
     def test_schedule_total_steps_is_not_an_arcn_key(self, tmp_path):
         with pytest.raises(ConfigError, match="arcn.schedule_total_steps"):
@@ -57,19 +55,55 @@ class TestLoadRunSpec:
         assert spec.valid_manifest == str(absolute)
         assert spec.out_dir == str(tmp_path / "runs" / "demo")
 
-    @pytest.mark.parametrize("text", [
-        PATHS + "optimizer.momentum = 0.9\n",
-        PATHS + "train.momentum = 0.9\n",
-        PATHS + "nonsense_key = 1\n",
-        "train_manifest = m.tsv\nvalid_manifest = m.tsv\n",
-    ], ids=["unknown section", "unknown key", "unknown top-level key", "missing out_dir"])
-    def test_unknown_or_missing_keys_are_config_errors(self, tmp_path, text):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("text, named", [
+        (PATHS + "optimizer.momentum = 0.9\n", "'optimizer'"),
+        (PATHS + "train.momentum = 0.9\n", "'train.momentum'"),
+        (PATHS + "nonsense_key = 1\n", "'nonsense_key'"),
+        ("train_manifest = m.tsv\nvalid_manifest = m.tsv\n", "'out_dir'"),
+        (PATHS + "arcn.decoder_blocks = 5\n", "'arcn.decoder_blocks'"),
+        (PATHS + "arcn.network_bins = 256\n", "'arcn.network_bins'"),
+    ], ids=["unknown section", "unknown key", "unknown top-level key", "missing out_dir",
+            "derived decoder_blocks", "derived network_bins"])
+    def test_unknown_or_missing_keys_are_config_errors(self, tmp_path, text, named):
+        with pytest.raises(ConfigError, match=named):
             _spec(tmp_path, text)
 
     def test_a_key_set_twice_names_both_lines(self, tmp_path):
         with pytest.raises(ConfigError, match=r"line 5: 'train.epochs' is already set on line 4"):
             _spec(tmp_path, PATHS + "train.epochs = 5\ntrain.epochs = 7\n")
+
+
+def _readme_schema() -> dict[str, dict[str, str]]:
+    """README's "Config file schema" table as {section: {key: default text}}.
+
+    The top-level row is section ``""``; a key without a parenthesised default
+    maps to ``""``.
+    """
+    text = README.read_text().split("## Config file schema\n", 1)[1].split("\n## ", 1)[0]
+    schema = {}
+    for line in text.splitlines():
+        cells = line.split(" | ")
+        if len(cells) == 2 and "`" in cells[1]:
+            section = cells[0].strip("| `").removesuffix(".")
+            schema["" if section == "*top level*" else section] = dict(
+                re.findall(r"`(\w+)`(?: \(([^;)= ]+))?", cells[1]))
+    return schema
+
+
+def test_readme_schema_lists_exactly_the_accepted_keys_and_defaults(tmp_path):
+    """Each README row names every key of its section and nothing else, and
+    setting every key to its README default gives the all-defaults ``RunSpec``."""
+    schema = _readme_schema()
+    top_level = schema.pop("")
+    defaults = _spec(tmp_path, PATHS)
+    values = asdict(defaults)
+    assert set(top_level) == {name for name, value in values.items() if not isinstance(value, dict)}
+    assert set(schema) == {name for name, value in values.items() if isinstance(value, dict)}
+    for section, keys in schema.items():
+        assert set(keys) == set(values[section]), section
+    lines = "".join(f"{section}.{key} = {value}\n"
+                    for section, keys in schema.items() for key, value in keys.items())
+    assert _spec(tmp_path, PATHS + lines) == defaults
 
 
 @dataclass(frozen=True)

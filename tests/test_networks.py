@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from helpers import fd_gradient_check
-from speechsr.dsp import FrameConfig
 from speechsr.engine import Parameter, Tensor, no_grad, ops
 from speechsr.networks import (
     Arcn,
@@ -19,7 +18,6 @@ from speechsr.networks import (
     Module,
     ResidualBlock,
     TimeEmbedding,
-    TimeEmbeddingConfig,
     TwoStageModel,
     tiny_arcn_config,
     tiny_dparn_config,
@@ -32,11 +30,11 @@ def micro_arcn_config():
     return tiny_arcn_config(
         base_channels=4,
         encoder_blocks=2,
-        decoder_blocks=2,
         norm_groups=2,
-        network_bins=16,
-        stft=FrameConfig(frame_ms=2.0, hop_ms=0.5),
-        temb=TimeEmbeddingConfig(dim=8, out=12, max_steps=1000),
+        frame_ms=2.0,
+        hop_ms=0.5,
+        temb_dim=8,
+        temb_out=12,
     )
 
 
@@ -47,33 +45,30 @@ def micro_dparn_config():
 
 class TestTimeEmbedding:
     def test_step_zero_fourier_features(self):
-        emb = TimeEmbedding("t", TimeEmbeddingConfig(dim=16, out=8), np.random.default_rng(0))
+        emb = TimeEmbedding("t", 16, 8, np.random.default_rng(0))
         feats = emb.fourier(0.0)
         np.testing.assert_array_equal(feats[:8], 0.0)
         np.testing.assert_array_equal(feats[8:], 1.0)
 
     def test_distinct_steps_distinct_embeddings(self):
-        emb = TimeEmbedding("t", TimeEmbeddingConfig(dim=64, out=32), np.random.default_rng(1))
+        emb = TimeEmbedding("t", 64, 32, np.random.default_rng(1))
         vecs = [emb(float(s)).data for s in (0, 1, 17, 500, 999)]
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
                 assert np.linalg.norm(vecs[i] - vecs[j]) > 0
 
     def test_deterministic(self):
-        emb = TimeEmbedding("t", TimeEmbeddingConfig(dim=16, out=8), np.random.default_rng(2))
+        emb = TimeEmbedding("t", 16, 8, np.random.default_rng(2))
         np.testing.assert_array_equal(emb(123.0).data, emb(123.0).data)
 
     def test_out_of_range_rejected(self):
-        emb = TimeEmbedding("t", TimeEmbeddingConfig(dim=16, out=8, max_steps=1000),
-                            np.random.default_rng(3))
-        with pytest.raises(ValueError):
-            emb(-1.0)
-        with pytest.raises(ValueError):
-            emb(1001.0)
+        emb = TimeEmbedding("t", 16, 8, np.random.default_rng(3))
+        for step in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                emb(step)
 
     def test_training_step_range_is_embeddable(self):
-        emb = TimeEmbedding("t", TimeEmbeddingConfig(dim=16, out=8, max_steps=1000),
-                            np.random.default_rng(4))
+        emb = TimeEmbedding("t", 16, 8, np.random.default_rng(4))
         emb(1000.0)  # k = T maps to step T
 
 
@@ -120,7 +115,7 @@ class TestResidualBlock:
         # group-norm scale must stay 1 for the skip path comparison? gamma=0
         # zeroes the residual branch entirely, which is the point here.
         x = Tensor(np.random.default_rng(8).standard_normal((cfg.base_channels, 3, 16)))
-        temb = Tensor(np.zeros(cfg.temb.out))
+        temb = Tensor(np.zeros(cfg.temb_out))
         out = block(x, temb, Tensor(np.ones(16)))
         ref = ops.fir_resample_freq(x, "down")
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
@@ -131,7 +126,7 @@ class TestResidualBlock:
         block = ResidualBlock("b", cfg.base_channels, cfg.base_channels, cfg,
                               "encoder", rng)
         x = Tensor(rng.standard_normal((cfg.base_channels, 5, 16)))
-        out = block(x, Tensor(np.zeros(cfg.temb.out)), Tensor(np.ones(16)))
+        out = block(x, Tensor(np.zeros(cfg.temb_out)), Tensor(np.ones(16)))
         assert out.shape == (cfg.base_channels, 5, 8)
 
     def test_gradients_match_fd(self):
@@ -139,7 +134,7 @@ class TestResidualBlock:
         rng = np.random.default_rng(10)
         block = ResidualBlock("b", 4, 4, cfg, "bottleneck", rng)
         x = Tensor(rng.standard_normal((4, 3, 8)))
-        temb = Tensor(0.5 * rng.standard_normal(cfg.temb.out))
+        temb = Tensor(0.5 * rng.standard_normal(cfg.temb_out))
         lm = Tensor((rng.uniform(size=8) > 0.5).astype(float))
 
         def build():
@@ -188,7 +183,7 @@ class TestArcn:
     def test_lossmap_marks_bins_above_low_rate_nyquist(self, r, first_one):
         """Bin f of the 128-sample frame lies above rate / (2r) iff f * r > 64."""
         net = Arcn(tiny_arcn_config(), np.random.default_rng(21))
-        levels = net.lossmap_pyramid(UpsamplingRatio(r))
+        levels = net.lossmap_pyramid(UpsamplingRatio(r), 64)
         assert len(levels) == net.cfg.encoder_blocks + 1
         row = levels[0]
         assert row.shape == (64,)
@@ -314,7 +309,7 @@ class TestModule:
 
         class Toy(Module):
             def __init__(self):
-                self.cfg = TimeEmbeddingConfig()
+                self.cfg = ArcnConfig()
                 self.scale = Parameter("toy.scale", np.ones(2))
                 self.head = Linear("toy.head", 2, 3, rng, bias=False)
                 self.skip = None
@@ -352,13 +347,10 @@ class TestTwoStageModel:
 
 
 class TestConfigValidation:
-    def test_mismatched_block_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ArcnConfig(encoder_blocks=3, decoder_blocks=4)
-
     def test_indivisible_bins_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_arcn_config(network_bins=48, encoder_blocks=5, decoder_blocks=5)
+        net = Arcn(tiny_arcn_config(encoder_blocks=7), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="frame_ms 8.0 gives 64 bins.*encoder_blocks"):
+            net.frame_geometry(16000)
 
     def test_bad_chunk_geometry_rejected(self):
         with pytest.raises(ValueError):
