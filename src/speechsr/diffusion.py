@@ -11,6 +11,7 @@ diffusion) and stitches the known low band back in after every step
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -125,38 +126,173 @@ def _utterance_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
     return total, LossReport.build(l_pred.item(), l_time.item(), l_freq.item(), lam)
 
 
+def _backward_item(model: TwoStageModel, item, sched: NoiseSchedule, ratio: UpsamplingRatio,
+                   sample_rate: int, n_items: int) -> LossReport:
+    """Add one ``(utt_id, hr, inp, k, z)`` item's share of the batch loss to ``.grad``.
+
+    Raises NumericsError naming the utterance and k on a non-finite loss,
+    before anything reaches ``.grad``.
+    """
+    utt_id, hr, inp, k, z = item
+    total, report = _utterance_loss(model, hr, inp, sched, ratio, sample_rate, k, z)
+    if not np.isfinite(total.item()):
+        raise NumericsError(f"non-finite loss on utterance {utt_id!r} at step k={k}")
+    ops.mul(total, 1.0 / n_items).backward()
+    return report
+
+
 def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
                rng: np.random.Generator, ratio: UpsamplingRatio,
-               clip_norm: float = 1.0) -> StepLosses:
+               clip_norm: float = 1.0, workers: StepWorkers | None = None) -> StepLosses:
     """One joint gradient step over a batch (per-utterance accumulation).
 
-    Each batch element draws its own diffusion step and noise; losses are
-    averaged over the batch before the clipped Adam update and EMA refresh.
+    Each batch element draws its own diffusion step and noise, all drawn up
+    front in utterance order; losses are averaged over the batch before the
+    clipped Adam update and EMA refresh. Each utterance's graph is built,
+    backpropagated and dropped before the next one's, so a process holds one
+    graph at a time.
+
+    With ``workers``, the batch is cut into contiguous parts, one per
+    process: this process runs the first, and each worker the next, on the
+    current parameter values. Each worker utterance's gradient is added to
+    ``.grad`` in utterance order, which is the sum ``backward`` forms
+    without workers, so the bits do not depend on the worker count.
+
     Raises NumericsError on a non-finite loss or gradient norm before Adam or
-    the EMA moves, leaving gradients untouched for diagnosis.
+    the EMA moves; ``.grad`` then holds the sum over the utterances before
+    the one that failed.
     """
     opt.zero_grad()
     n_items = len(batch.hr)
-    reports = []
+    items = []
     for utt_id, hr, inp in zip(batch.ids, batch.hr, batch.inp):
         k = int(rng.integers(1, sched.total_steps + 1))
-        z = rng.standard_normal(hr.size)
-        total, report = _utterance_loss(model, hr, inp, sched, ratio,
-                                        batch.sample_rate, k, z)
-        if not np.isfinite(total.item()):
-            raise NumericsError(
-                f"non-finite loss on utterance {utt_id!r} at step k={k}"
-            )
-        ops.mul(total, 1.0 / n_items).backward()
-        reports.append(report)
-        del total  # else this graph stays alive while the next item's is built
+        items.append((utt_id, hr, inp, k, rng.standard_normal(hr.size)))
+    n = min(1 + (len(workers) if workers is not None else 0), n_items)
+    parts = [items[n_items * i // n:n_items * (i + 1) // n] for i in range(n)]
+    params = model.params()
+    task = (sched, ratio, batch.sample_rate, n_items)
+    for i, part in enumerate(parts[1:]):
+        workers.send(i, ([p.data for p in params], *task, part))
+    reports = []
+    try:
+        for item in parts[0]:
+            reports.append(_backward_item(model, item, *task))
+    finally:  # read every reply, so that none is left for the next step
+        replies = [workers.receive(i) for i in range(n - 1)]
+    for reply in replies:
+        for result in reply:
+            if isinstance(result, Exception):
+                raise result
+            grads, report = result
+            for p, g in zip(params, grads):
+                if g is not None:
+                    p.grad = g if p.grad is None else p.grad + g
+            reports.append(report)
 
-    scale = clip_global_norm(model.params(), clip_norm)
+    scale = clip_global_norm(params, clip_norm)
     opt.step()
     ema.update()
     mean = LossReport(*(float(np.mean([getattr(r, f.name) for r in reports]))
                         for f in fields(LossReport)))
     return StepLosses(report=mean, clip_scale=scale)
+
+
+def _run_part(model: TwoStageModel, params, sched, ratio, sample_rate, n_items, items) -> list:
+    """A worker's part of a step: per item, from cleared ``.grad``s, its
+    ``.grad`` list and report. An item that raises ends the list with its
+    exception, which the parent raises when it reaches that utterance."""
+    results = []
+    for item in items:
+        for p in params:
+            p.grad = None
+        try:
+            report = _backward_item(model, item, sched, ratio, sample_rate, n_items)
+        except Exception as exc:
+            results.append(exc)
+            break
+        results.append(([p.grad for p in params], report))
+    return results
+
+
+def _serve(model: TwoStageModel, conn, inherited) -> None:
+    """A step worker: run each part it is sent, until its pipe closes.
+
+    It first closes the parent's pipe ends it inherited, its own included,
+    so that its pipe closes when the parent exits. EOF, a broken pipe or
+    Ctrl-C end it without a traceback.
+    """
+    for other in inherited:
+        other.close()
+    params = model.params()
+    try:
+        while True:
+            values, *task, items = conn.recv()
+            for p, value in zip(params, values):
+                p.data[...] = value
+            conn.send(_run_part(model, params, *task, items))
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
+
+
+class StepWorkers:
+    """``count`` forked processes, each running a part of every train step.
+
+    Each holds the model as it was at the fork and talks to this process
+    over its own pipe (:func:`train_step`, :func:`_serve`). :meth:`close`
+    ends and joins them. They are forked, not spawned, so that they start
+    with the model and without a fresh import; a child runs only on the
+    forking thread, and the engine drops the block pool it inherits.
+    """
+
+    def __init__(self, model: TwoStageModel, count: int):
+        self.conns, self._procs = [], []
+        if count < 1:
+            return
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for i in range(count):
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(model, child, [*self.conns, conn]),
+                                   name=f"speechsr-step-{i + 1}", daemon=True)
+                proc.start()
+                child.close()
+                self.conns.append(conn)
+                self._procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def __len__(self) -> int:
+        return len(self.conns)
+
+    def send(self, i: int, task) -> None:
+        try:
+            self.conns[i].send(task)
+        except OSError:
+            raise self._died(i) from None
+
+    def receive(self, i: int) -> list:
+        """Worker ``i``'s reply; RuntimeError if it died instead."""
+        try:
+            return self.conns[i].recv()
+        except EOFError:
+            raise self._died(i) from None
+
+    def _died(self, i: int) -> RuntimeError:
+        proc = self._procs[i]
+        proc.join(5.0)
+        return RuntimeError(f"train step worker {proc.name} ended during a step"
+                            f" (exit code {proc.exitcode})")
+
+    def close(self) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self._procs:
+            proc.join(5.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
 
 
 def validation_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -21,11 +22,11 @@ import numpy as np
 from . import __version__
 from .config import Arch, TrainConfig, from_dict
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
-from .diffusion import NoiseSchedule, reverse_infer, train_step, validation_loss
-from .dsp import FrameConfig, stft
-from .engine import Adam, Ema, load_state, malloc_settings, save_state, thread_counts
+from .diffusion import NoiseSchedule, StepWorkers, reverse_infer, train_step, validation_loss
+from .dsp import FrameConfig, n_frames_for, stft
+from .engine import Adam, Ema, load_state, malloc_settings, ops, save_state, thread_counts
 from .errors import ConfigError, NumericsError
-from .networks import ArcnConfig, DparnConfig, TwoStageModel
+from .networks import Arcn, ArcnConfig, DparnConfig, TwoStageModel
 from .objectives import LossReport, MetricReport, band_energy_error, lsd, sisnr
 from .resample import UpsamplingRatio, simulate_lr
 
@@ -184,10 +185,36 @@ def load_model(ckpt_path) -> tuple[TwoStageModel, CheckpointMeta]:
     return model, meta
 
 
+def _step_processes(arcn: Arcn, cfg: TrainConfig) -> int:
+    """Processes a train step's utterances run on (:class:`StepWorkers`).
+
+    One per CPU the engine has block workers for, at most one per batch
+    item, where a crop is too small for the engine to split its ops: its
+    largest ARCN map (``base_channels`` x frames x bins, float64) fits
+    ``ops.CONV_BLOCK_BYTES`` and its frames fit one ``ops.ATTENTION_BLOCK``.
+    Elsewhere, and without ``os.fork``, 1: the step runs inline, and a
+    larger crop keeps one utterance graph in memory at a time, not one per CPU.
+    """
+    frame_len, hop = arcn.frame_geometry(cfg.sample_rate)
+    frames = n_frames_for(int(round(cfg.crop_seconds * cfg.sample_rate)), frame_len, hop)
+    largest = arcn.cfg.base_channels * frames * (frame_len // 2) * 8
+    if (not hasattr(os, "fork") or largest > ops.CONV_BLOCK_BYTES
+            or frames > ops.ATTENTION_BLOCK):
+        return 1
+    return min(ops._workers(), cfg.batch_size)
+
+
 def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         sched: NoiseSchedule, train_manifest: Manifest, valid_manifest: Manifest,
         out_dir, resume_from=None) -> FitResult:
-    """Run the training loop; writes checkpoints, logs, and run metadata."""
+    """Run the training loop; writes checkpoints, logs, and run metadata.
+
+    Where the crop is small enough (:func:`_step_processes`), ``fit`` forks
+    one :class:`StepWorkers` process per extra CPU, up to one per extra batch
+    item, and each step's utterances are shared among the processes with
+    the same bits as inline. The workers are joined before ``fit`` returns
+    or raises.
+    """
     model = TwoStageModel(arcn_cfg, dparn_cfg, seed=cfg.seed)
     model.arcn.frame_geometry(cfg.sample_rate)  # refuse bad framing before any file exists
     out = Path(out_dir)
@@ -202,6 +229,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     global_step = 0
 
     arch = Arch(arcn_cfg, dparn_cfg)
+    processes = _step_processes(model.arcn, cfg)
 
     if resume_from is not None:
         meta, arrays = _read_checkpoint(resume_from)
@@ -216,7 +244,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
 
     run_meta = {"version": __version__, "train_config": asdict(cfg), "arch": asdict(arch),
                 "schedule": asdict(sched), "threads": thread_counts(),
-                "malloc": malloc_settings(),
+                "malloc": malloc_settings(), "train_processes": processes,
                 "resumed_from": str(resume_from) if resume_from else None}
     (out / "run_meta.json").write_text(json.dumps(run_meta, indent=2, sort_keys=True))
 
@@ -239,11 +267,12 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
                               opt.step_count, scheduler, rng.bit_generator.state)
         save_state(path, asdict(meta), _flatten(_state_table(model, opt, ema)))
 
+    workers = StepWorkers(model, processes - 1)
     try:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             for batch in batcher.epoch(rng):
                 result = train_step(model, batch, sched, opt, ema, rng, ratio,
-                                    clip_norm=cfg.clip_norm)
+                                    clip_norm=cfg.clip_norm, workers=workers)
                 global_step += 1
                 step_totals.append(result.report.total)
                 runlog.step(global_step, epoch, result.report, result.clip_scale)
@@ -273,6 +302,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         save(out / "diagnostic.ckpt", -1)
         raise
     finally:
+        workers.close()
         runlog.close()
     # A resume from a finished run trains no epoch; its checkpoints keep its epoch.
     for path in (best_path, last_path):

@@ -491,6 +491,11 @@ class TestRunMetadata:
             assert set(meta["malloc"]) <= {"mmap_threshold", "trim_threshold"}
             assert meta["malloc"].get("mmap_threshold", 32 << 20) == 32 << 20
 
+    def test_train_processes_recorded(self, cli_run):
+        """The micro config's 0.25 s crops with B=2 run on up to two processes."""
+        meta = json.loads((cli_run / "run_meta.json").read_text())
+        assert meta["train_processes"] == min(thread_counts()["workers"], 2)
+
     def test_checkpoint_carries_arch(self, cli_run):
         meta, _ = load_state(cli_run / "best.ckpt")
         assert meta["arch"]["dparn"]["feature_dim"] == 8

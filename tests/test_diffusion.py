@@ -1,6 +1,7 @@
 """Tests for the noise schedule, sampling, repainting, and the loops."""
 
 import dataclasses
+import multiprocessing
 import tracemalloc
 import weakref
 
@@ -314,6 +315,111 @@ class TestTrainStep:
         np.testing.assert_allclose(report.l_diff, ref_diff.item(), rtol=1e-12)
         np.testing.assert_allclose(report.total, ref_pred + lam * ref_diff.item(),
                                    rtol=1e-12)
+
+
+def _poison_size(monkeypatch, size):
+    """Make the loss of every utterance of ``size`` samples NaN, in every process."""
+    inner = diffusion._utterance_loss
+
+    def poisoned(model, hr, *rest):
+        total, report = inner(model, hr, *rest)
+        return (ops.mul(total, np.nan) if hr.size == size else total), report
+
+    monkeypatch.setattr(diffusion, "_utterance_loss", poisoned)
+
+
+def _step_state(model, opt, ema):
+    return ({p.name: p.data.copy() for p in model.params()},
+            {k: v.copy() for k, v in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()},
+            {k: v.copy() for k, v in ema.shadow.items()})
+
+
+def _assert_same_arrays(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for name, arr in a.items():
+        if arr is None:
+            assert b[name] is None, name
+        else:
+            np.testing.assert_array_equal(b[name], arr, err_msg=name)
+
+
+class TestStepWorkers:
+    """``train_step`` with forked workers: the inline step's bits and its failures."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_step_keeps_the_inline_bits(self, count):
+        """Three unequal items over 1 + count processes: parameters, moments, EMA,
+        report and clip scale equal the inline step's, step after step."""
+        batch = _toy_batch(lengths=(2000, 3000, 4000))
+        runs = []
+        for n_workers in (0, count):
+            model = _tiny_model(seed=4)
+            opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+            rng = np.random.default_rng(6)
+            workers = diffusion.StepWorkers(model, n_workers)
+            try:
+                outs = [train_step(model, batch, SCHED, opt, ema, rng, UpsamplingRatio(2),
+                                   workers=workers) for _ in range(2)]
+            finally:
+                workers.close()
+            runs.append((outs, _step_state(model, opt, ema), rng.bit_generator.state))
+        (outs_a, state_a, rng_a), (outs_b, state_b, rng_b) = runs
+        assert outs_a == outs_b
+        assert rng_a == rng_b
+        for a, b in zip(state_a, state_b):
+            _assert_same_arrays(a, b)
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_worker_loss_leaves_the_earlier_sum(self, monkeypatch):
+        """The third item, a worker's second, is NaN: the error names it and its k,
+        ``.grad`` holds the inline sum of the first two, and no state moved."""
+        batch = _toy_batch(lengths=(2000, 3000, 4000))
+        ref = np.random.default_rng(6)
+        for n in (2000, 3000):
+            ref.integers(1, SCHED.total_steps + 1), ref.standard_normal(n)
+        k2 = int(ref.integers(1, SCHED.total_steps + 1))
+        _poison_size(monkeypatch, 4000)
+        grads = []
+        for n_workers in (0, 1):
+            model = _tiny_model(seed=4)
+            opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+            before = _step_state(model, opt, ema)
+            workers = diffusion.StepWorkers(model, n_workers)
+            try:
+                with pytest.raises(NumericsError, match=f"utterance 'u2' at step k={k2}$"):
+                    train_step(model, batch, SCHED, opt, ema, np.random.default_rng(6),
+                               UpsamplingRatio(2), workers=workers)
+            finally:
+                workers.close()
+            for a, b in zip(before, _step_state(model, opt, ema)):
+                _assert_same_arrays(a, b)
+            assert opt.step_count == 0
+            grads.append({p.name: p.grad for p in model.params()})
+        assert any(g is not None for g in grads[0].values())
+        _assert_same_arrays(grads[0], grads[1])
+
+    def test_failed_parent_part_leaves_no_reply_behind(self, monkeypatch):
+        """A NaN in this process's part still reads the worker's reply, so the
+        next step gets its own gradients and matches the inline run's."""
+        batch = _toy_batch(lengths=(2000, 3000))
+        states = []
+        for n_workers in (0, 1):
+            model = _tiny_model(seed=4)
+            opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+            workers = diffusion.StepWorkers(model, n_workers)
+            try:
+                with monkeypatch.context() as patch:
+                    _poison_size(patch, 2000)
+                    with pytest.raises(NumericsError, match="utterance 'u0'"):
+                        train_step(model, batch, SCHED, opt, ema, np.random.default_rng(1),
+                                   UpsamplingRatio(2), workers=workers)
+                train_step(model, batch, SCHED, opt, ema, np.random.default_rng(2),
+                           UpsamplingRatio(2), workers=workers)
+            finally:
+                workers.close()
+            states.append(_step_state(model, opt, ema))
+        for a, b in zip(*states):
+            _assert_same_arrays(a, b)
 
 
 class _OracleModel:

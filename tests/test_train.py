@@ -1,16 +1,23 @@
 """Tests for the training driver, plateau scheduling, and evaluation."""
 
 import csv
-from dataclasses import asdict
+import json
+import multiprocessing
+import os
+import signal
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import micro_arch, micro_train_config
+from speechsr import diffusion, networks
 from speechsr import train as train_mod
+from speechsr.config import TrainConfig
+from speechsr.data import Manifest, synth_corpus
 from speechsr.diffusion import NoiseSchedule
-from speechsr.engine import load_state
+from speechsr.engine import load_state, ops
 from speechsr.errors import ConfigError, NumericsError
 from speechsr.networks import TwoStageModel
 from speechsr.resample import UpsamplingRatio
@@ -228,6 +235,90 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(micro_train_config(), arcn, bad_dparn, SCHED, micro_corpus,
                 micro_corpus, tmp_path / "bad", resume_from=result.last_path)
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    """Three 0.5 s utterances and one of 0.15 s, shorter than a 0.25 s crop."""
+    root = tmp_path_factory.mktemp("mixed_corpus")
+    entries = synth_corpus(root / "a", 3, 0.5, seed=11).entries
+    short = synth_corpus(root / "b", 1, 0.15, seed=12).entries[0]
+    return Manifest(entries + (replace(short, utt_id="short"),))
+
+
+def _fit_mixed(corpus, out, monkeypatch, processes):
+    """Two epochs of a 3-item and a 1-item batch on ``processes`` CPUs."""
+    monkeypatch.setattr(ops, "_workers", lambda: processes)
+    arcn, dparn = micro_arch()
+    return fit(micro_train_config(epochs=2, batch_size=3, seed=7), arcn, dparn, SCHED,
+               corpus, corpus, out)
+
+
+def _in_workers_only(monkeypatch, act):
+    """Wrap ``_utterance_loss`` so that ``act(total)`` replaces it in a forked worker."""
+    parent, inner = os.getpid(), diffusion._utterance_loss
+
+    def wrapped(*args):
+        total, report = inner(*args)
+        return (act(total) if os.getpid() != parent else total), report
+
+    monkeypatch.setattr(diffusion, "_utterance_loss", wrapped)
+
+
+class TestStepProcesses:
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_fan_out_writes_the_inline_bytes(self, tmp_path, mixed_corpus, monkeypatch,
+                                             processes):
+        _fit_mixed(mixed_corpus, tmp_path / "inline", monkeypatch, 1)
+        _fit_mixed(mixed_corpus, tmp_path / "fan", monkeypatch, processes)
+        assert multiprocessing.active_children() == []
+        for run, count in (("inline", 1), ("fan", processes)):
+            meta = json.loads((tmp_path / run / "run_meta.json").read_text())
+            assert meta["train_processes"] == count
+        for name in ("best.ckpt", "last.ckpt", "runlog_steps.csv"):
+            fan, inline = (tmp_path / run / name for run in ("fan", "inline"))
+            assert fan.read_bytes() == inline.read_bytes(), name
+
+    def test_worker_non_finite_loss_saves_diagnostic(self, tmp_path, mixed_corpus, monkeypatch):
+        _in_workers_only(monkeypatch, lambda total: ops.mul(total, np.nan))
+        with pytest.raises(NumericsError, match=r"non-finite loss on utterance '\w+' at step k=\d+$"):
+            _fit_mixed(mixed_corpus, tmp_path / "nan", monkeypatch, 2)
+        assert (tmp_path / "nan" / "diagnostic.ckpt").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_the_step_instead_of_hanging(self, tmp_path, mixed_corpus,
+                                                           monkeypatch):
+        _in_workers_only(monkeypatch, lambda total: os._exit(3))
+
+        def hung(*_):
+            raise TimeoutError("the step still waits on a dead worker after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError, match="ended during a step .exit code 3."):
+                _fit_mixed(mixed_corpus, tmp_path / "dead", monkeypatch, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_rule_fans_out_only_crops_the_engine_does_not_split(self, monkeypatch):
+        """A tiny 0.25 s crop runs on every CPU, up to one per item; a tiny 1 s
+        crop (its frame attention splits) and the paper-scale 4 s default stay
+        inline, and so does everything without ``os.fork``."""
+        monkeypatch.setattr(ops, "_workers", lambda: 2)
+        tiny = networks.Arcn(networks.tiny_arcn_config(), np.random.default_rng(0))
+        paper = networks.Arcn(networks.ArcnConfig(), np.random.default_rng(0))
+        rule = train_mod._step_processes
+        assert rule(tiny, TrainConfig(crop_seconds=0.25)) == 2
+        assert rule(tiny, TrainConfig(crop_seconds=0.25, batch_size=1)) == 1
+        assert rule(tiny, TrainConfig(crop_seconds=1.0)) == 1
+        assert rule(paper, TrainConfig()) == 1
+        monkeypatch.setattr(ops, "_workers", lambda: 8)
+        assert rule(tiny, TrainConfig(crop_seconds=0.25)) == 4
+        monkeypatch.delattr(os, "fork")
+        assert rule(tiny, TrainConfig(crop_seconds=0.25)) == 1
 
 
 class TestEvaluate:
