@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .dsp import Waveform
-from .engine import Tensor, clip_global_norm, no_grad, ops
+from .engine import FlatParams, Tensor, clip_global_norm, no_grad, ops
 from .errors import NumericsError
 from .networks import TwoStageModel
 from .objectives import LossReport, lambda_weight, loss_pred, loss_tf
@@ -150,19 +150,24 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
     front in utterance order; losses are averaged over the batch before the
     clipped Adam update and EMA refresh. Each utterance's graph is built,
     backpropagated and dropped before the next one's, so a process holds one
-    graph at a time.
+    graph at a time. The gradients accumulate in the parameters'
+    :class:`FlatParams` buffer, made here if ``opt`` did not make it.
 
     With ``workers``, the batch is cut into contiguous parts, one per
     process: this process runs the first, and each worker the next, on the
-    current parameter values. Each worker utterance's gradient is added to
-    ``.grad`` in utterance order, which is the sum ``backward`` forms
-    without workers, so the bits do not depend on the worker count.
+    current parameter values, which go to it as one flat array. Each worker
+    utterance's flat gradient is added to the buffer in utterance order,
+    which is the sum ``backward`` forms without workers, so the bits do not
+    depend on the worker count. While the parts run, every process's ops
+    stay on its calling thread (``ops._unsplit``): the processes already
+    fill the CPUs.
 
     Raises NumericsError on a non-finite loss or gradient norm before Adam or
     the EMA moves; ``.grad`` then holds the sum over the utterances before
     the one that failed.
     """
-    opt.zero_grad()
+    flat = FlatParams.of(model.params())
+    flat.zero_grad()
     n_items = len(batch.hr)
     items = []
     for utt_id, hr, inp in zip(batch.ids, batch.hr, batch.inp):
@@ -170,27 +175,25 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
         items.append((utt_id, hr, inp, k, rng.standard_normal(hr.size)))
     n = min(1 + (len(workers) if workers is not None else 0), n_items)
     parts = [items[n_items * i // n:n_items * (i + 1) // n] for i in range(n)]
-    params = model.params()
     task = (sched, ratio, batch.sample_rate, n_items)
     for i, part in enumerate(parts[1:]):
-        workers.send(i, ([p.data for p in params], *task, part))
+        workers.send(i, (flat.data, *task, part))
     reports = []
     try:
-        for item in parts[0]:
-            reports.append(_backward_item(model, item, *task))
+        with ops._unsplit(n > 1):
+            for item in parts[0]:
+                reports.append(_backward_item(model, item, *task))
     finally:  # read every reply, so that none is left for the next step
         replies = [workers.receive(i) for i in range(n - 1)]
     for reply in replies:
         for result in reply:
             if isinstance(result, Exception):
                 raise result
-            grads, report = result
-            for p, g in zip(params, grads):
-                if g is not None:
-                    p.grad = g if p.grad is None else p.grad + g
+            grad, idle, report = result
+            flat.add_grad(grad, idle)
             reports.append(report)
 
-    scale = clip_global_norm(params, clip_norm)
+    scale = clip_global_norm(flat.params, clip_norm)
     opt.step()
     ema.update()
     mean = LossReport(*(float(np.mean([getattr(r, f.name) for r in reports]))
@@ -198,20 +201,21 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
     return StepLosses(report=mean, clip_scale=scale)
 
 
-def _run_part(model: TwoStageModel, params, sched, ratio, sample_rate, n_items, items) -> list:
-    """A worker's part of a step: per item, from cleared ``.grad``s, its
-    ``.grad`` list and report. An item that raises ends the list with its
-    exception, which the parent raises when it reaches that utterance."""
+def _run_part(model: TwoStageModel, flat: FlatParams, sched, ratio, sample_rate, n_items,
+              items) -> list:
+    """A worker's part of a step: per item, from cleared gradients, a copy of
+    the flat gradient, the :meth:`FlatParams.idle` parameters and the report.
+    An item that raises ends the list with its exception, which the parent
+    raises when it reaches that utterance."""
     results = []
     for item in items:
-        for p in params:
-            p.grad = None
+        flat.zero_grad()
         try:
             report = _backward_item(model, item, sched, ratio, sample_rate, n_items)
         except Exception as exc:
             results.append(exc)
             break
-        results.append(([p.grad for p in params], report))
+        results.append((flat.grad.copy(), flat.idle(), report))
     return results
 
 
@@ -219,18 +223,19 @@ def _serve(model: TwoStageModel, conn, inherited) -> None:
     """A step worker: run each part it is sent, until its pipe closes.
 
     It first closes the parent's pipe ends it inherited, its own included,
-    so that its pipe closes when the parent exits. EOF, a broken pipe or
-    Ctrl-C end it without a traceback.
+    so that its pipe closes when the parent exits. Its ops never split:
+    the parent and the other workers run on the other CPUs. EOF, a broken
+    pipe or Ctrl-C end it without a traceback.
     """
     for other in inherited:
         other.close()
-    params = model.params()
+    flat = FlatParams.of(model.params())
     try:
-        while True:
-            values, *task, items = conn.recv()
-            for p, value in zip(params, values):
-                p.data[...] = value
-            conn.send(_run_part(model, params, *task, items))
+        with ops._unsplit():
+            while True:
+                values, *task, items = conn.recv()
+                flat.data[...] = values
+                conn.send(_run_part(model, flat, *task, items))
     except (EOFError, OSError, KeyboardInterrupt):
         pass
 
@@ -239,10 +244,12 @@ class StepWorkers:
     """``count`` forked processes, each running a part of every train step.
 
     Each holds the model as it was at the fork and talks to this process
-    over its own pipe (:func:`train_step`, :func:`_serve`). :meth:`close`
-    ends and joins them. They are forked, not spawned, so that they start
-    with the model and without a fresh import; a child runs only on the
-    forking thread, and the engine drops the block pool it inherits.
+    over its own pipe (:func:`train_step`, :func:`_serve`): per step it gets
+    the parameter values as one flat array and answers with one flat
+    gradient per utterance. Its ops run unsplit for its whole life.
+    :meth:`close` ends and joins them. They are forked, not spawned, so that
+    they start with the model and without a fresh import; a child runs only
+    on the forking thread, and the engine drops the block pool it inherits.
     """
 
     def __init__(self, model: TwoStageModel, count: int):

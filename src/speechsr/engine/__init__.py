@@ -3,11 +3,12 @@
 from . import ops
 from .checkpoint import load_state, save_state
 from .optim import Adam, Ema, clip_global_norm
-from .tensor import Parameter, Tensor, as_tensor, no_grad
+from .tensor import FlatParams, Parameter, Tensor, as_tensor, no_grad
 
 __all__ = [
     "Adam",
     "Ema",
+    "FlatParams",
     "Parameter",
     "Tensor",
     "as_tensor",

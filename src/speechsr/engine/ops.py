@@ -34,6 +34,8 @@ pinned to one thread at import, so each GEMM runs whole on one thread and
 the output bits depend on neither the worker nor the BLAS thread count.
 A map within ``CONV_BLOCK_BYTES`` stays one block on the calling thread,
 and so do the per-tap windows, the accumulated dW and every vjp but dX.
+Inside ``_unsplit``, where a fanned-out train step's processes already
+fill the CPUs, every op runs on the calling thread.
 
 At import the engine also raises glibc's mmap and trim thresholds, so the
 maps one step frees are reused by the next instead of being returned to
@@ -54,6 +56,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -145,6 +148,29 @@ def _workers() -> int:
 
 _pool = None  # the runner's threads, made on first use
 _pool_lock = threading.Lock()
+_split = True  # False inside _unsplit()
+
+
+@contextmanager
+def _unsplit(on: bool = True):
+    """While inside (if ``on``), every op runs its blocks on the calling thread.
+
+    For a process whose CPUs are taken by other processes of its own, the
+    parts of a fanned-out train step: split ops would put two threads on a
+    CPU. The bits stay the same, because no block boundary changes them.
+    """
+    global _split
+    previous = _split
+    _split = previous and not on
+    try:
+        yield
+    finally:
+        _split = previous
+
+
+def _parts() -> int:
+    """How many parts an op's blocks are shared into now."""
+    return _workers() if _split else 1
 
 
 _in_pool = threading.local()  # ``worker`` is set in the pool's own threads
@@ -166,7 +192,7 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
 
 
 def _run_blocks(run, blocks) -> None:
-    """Call ``run(part)`` on up to ``_workers()`` non-empty parts of ``blocks`` at once.
+    """Call ``run(part)`` on up to ``_parts()`` non-empty parts of ``blocks`` at once.
 
     A part is a contiguous run of whole blocks, so each block is computed as
     it is alone, and ``run`` keeps one scratch buffer per part. The calling
@@ -179,7 +205,7 @@ def _run_blocks(run, blocks) -> None:
     """
     global _pool
     blocks = list(blocks)
-    n = min(_workers(), len(blocks))
+    n = min(_parts(), len(blocks))
     if n <= 1 or getattr(_in_pool, "worker", False):
         if blocks:
             run(blocks)
@@ -204,12 +230,12 @@ def _blocks(n: int, item_bytes: int) -> list:
     each that hold at most ``CONV_BLOCK_BYTES`` (at least one item).
 
     Items within the budget stay one block. Several blocks are evened out to
-    a multiple of the workers, so each worker gets as many.
+    a multiple of the parts, so each worker gets as many.
     """
     count = -(-n // max(1, CONV_BLOCK_BYTES // max(item_bytes, 1)))
     if count > 1:
-        workers = _workers()
-        count = -(-count // workers) * workers
+        parts = _parts()
+        count = -(-count // parts) * parts
     size = max(1, -(-n // max(count, 1)))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
@@ -615,6 +641,17 @@ def _taps_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.nda
     return gw
 
 
+def _zero_pad(a: np.ndarray, pt: int, pf: int) -> np.ndarray:
+    """``a`` (C, H, W) with ``pt`` zero rows and ``pf`` zero columns on each
+    side; a negative pad crops as many instead. One zero fill and one slice
+    copy, which is half of ``np.pad``'s time on conv2d's maps."""
+    c, h, w = a.shape
+    out = np.zeros((c, h + 2 * pt, w + 2 * pf))
+    (dt, st), (df, sf) = ((max(p, 0), max(-p, 0)) for p in (pt, pf))
+    out[:, dt:dt + h - 2 * st, df:df + w - 2 * sf] = a[:, st:h - st, sf:w - sf]
+    return out
+
+
 def conv2d(x, w, b=None, pad=(0, 0)):
     """2-D cross-correlation over (C_in, T, F) with zero padding, stride 1.
 
@@ -665,7 +702,7 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     ho, wo = hp - kh + 1, wp - kw + 1
     wd = w.data
     # The vjp reads the padded input whole; without a graph only blocks of it exist.
-    xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf))) if records(parents) else None
+    xp = _zero_pad(x.data, pt, pf) if records(parents) else None
     bias = None if b is None else b.data
     data = _correlate(x.data, pt, pf, wd, bias) if xp is None else _correlate(xp, 0, 0, wd, bias)
 
@@ -683,10 +720,7 @@ def conv2d(x, w, b=None, pad=(0, 0)):
         if x_grad:
             # Padding g by k-1-p per side makes the correlation's output the
             # unpadded input's shape; a pad wider than k-1 crops g instead.
-            et, ef = kh - 1 - pt, kw - 1 - pf
-            gp = np.pad(g, ((0, 0), (max(et, 0),) * 2, (max(ef, 0),) * 2))
-            ct, cf = max(-et, 0), max(-ef, 0)
-            gp = gp[:, ct:gp.shape[1] - ct, cf:gp.shape[2] - cf]
+            gp = _zero_pad(g, kh - 1 - pt, kw - 1 - pf)
             flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gx = _correlate(gp, 0, 0, flipped)
         return (gx, gw, g.sum((1, 2))) if has_bias else (gx, gw)

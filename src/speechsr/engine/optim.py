@@ -1,11 +1,21 @@
-"""Adam with bias correction, global-norm gradient clipping, and EMA shadows."""
+"""Adam with bias correction, global-norm gradient clipping, and EMA shadows.
+
+Adam and the EMA work on their parameter list's :class:`FlatParams` layout,
+made by whichever of them is built first: the values, gradients, Adam
+moments and EMA shadow are one float64 buffer each, in list order, so an
+update is a handful of whole-buffer numpy calls. Each does, element by
+element, what a loop over the parameters does, with the same bits; a
+parameter without a gradient counts as zeros. ``opt.m``, ``opt.v`` and
+``ema.shadow`` map each parameter's name to its view of those buffers, so a
+checkpoint restored through them in place lands in the buffers.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import NumericsError
-from .tensor import Parameter
+from .tensor import FlatParams, Parameter
 
 
 class Adam:
@@ -16,39 +26,46 @@ class Adam:
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
-        self.params = list(params)
+        self.flat = FlatParams.of(params)
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        self._m, self._v = np.zeros_like(self.flat.data), np.zeros_like(self.flat.data)
+        self.m = dict(zip(names, self.flat.views(self._m)))
+        self.v = dict(zip(names, self.flat.views(self._v)))
+        self._scratch = np.empty((2, self.flat.data.size))  # reused by every step
 
     def step(self):
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v = self.flat.grads(), self._m, self._v
+        a, b = self._scratch
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        self.flat.data -= np.divide(a, b, out=a)
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.flat.zero_grad()
 
 
 def clip_global_norm(params: list[Parameter], max_norm: float = 1.0) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
-    Returns the scale that was applied (1.0 when already within bounds).
-    Raises NumericsError on a non-finite norm before any gradient is scaled:
-    a zero scale would turn an infinite gradient into NaN.
+    The squared norm is summed per parameter in list order, which its bits
+    depend on. Returns the scale that was applied (1.0 when already within
+    bounds). Raises NumericsError on a non-finite norm before any gradient
+    is scaled: a zero scale would turn an infinite gradient into NaN.
     """
     total = 0.0
     for p in params:
@@ -74,12 +91,11 @@ class Ema:
         if not 0.0 <= decay <= 1.0:
             raise ValueError(f"decay must lie in [0, 1], got {decay}")
         self.decay = float(decay)
-        self.params = list(params)
-        self.shadow = {p.name: p.data.copy() for p in params}
+        self.flat = FlatParams.of(params)
+        self._shadow = self.flat.data.copy()
+        self.shadow = dict(zip((p.name for p in params), self.flat.views(self._shadow)))
 
     def update(self):
         d = self.decay
-        for p in self.params:
-            s = self.shadow[p.name]
-            s *= d
-            s += (1.0 - d) * p.data
+        self._shadow *= d
+        self._shadow += (1.0 - d) * self.flat.data

@@ -9,9 +9,10 @@ a vjp closure captured it: only the closures keep arrays, and each keeps
 only what it reads. ``backward`` walks the nodes once in reverse
 topological order. Only leaves keep a gradient: it accumulates into their
 ``.grad`` and persists until the optimizer clears it, so on leaves two
-backward calls equal one backward of the doubled loss. An intermediate
-result's gradient lives only until the walk has passed it on to its
-parents; its ``.grad`` stays None.
+backward calls equal one backward of the doubled loss; a parameter laid
+out by :class:`FlatParams` accumulates it in its view of the layout's
+gradient buffer. An intermediate result's gradient lives only until the
+walk has passed it on to its parents; its ``.grad`` stays None.
 
 The graph is built and walked on the calling thread, and it is
 deterministic: same inputs, same seed, same bits, whatever the thread
@@ -112,9 +113,7 @@ class Tensor:
             if g is None:
                 continue
             if isinstance(node, Tensor):
-                # Leaves (parameters) own their grad; clip/step mutate it
-                # in place, so it must not alias another node's gradient.
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                node._accumulate(g)
                 continue
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if pg is None or parent is None:
@@ -124,6 +123,11 @@ class Tensor:
                     pending[key] = pending[key] + pg
                 else:
                     pending[key] = np.asarray(pg, dtype=np.float64)
+
+    def _accumulate(self, g: np.ndarray):
+        # A leaf owns its grad; clip/step mutate it in place, so it must not
+        # alias another node's gradient.
+        self.grad = g.copy() if self.grad is None else self.grad + g
 
     # Shape sugar; the ops themselves live in speechsr.engine.ops.
 
@@ -148,18 +152,105 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a path-style name; always requires gradients."""
+    """Trainable tensor with a path-style name; always requires gradients.
 
-    __slots__ = ("name",)
+    Once laid out (:class:`FlatParams`), ``layout`` is its layout and
+    ``home`` its view of the layout's gradient buffer, where ``backward``
+    accumulates its gradient; ``.grad`` is then None or ``home``.
+    """
+
+    __slots__ = ("name", "layout", "home")
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         if not np.all(np.isfinite(self.data)):
             raise ValueError(f"parameter {name!r} initialized with non-finite values")
         self.name = name
+        self.layout: FlatParams | None = None
+        self.home: np.ndarray | None = None
+
+    def _accumulate(self, g: np.ndarray):
+        if self.home is None:
+            return super()._accumulate(g)
+        if self.grad is None:
+            np.copyto(self.home, g)
+        else:
+            np.add(self.grad, g, out=self.home)
+        self.grad = self.home
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
+
+
+class FlatParams:
+    """A parameter list laid out in one float64 buffer for its values and one
+    for its gradients, in list order.
+
+    Laying out copies each value into ``data`` and rebinds the parameter's
+    ``.data`` to its view there; ``backward`` then accumulates its gradient
+    into its view of ``grad``, so an optimizer, a gradient sum or a process
+    boundary handles one array instead of one per parameter. Since
+    :meth:`zero_grad`, a parameter without a gradient has zeros in ``grad``
+    for as long as only ``backward`` and :meth:`add_grad` set gradients.
+    """
+
+    def __init__(self, params: list[Parameter]):
+        self.params = list(params)
+        offsets = np.cumsum([0, *(p.size for p in self.params)]).tolist()
+        self._bounds = list(zip(offsets[:-1], offsets[1:]))
+        self.data = np.empty(offsets[-1])
+        self.grad = np.zeros_like(self.data)
+        for p, view, home in zip(self.params, self.views(self.data), self.views(self.grad)):
+            view[...] = p.data
+            p.data, p.layout, p.home = view, self, home
+
+    @classmethod
+    def of(cls, params: list[Parameter]) -> FlatParams:
+        """The layout of exactly ``params`` in this order, made if there is none.
+
+        Raises ValueError if a parameter already belongs to another layout.
+        """
+        params = list(params)
+        layout = params[0].layout if params else None
+        if layout is not None and layout.params == params:
+            return layout
+        taken = [p.name for p in params if p.layout is not None]
+        if taken:
+            raise ValueError(f"parameters already laid out with another list: {taken[:3]}")
+        return cls(params)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat``'s slice for each parameter, in list order and in its shape."""
+        return [flat[lo:hi].reshape(p.shape) for p, (lo, hi) in zip(self.params, self._bounds)]
+
+    def zero_grad(self):
+        self.grad[...] = 0.0
+        for p in self.params:
+            p.grad = None
+
+    def grads(self) -> np.ndarray:
+        """``grad``, holding each ``.grad`` (zeros where it is None); a gradient
+        set from elsewhere is copied in, and ``.grad`` becomes its view."""
+        for p in self.params:
+            if p.grad is not p.home:
+                if p.grad is None:
+                    p.home[...] = 0.0
+                else:
+                    p.home[...] = p.grad
+                    p.grad = p.home
+        return self.grad
+
+    def idle(self) -> list[int]:
+        """Indices of the parameters without a gradient."""
+        return [i for i, p in enumerate(self.params) if p.grad is None]
+
+    def add_grad(self, grad: np.ndarray, idle: list[int]):
+        """Add one backward's flat gradient as ``backward`` adds it: ``idle``
+        (its :meth:`idle`) names the parameters it gave no gradient, which
+        keep ``.grad`` None if they had none."""
+        self.grad += grad
+        for i in set(self.idle()).difference(idle):
+            self.params[i].grad = self.params[i].home
 
 
 def _graph_node(t: Tensor):

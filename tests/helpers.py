@@ -185,6 +185,66 @@ def group_norm_silu_oracle(x, gamma, beta, groups: int, eps: float = 1e-5) -> np
     return s * (1.0 / (1.0 + np.exp(-s)))
 
 
+class LoopAdam:
+    """Adam as a loop over the parameters, each with its own moment arrays:
+    the per-element arithmetic the flat optimizer must reproduce bit for bit."""
+
+    def __init__(self, params, lr=6e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr = list(params), lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self.m = {p.name: np.zeros_like(p.data) for p in params}
+        self.v = {p.name: np.zeros_like(p.data) for p in params}
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        for p in self.params:
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m, v = self.m[p.name], self.v[p.name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+
+class LoopEma:
+    """EMA as a loop over the parameters, each with its own shadow array."""
+
+    def __init__(self, params, decay=0.999):
+        self.params, self.decay = list(params), decay
+        self.shadow = {p.name: p.data.copy() for p in params}
+
+    def update(self):
+        for p in self.params:
+            s = self.shadow[p.name]
+            s *= self.decay
+            s += (1.0 - self.decay) * p.data
+
+
+def loop_clip_global_norm(params, max_norm=1.0) -> float:
+    """Global-norm clipping as a loop over the parameters (finite gradients only)."""
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float(np.sum(p.grad * p.grad))
+    norm = float(np.sqrt(total))
+    if norm <= max_norm or norm == 0.0:
+        return 1.0
+    scale = max_norm / norm
+    for p in params:
+        if p.grad is not None:
+            p.grad *= scale
+    return scale
+
+
 def band_lsd(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float, f_hi: float,
              cfg: dsp.FrameConfig = dsp.FrameConfig()) -> float:
     """Log-spectral distance restricted to bins with center freq in [f_lo, f_hi]."""

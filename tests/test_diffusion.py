@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import band_lsd, speechlike
+from helpers import LoopAdam, LoopEma, band_lsd, loop_clip_global_norm, speechlike
 from speechsr import diffusion, networks
 from speechsr.data import Batch
 from speechsr.diffusion import (
@@ -369,6 +369,34 @@ class TestStepWorkers:
         for a, b in zip(state_a, state_b):
             _assert_same_arrays(a, b)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_flat_step_equals_the_per_parameter_loop(self, monkeypatch, count):
+        """Three steps with ``count`` workers on the flat buffers: parameters,
+        moments, EMA, reports and RNG equal an inline step whose Adam, EMA and
+        clip loop over the parameters, by ``np.array_equal``."""
+        batch = _toy_batch(lengths=(2000, 3000, 4000))
+        model = _tiny_model(seed=4)
+        opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+        rng = np.random.default_rng(6)
+        workers = diffusion.StepWorkers(model, count)
+        try:
+            outs = [train_step(model, batch, SCHED, opt, ema, rng, UpsamplingRatio(2),
+                               workers=workers) for _ in range(3)]
+        finally:
+            workers.close()
+        oracle = _tiny_model(seed=4)
+        loop_opt, loop_ema = LoopAdam(oracle.params(), lr=1e-3), LoopEma(oracle.params(), 0.9)
+        loop_rng = np.random.default_rng(6)
+        monkeypatch.setattr(diffusion, "clip_global_norm", loop_clip_global_norm)
+        loop_outs = [train_step(oracle, batch, SCHED, loop_opt, loop_ema, loop_rng,
+                                UpsamplingRatio(2)) for _ in range(3)]
+        assert outs == loop_outs
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        for got, want in zip(_step_state(model, opt, ema), _step_state(oracle, loop_opt, loop_ema)):
+            assert got.keys() == want.keys()
+            for name, arr in want.items():
+                assert np.array_equal(got[name], arr), name
 
     def test_non_finite_worker_loss_leaves_the_earlier_sum(self, monkeypatch):
         """The third item, a worker's second, is NaN: the error names it and its k,

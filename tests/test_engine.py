@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LoopAdam,
+    LoopEma,
     attention_oracle,
     correlate_oracle,
     fd_gradient_check,
@@ -27,6 +29,7 @@ from speechsr.engine import checkpoint
 from speechsr.engine import (
     Adam,
     Ema,
+    FlatParams,
     Parameter,
     Tensor,
     clip_global_norm,
@@ -1283,6 +1286,64 @@ else:
     assert _python(code) == "0"
 
 
+class TestFlatParams:
+    @staticmethod
+    def _params():
+        rng = np.random.default_rng(30)
+        return [Parameter("a", rng.standard_normal((2, 3))), Parameter("b", rng.standard_normal(4)),
+                Parameter("c", np.array([0.5]))]
+
+    def test_one_buffer_each_for_values_and_gradients(self):
+        params = self._params()
+        values = np.concatenate([p.data.ravel() for p in params])
+        flat = FlatParams.of(params)
+        assert FlatParams.of(params) is flat
+        np.testing.assert_array_equal(flat.data, values)
+        params[1].data[2] = 7.0
+        assert flat.data[8] == 7.0
+        a, b, c = params
+        ops.sum_(ops.mul(a, a)).backward()
+        assert a.grad is not None and b.grad is None and c.grad is None
+        np.testing.assert_array_equal(flat.grad, np.concatenate([2 * a.data.ravel(), np.zeros(5)]))
+        with pytest.raises(ValueError, match="already laid out"):
+            FlatParams.of(params[:2])
+
+    def test_added_gradient_keeps_none_where_it_reached_nothing(self):
+        a, b, c = params = self._params()
+        flat = FlatParams.of(params)
+        flat.zero_grad()
+        ops.sum_(a).backward()
+        assert flat.idle() == [1, 2]
+        other = np.arange(flat.grad.size, dtype=np.float64)
+        other[-1] = 0.0
+        flat.add_grad(other, idle=[2])
+        np.testing.assert_array_equal(a.grad, 1.0 + other[:6].reshape(2, 3))
+        np.testing.assert_array_equal(b.grad, other[6:10])
+        assert c.grad is None
+
+    def test_writes_through_the_name_maps_reach_the_update(self):
+        """Values written into ``opt.m``, ``opt.v`` and ``ema.shadow`` in place are
+        the ones the flat update reads: two steps equal a per-parameter loop's."""
+        runs = []
+        for make_opt, make_ema in ((Adam, Ema), (LoopAdam, LoopEma)):
+            params = self._params()
+            opt, ema = make_opt(params, lr=0.05), make_ema(params, 0.5)
+            for i, p in enumerate(params):
+                opt.m[p.name][...] = 0.1 * (i + 1)
+                opt.v[p.name][...] = 0.2 * (i + 1)
+                ema.shadow[p.name][...] = -1.0 - i
+            for step in range(2):
+                for i, p in enumerate(params):
+                    p.grad = np.full(p.shape, 0.3 * (i - step))
+                opt.step()
+                ema.update()
+            runs.append([p.data.copy() for p in params] + [opt.m[p.name].copy() for p in params]
+                        + [opt.v[p.name].copy() for p in params]
+                        + [ema.shadow[p.name].copy() for p in params])
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
+
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         p = Parameter("p", np.array([1.0, -2.0]))
@@ -1366,7 +1427,7 @@ class TestEma:
     def test_geometric_series(self):
         p = Parameter("p", np.array([2.0]))
         ema = Ema([p], decay=0.9)
-        ema.shadow["p"] = np.array([10.0])
+        ema.shadow["p"][...] = 10.0
         for _ in range(7):
             ema.update()
         expected = 10.0 * 0.9**7 + 2.0 * (1 - 0.9**7)

@@ -15,9 +15,10 @@ from conftest import micro_arch, micro_train_config
 from speechsr import diffusion, networks
 from speechsr import train as train_mod
 from speechsr.config import TrainConfig
-from speechsr.data import Manifest, synth_corpus
-from speechsr.diffusion import NoiseSchedule
-from speechsr.engine import load_state, ops
+from speechsr.data import Batch, Manifest, synth_corpus
+from speechsr.diffusion import NoiseSchedule, reverse_infer
+from speechsr.dsp import Waveform
+from speechsr.engine import Adam, Ema, load_state, ops
 from speechsr.errors import ConfigError, NumericsError
 from speechsr.networks import TwoStageModel
 from speechsr.resample import UpsamplingRatio
@@ -302,6 +303,63 @@ class TestStepProcesses:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
+
+    def test_fanned_out_items_split_no_op(self, tmp_path, monkeypatch):
+        """In a 2-process tiny fit on 0.25 s crops, every block-runner call made
+        for a train item, in this process and in the worker, runs as one part,
+        though some have several blocks; an inline step on the same crop and a
+        tiny 1 s reverse_infer still share their blocks out."""
+        log = tmp_path / "blocks.log"
+        run_blocks, backward_item, in_item = ops._run_blocks, diffusion._backward_item, []
+
+        def item(*args):
+            in_item.append(True)
+            try:
+                return backward_item(*args)
+            finally:
+                in_item.pop()
+
+        def counted_blocks(run, blocks):
+            blocks, parts = list(blocks), []
+
+            def counted(part):
+                parts.append(len(part))
+                run(part)
+
+            run_blocks(counted, blocks)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {int(bool(in_item))} {len(blocks)} {len(parts)}\n")
+
+        monkeypatch.setattr(ops, "_workers", lambda: 2)
+        monkeypatch.setattr(diffusion, "_backward_item", item)
+        monkeypatch.setattr(ops, "_run_blocks", counted_blocks)
+        corpus = synth_corpus(tmp_path / "corpus", 2, 0.5, seed=13)
+        cfg = TrainConfig(epochs=1, batch_size=2, crop_seconds=0.25, seed=3)
+        fit(cfg, networks.tiny_arcn_config(), networks.tiny_dparn_config(), SCHED, corpus,
+            corpus, tmp_path / "run")
+        assert multiprocessing.active_children() == []
+        rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        items = [row for row in rows if row[1]]
+        pids = {pid for pid, *_ in items}
+        assert os.getpid() in pids and len(pids) == 2
+        for pid in pids:
+            assert max(blocks for p, _, blocks, _ in items if p == pid) > 1, pid
+        assert {parts for *_, parts in items} == {1}
+
+        model = TwoStageModel(networks.tiny_arcn_config(), networks.tiny_dparn_config(), seed=3)
+        hr = np.random.default_rng(4).standard_normal(4000)
+        for run in ("step", "infer"):
+            log.unlink()
+            if run == "step":
+                diffusion.train_step(model, Batch(hr=(hr,), inp=(hr,), ids=("a",), sample_rate=16000),
+                                     SCHED, Adam(model.params()), Ema(model.params()),
+                                     np.random.default_rng(5), UpsamplingRatio(2))
+            else:
+                reverse_infer(Waveform(np.resize(hr, 8000), 8000), model,
+                              replace(SCHED, inference_steps=1), UpsamplingRatio(2),
+                              rng=np.random.default_rng(5))
+            rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            assert max(parts for *_, parts in rows) == 2, run
 
     def test_rule_fans_out_only_crops_the_engine_does_not_split(self, monkeypatch):
         """A tiny 0.25 s crop runs on every CPU, up to one per item; a tiny 1 s
