@@ -151,16 +151,17 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
     clipped Adam update and EMA refresh. Each utterance's graph is built,
     backpropagated and dropped before the next one's, so a process holds one
     graph at a time. The gradients accumulate in the parameters'
-    :class:`FlatParams` buffer, made here if ``opt`` did not make it.
+    :class:`FlatParams` buffer, made here if ``opt`` did not make it, whose
+    views are the ``.grad`` arrays (zero where ``backward`` did not reach).
 
     With ``workers``, the batch is cut into contiguous parts, one per
     process: this process runs the first, and each worker the next, on the
-    current parameter values, which go to it as one flat array. Each worker
-    utterance's flat gradient is added to the buffer in utterance order,
-    which is the sum ``backward`` forms without workers, so the bits do not
-    depend on the worker count. While the parts run, every process's ops
-    stay on its calling thread (``ops._unsplit``): the processes already
-    fill the CPUs.
+    current parameter values, which go to it as one flat array. A worker
+    replies per utterance with one flat gradient and a report; the gradients
+    are added to the buffer in utterance order, the sum ``backward`` forms
+    without workers, so the bits do not depend on the worker count. While
+    the parts run, every process's ops stay on its calling thread
+    (``ops._unsplit``): the processes already fill the CPUs.
 
     Raises NumericsError on a non-finite loss or gradient norm before Adam or
     the EMA moves; ``.grad`` then holds the sum over the utterances before
@@ -189,8 +190,8 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
         for result in reply:
             if isinstance(result, Exception):
                 raise result
-            grad, idle, report = result
-            flat.add_grad(grad, idle)
+            grad, report = result
+            flat.grad += grad
             reports.append(report)
 
     scale = clip_global_norm(flat.params, clip_norm)
@@ -204,7 +205,7 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
 def _run_part(model: TwoStageModel, flat: FlatParams, sched, ratio, sample_rate, n_items,
               items) -> list:
     """A worker's part of a step: per item, from cleared gradients, a copy of
-    the flat gradient, the :meth:`FlatParams.idle` parameters and the report.
+    the flat gradient (zero where ``backward`` did not reach) and the report.
     An item that raises ends the list with its exception, which the parent
     raises when it reaches that utterance."""
     results = []
@@ -215,7 +216,7 @@ def _run_part(model: TwoStageModel, flat: FlatParams, sched, ratio, sample_rate,
         except Exception as exc:
             results.append(exc)
             break
-        results.append((flat.grad.copy(), flat.idle(), report))
+        results.append((flat.grad.copy(), report))
     return results
 
 

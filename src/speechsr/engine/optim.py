@@ -4,10 +4,11 @@ Adam and the EMA work on their parameter list's :class:`FlatParams` layout,
 made by whichever of them is built first: the values, gradients, Adam
 moments and EMA shadow are one float64 buffer each, in list order, so an
 update is a handful of whole-buffer numpy calls. Each does, element by
-element, what a loop over the parameters does, with the same bits; a
-parameter without a gradient counts as zeros. ``opt.m``, ``opt.v`` and
-``ema.shadow`` map each parameter's name to its view of those buffers, so a
-checkpoint restored through them in place lands in the buffers.
+element, what a loop over the parameters does, with the same bits. Each
+``.grad`` is its view of the gradient buffer, written in place, never
+rebound, and zero where ``backward`` did not reach. ``opt.m``, ``opt.v``
+and ``ema.shadow`` map each parameter's name to its view of those
+buffers, so a checkpoint restored through them in place lands in them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        g, m, v = self.flat.grads(), self._m, self._v
+        g, m, v = self.flat.grad, self._m, self._v
         a, b = self._scratch
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=a)
@@ -69,18 +70,16 @@ def clip_global_norm(params: list[Parameter], max_norm: float = 1.0) -> float:
     """
     total = 0.0
     for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+        total += float(np.sum(p.grad * p.grad))
     norm = float(np.sqrt(total))
     if not np.isfinite(norm):
-        bad = [p.name for p in params if p.grad is not None and not np.all(np.isfinite(p.grad))]
+        bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
         raise NumericsError(f"non-finite gradient norm {norm}; non-finite gradients in {bad}")
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
     for p in params:
-        if p.grad is not None:
-            p.grad *= scale
+        p.grad *= scale
     return scale
 
 

@@ -10,8 +10,9 @@ only what it reads. ``backward`` walks the nodes once in reverse
 topological order. Only leaves keep a gradient: it accumulates into their
 ``.grad`` and persists until the optimizer clears it, so on leaves two
 backward calls equal one backward of the doubled loss; a parameter laid
-out by :class:`FlatParams` accumulates it in its view of the layout's
-gradient buffer. An intermediate result's gradient lives only until the
+out by :class:`FlatParams` keeps its view of the layout's gradient buffer
+as ``.grad``, written in place, never rebound, and zero where ``backward``
+did not reach. An intermediate result's gradient lives only until the
 walk has passed it on to its parents; its ``.grad`` stays None.
 
 The graph is built and walked on the calling thread, and it is
@@ -155,11 +156,11 @@ class Parameter(Tensor):
     """Trainable tensor with a path-style name; always requires gradients.
 
     Once laid out (:class:`FlatParams`), ``layout`` is its layout and
-    ``home`` its view of the layout's gradient buffer, where ``backward``
-    accumulates its gradient; ``.grad`` is then None or ``home``.
+    ``.grad`` its view of the layout's gradient buffer for good: written in
+    place, never rebound, and zero where ``backward`` did not reach.
     """
 
-    __slots__ = ("name", "layout", "home")
+    __slots__ = ("name", "layout")
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
@@ -167,16 +168,11 @@ class Parameter(Tensor):
             raise ValueError(f"parameter {name!r} initialized with non-finite values")
         self.name = name
         self.layout: FlatParams | None = None
-        self.home: np.ndarray | None = None
 
     def _accumulate(self, g: np.ndarray):
-        if self.home is None:
+        if self.layout is None:
             return super()._accumulate(g)
-        if self.grad is None:
-            np.copyto(self.home, g)
-        else:
-            np.add(self.grad, g, out=self.home)
-        self.grad = self.home
+        self.grad += g
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -187,11 +183,11 @@ class FlatParams:
     for its gradients, in list order.
 
     Laying out copies each value into ``data`` and rebinds the parameter's
-    ``.data`` to its view there; ``backward`` then accumulates its gradient
-    into its view of ``grad``, so an optimizer, a gradient sum or a process
-    boundary handles one array instead of one per parameter. Since
-    :meth:`zero_grad`, a parameter without a gradient has zeros in ``grad``
-    for as long as only ``backward`` and :meth:`add_grad` set gradients.
+    ``.data`` to its view there and its ``.grad`` to its view of ``grad``,
+    for good: ``backward`` adds into it, :meth:`zero_grad` fills ``grad``, a
+    gradient set from outside is written in place (``p.grad[...] = g``), and
+    a parameter ``backward`` did not reach reads zeros. An optimizer, a
+    gradient sum or a process boundary handles one array, not one each.
     """
 
     def __init__(self, params: list[Parameter]):
@@ -200,9 +196,9 @@ class FlatParams:
         self._bounds = list(zip(offsets[:-1], offsets[1:]))
         self.data = np.empty(offsets[-1])
         self.grad = np.zeros_like(self.data)
-        for p, view, home in zip(self.params, self.views(self.data), self.views(self.grad)):
+        for p, view, grad in zip(self.params, self.views(self.data), self.views(self.grad)):
             view[...] = p.data
-            p.data, p.layout, p.home = view, self, home
+            p.data, p.grad, p.layout = view, grad, self
 
     @classmethod
     def of(cls, params: list[Parameter]) -> FlatParams:
@@ -224,33 +220,7 @@ class FlatParams:
         return [flat[lo:hi].reshape(p.shape) for p, (lo, hi) in zip(self.params, self._bounds)]
 
     def zero_grad(self):
-        self.grad[...] = 0.0
-        for p in self.params:
-            p.grad = None
-
-    def grads(self) -> np.ndarray:
-        """``grad``, holding each ``.grad`` (zeros where it is None); a gradient
-        set from elsewhere is copied in, and ``.grad`` becomes its view."""
-        for p in self.params:
-            if p.grad is not p.home:
-                if p.grad is None:
-                    p.home[...] = 0.0
-                else:
-                    p.home[...] = p.grad
-                    p.grad = p.home
-        return self.grad
-
-    def idle(self) -> list[int]:
-        """Indices of the parameters without a gradient."""
-        return [i for i, p in enumerate(self.params) if p.grad is None]
-
-    def add_grad(self, grad: np.ndarray, idle: list[int]):
-        """Add one backward's flat gradient as ``backward`` adds it: ``idle``
-        (its :meth:`idle`) names the parameters it gave no gradient, which
-        keep ``.grad`` None if they had none."""
-        self.grad += grad
-        for i in set(self.idle()).difference(idle):
-            self.params[i].grad = self.params[i].home
+        self.grad.fill(0.0)
 
 
 def _graph_node(t: Tensor):

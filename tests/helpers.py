@@ -245,6 +245,16 @@ def loop_clip_global_norm(params, max_norm=1.0) -> float:
     return scale
 
 
+def assert_grad_views(flat, views):
+    """Each ``.grad`` of ``flat``'s parameters is still ``views[i]``: its slice
+    of ``flat.grad`` at its offset in list order, in its shape."""
+    start = flat.grad.ctypes.data
+    for p, view in zip(flat.params, views, strict=True):
+        assert p.grad is view, p.name
+        assert view.shape == p.shape and view.ctypes.data == start, p.name
+        start += view.nbytes
+
+
 def band_lsd(ref: dsp.Waveform, est: dsp.Waveform, f_lo: float, f_hi: float,
              cfg: dsp.FrameConfig = dsp.FrameConfig()) -> float:
     """Log-spectral distance restricted to bins with center freq in [f_lo, f_hi]."""

@@ -9,7 +9,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import LoopAdam, LoopEma, band_lsd, loop_clip_global_norm, speechlike
+from helpers import (
+    LoopAdam,
+    LoopEma,
+    assert_grad_views,
+    band_lsd,
+    loop_clip_global_norm,
+    speechlike,
+)
 from speechsr import diffusion, networks
 from speechsr.data import Batch
 from speechsr.diffusion import (
@@ -369,6 +376,25 @@ class TestStepWorkers:
         for a, b in zip(state_a, state_b):
             _assert_same_arrays(a, b)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_grad_stays_the_buffer_view(self, count):
+        """After a step with ``count`` workers and after ``zero_grad``, each
+        ``.grad`` is the view of ``flat.grad`` that laying out made."""
+        model = _tiny_model(seed=4)
+        opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+        views = [p.grad for p in opt.flat.params]
+        workers = diffusion.StepWorkers(model, count)
+        try:
+            train_step(model, _toy_batch(lengths=(2000, 3000, 4000)), SCHED, opt, ema,
+                       np.random.default_rng(6), UpsamplingRatio(2), workers=workers)
+        finally:
+            workers.close()
+        assert_grad_views(opt.flat, views)
+        assert np.any(opt.flat.grad)
+        opt.zero_grad()
+        assert_grad_views(opt.flat, views)
+        assert not np.any(opt.flat.grad)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_flat_step_equals_the_per_parameter_loop(self, monkeypatch, count):
