@@ -75,6 +75,8 @@ class TrainConfig:
             object.__setattr__(self, "ratio", UpsamplingRatio(self.ratio).ratio)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.sample_rate % self.ratio != 0:
+            raise ConfigError(f"ratio {self.ratio} does not divide sample_rate {self.sample_rate}")
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ class TimeEmbedding(Module):
 @dataclass(frozen=True)
 class ArcnConfig:
     """ARCN sizes; the decoder mirrors the encoder, and the network models the
-    ``frame_len // 2`` bins below Nyquist of the ``frame_ms`` STFT frame."""
+    ``frame_len // 2`` bins below Nyquist of the ``frame_ms`` STFT frame, hopped by a quarter."""
 
     base_channels: int = 64
     input_conv_kernel: int = 7
@@ -207,7 +207,6 @@ class ArcnConfig:
     attention_embed: int = 5
     norm_groups: int = 8
     frame_ms: float = 32.0
-    hop_ms: float = 8.0
     temb_dim: int = 128       # sinusoidal feature count (even)
     temb_out: int = 256       # width after the two linear layers
 
@@ -221,13 +220,13 @@ class ArcnConfig:
             raise ValueError("base_channels must be divisible by norm_groups")
         if self.temb_dim % 2 != 0 or self.temb_dim < 2:
             raise ValueError(f"temb_dim must be even and >= 2, got {self.temb_dim}")
-        FrameConfig(self.frame_ms, self.hop_ms)  # both finite and positive
+        FrameConfig(self.frame_ms)  # finite and positive
 
 
 def tiny_arcn_config(**overrides) -> ArcnConfig:
     """Desk-scale configuration used by tests and the toy overfit run."""
     defaults = dict(base_channels=8, input_conv_kernel=3, encoder_blocks=3, attention_embed=2,
-                    norm_groups=4, frame_ms=8.0, hop_ms=2.0, temb_dim=32, temb_out=48)
+                    norm_groups=4, frame_ms=8.0, temb_dim=32, temb_out=48)
     defaults.update(overrides)
     return ArcnConfig(**defaults)
 
@@ -323,16 +322,18 @@ class Arcn(Module):
         self.out_conv = Conv2d(f"{name}.out_conv", c, 2, k, k, rng, init_scale=0.05)
 
     def frame_geometry(self, sample_rate: int) -> tuple[int, int]:
-        """(frame_len, hop) at ``sample_rate``; the network sees ``frame_len // 2`` bins."""
+        """(frame_len, frame_len // 4) at ``sample_rate``; ARCN sees ``frame_len // 2`` bins."""
         cfg = self.cfg
-        stft = FrameConfig(cfg.frame_ms, cfg.hop_ms)
-        frame_len = stft.frame_len(sample_rate)
+        frame_len = FrameConfig(cfg.frame_ms).frame_len(sample_rate)
         if (frame_len // 2) % (2 ** cfg.encoder_blocks) != 0:
             raise ValueError(
                 f"frame_ms {cfg.frame_ms} gives {frame_len // 2} bins at {sample_rate} Hz,"
                 f" which 2^encoder_blocks = {2 ** cfg.encoder_blocks} does not divide"
             )
-        return frame_len, stft.hop(sample_rate)
+        if frame_len % 4 != 0:
+            raise ValueError(f"frame_ms {cfg.frame_ms} gives {frame_len} samples at"
+                             f" {sample_rate} Hz, whose quarter (the hop) is not whole")
+        return frame_len, frame_len // 4
 
     def lossmap_pyramid(self, ratio: UpsamplingRatio, bins: int) -> list[np.ndarray]:
         """Lossmap rows, one per scale: ones mark bins above the low-rate Nyquist.
@@ -397,28 +398,23 @@ class Arcn(Module):
 
 @dataclass(frozen=True)
 class DparnConfig:
+    """DPARN sizes; frames and chunks overlap by half, so both lengths are even."""
+
     frame_size: int = 256
-    frame_hop: int = 128
     feature_dim: int = 64
     chunk_len: int = 32
-    chunk_hop: int = 16
     num_blocks: int = 2
     attention_embed: int = 16
 
     def __post_init__(self):
-        _check_sizes(self, 1, "frame_size frame_hop feature_dim chunk_len chunk_hop num_blocks"
-                              " attention_embed")
-        if self.chunk_hop > self.chunk_len:
-            raise ValueError("chunk_hop must not exceed chunk_len")
-        if self.chunk_len % self.chunk_hop != 0:
-            raise ValueError("chunk_len must be a multiple of chunk_hop")
-        if self.frame_size % self.frame_hop != 0:
-            raise ValueError("frame_size must be a multiple of frame_hop")
+        _check_sizes(self, 1, "feature_dim num_blocks attention_embed")
+        for name in ("frame_size", "chunk_len"):
+            if getattr(self, name) < 2 or getattr(self, name) % 2 != 0:
+                raise ValueError(f"{name} must be even and at least 2, got {getattr(self, name)}")
 
 
 def tiny_dparn_config(**overrides) -> DparnConfig:
-    defaults = dict(frame_size=256, frame_hop=128, feature_dim=24,
-                    chunk_len=16, chunk_hop=8, attention_embed=8)
+    defaults = dict(frame_size=256, feature_dim=24, chunk_len=16, attention_embed=8)
     defaults.update(overrides)
     return DparnConfig(**defaults)
 
@@ -462,18 +458,19 @@ class Dparn(Module):
         cfg = self.cfg
         if n < cfg.frame_size:
             raise ValueError(f"input length {n} shorter than one frame ({cfg.frame_size})")
+        frame_hop, chunk_hop = cfg.frame_size // 2, cfg.chunk_len // 2
         window = Tensor(hann_window(cfg.frame_size))
-        frames = ops.frame_rows(s_inp, cfg.frame_size, cfg.frame_hop)
+        frames = ops.frame_rows(s_inp, cfg.frame_size, frame_hop)
         h = self.in_proj(ops.mul(frames, window))
         t_frames = h.shape[0]
-        chunks = ops.frame_rows(h, cfg.chunk_len, cfg.chunk_hop)
+        chunks = ops.frame_rows(h, cfg.chunk_len, chunk_hop)
         for block in self.blocks:
             chunks = block(chunks)
-        h = ops.overlap_add_rows(chunks, cfg.chunk_hop, t_frames)
-        h = ops.mul(h, cfg.chunk_hop / cfg.chunk_len)  # constant overlap count
+        h = ops.overlap_add_rows(chunks, chunk_hop, t_frames)
+        h = ops.mul(h, 0.5)  # half-overlapped chunks: each frame is summed twice
         out_frames = ops.mul(self.out_proj(h), window)
-        acc = ops.overlap_add_rows(out_frames, cfg.frame_hop, n)
-        gain = synthesis_gain(t_frames, cfg.frame_size, cfg.frame_hop, n)
+        acc = ops.overlap_add_rows(out_frames, frame_hop, n)
+        gain = synthesis_gain(t_frames, cfg.frame_size, frame_hop, n)
         net = ops.mul(acc, Tensor(gain))
         return ops.add(s_inp, net)
 

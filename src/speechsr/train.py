@@ -1,9 +1,9 @@
 """Training driver: epochs, plateau LR schedule, checkpoints, evaluation.
 
 Checkpoints carry everything needed to resume bit-exactly: parameters,
-Adam moments and step count, the EMA shadow, the plateau scheduler state,
-and the master RNG state. This module alone names their arrays
-(``_state_table``) and meta fields (``CheckpointMeta``). Validation draws its
+Adam moments (Adam's step count is the global step), the EMA shadow, the
+plateau scheduler state, and the master RNG state. This module alone names
+their arrays (``_state_table``) and meta fields (``CheckpointMeta``). Validation draws its
 diffusion step and noise from per-utterance side seeds, so it is
 deterministic across epochs and never advances the training RNG.
 """
@@ -126,7 +126,6 @@ class CheckpointMeta:
     schedule: NoiseSchedule
     epoch: int
     global_step: int
-    adam_step: int
     scheduler: PlateauScheduler
     rng_state: dict
 
@@ -209,14 +208,18 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         out_dir, resume_from=None) -> FitResult:
     """Run the training loop; writes checkpoints, logs, and run metadata.
 
-    Where the crop is small enough (:func:`_step_processes`), ``fit`` forks
-    one :class:`StepWorkers` process per extra CPU, up to one per extra batch
-    item, and each step's utterances are shared among the processes with
-    the same bits as inline. The workers are joined before ``fit`` returns
-    or raises.
+    Adam takes the plateau scheduler's rate before each epoch's steps, so a
+    resumed run trains at its checkpoint's rate. Where the crop is small
+    enough (:func:`_step_processes`), ``fit`` forks one :class:`StepWorkers`
+    process per extra CPU, up to one per extra batch item, and each step's
+    utterances are shared among the processes with the same bits as inline.
+    The workers are joined before ``fit`` returns or raises.
     """
     model = TwoStageModel(arcn_cfg, dparn_cfg, seed=cfg.seed)
     model.arcn.frame_geometry(cfg.sample_rate)  # refuse bad framing before any file exists
+    if (crop := round(cfg.crop_seconds * cfg.sample_rate)) < dparn_cfg.frame_size:
+        raise ConfigError(f"crop_seconds {cfg.crop_seconds} gives {crop} samples, fewer than"
+                          f" one DPARN frame (frame_size {dparn_cfg.frame_size})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ratio = UpsamplingRatio(cfg.ratio)
@@ -225,8 +228,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     scheduler = PlateauScheduler(lr=cfg.learning_rate, factor=cfg.lr_factor,
                                  patience=cfg.plateau_patience)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB47C4]))
-    start_epoch = 0
-    global_step = 0
+    start_epoch = global_step = 0
 
     arch = Arch(arcn_cfg, dparn_cfg)
     processes = _step_processes(model.arcn, cfg)
@@ -236,11 +238,10 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         if meta.arch != arch:
             raise ConfigError("checkpoint architecture differs from configuration")
         _restore(arrays, _state_table(model, opt, ema))
-        opt.step_count = meta.adam_step
         scheduler = meta.scheduler
         rng.bit_generator.state = meta.rng_state
         start_epoch = meta.epoch
-        global_step = meta.global_step
+        global_step = opt.step_count = meta.global_step
 
     run_meta = {"version": __version__, "train_config": asdict(cfg), "arch": asdict(arch),
                 "schedule": asdict(sched), "threads": thread_counts(),
@@ -264,12 +265,13 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
 
     def save(path, epoch):
         meta = CheckpointMeta(__version__, arch, cfg, sched, epoch, global_step,
-                              opt.step_count, scheduler, rng.bit_generator.state)
+                              scheduler, rng.bit_generator.state)
         save_state(path, asdict(meta), _flatten(_state_table(model, opt, ema)))
 
     workers = StepWorkers(model, processes - 1)
     try:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
+            opt.lr = scheduler.lr
             for batch in batcher.epoch(rng):
                 result = train_step(model, batch, sched, opt, ema, rng, ratio,
                                     clip_norm=cfg.clip_norm, workers=workers)
@@ -288,7 +290,6 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
                 val_loss = float(np.mean(vals))
                 improved = scheduler.best is None or val_loss < scheduler.best
                 scheduler.update(val_loss)
-                opt.lr = scheduler.lr
                 val_trace.append(val_loss)
                 lr_trace.append(scheduler.lr)
                 runlog.epoch(epoch, val_loss, scheduler.lr,

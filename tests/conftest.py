@@ -22,12 +22,10 @@ def micro_arch():
         norm_groups=2,
         attention_embed=2,
         frame_ms=8.0,
-        hop_ms=2.0,
         temb_dim=16,
         temb_out=24,
     )
-    dparn = tiny_dparn_config(frame_size=128, frame_hop=64, feature_dim=8,
-                              chunk_len=8, chunk_hop=4, attention_embed=4)
+    dparn = tiny_dparn_config(frame_size=128, feature_dim=8, chunk_len=8, attention_embed=4)
     return arcn, dparn
 
 

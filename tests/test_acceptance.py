@@ -93,13 +93,13 @@ def test_criterion_01_stft_round_trip():
 def _micro_arcn():
     return tiny_arcn_config(
         base_channels=4, encoder_blocks=2, norm_groups=2, attention_embed=2,
-        frame_ms=2.0, hop_ms=0.5, temb_dim=8, temb_out=12,
+        frame_ms=2.0, temb_dim=8, temb_out=12,
     )
 
 
 def _micro_dparn():
-    return tiny_dparn_config(frame_size=32, frame_hop=16, feature_dim=6,
-                             chunk_len=4, chunk_hop=2, attention_embed=3)
+    return tiny_dparn_config(frame_size=32, feature_dim=6,
+                             chunk_len=4, attention_embed=3)
 
 
 def test_criterion_02_gradient_suite():

@@ -47,14 +47,11 @@ arcn.encoder_blocks = 2
 arcn.attention_embed = 2
 arcn.norm_groups = 2
 arcn.frame_ms = 8
-arcn.hop_ms = 2
 arcn.temb_dim = 16
 arcn.temb_out = 24
 dparn.frame_size = 128
-dparn.frame_hop = 64
 dparn.feature_dim = 8
 dparn.chunk_len = 8
-dparn.chunk_hop = 4
 dparn.attention_embed = 4
 """
     replaced = {line.split("=")[0].strip() for line in extra.splitlines()}
@@ -260,12 +257,14 @@ class TestExitCodes:
         "train.learning_rate = nan", "schedule.gamma = nan", "schedule.sigma_max = inf",
         "train.crop_seconds = inf", "train.clip_norm = inf", "train.batch_size = 1.5",
         "train.epochs = 1.5", "dparn.feature_dim = 8.5", "train.ratio = 2.0",
-        "train.sample_rate = 0", "train.plateau_patience = 0",
+        "train.sample_rate = 0", "train.plateau_patience = 0", "train.ratio = 3",
+        "train.crop_seconds = 0.005",
         "arcn.base_channels = 0", "arcn.input_conv_kernel = 0", "arcn.input_conv_kernel = 4",
         "arcn.encoder_blocks = -1", "arcn.bottleneck_blocks = -1", "arcn.attention_embed = 0",
         "arcn.norm_groups = 0", "arcn.norm_groups = -4", "arcn.temb_out = 0",
         "dparn.frame_size = 0", "dparn.frame_hop = 0", "dparn.feature_dim = 0",
         "dparn.chunk_len = 0", "dparn.chunk_hop = 0", "dparn.attention_embed = 0",
+        "dparn.frame_size = 255", "dparn.chunk_len = 7",
     ])
     def test_bad_loop_setting_fails_before_training(self, tmp_path, cli_corpus, capsys, line):
         """An out-of-range, non-finite or mistyped value exits 2 naming its field,
@@ -278,7 +277,7 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("line", ["arcn.frame_ms = nan", "arcn.hop_ms = 3",
-                                      "arcn.encoder_blocks = 7"])
+                                      "arcn.encoder_blocks = 7", "arcn.frame_ms = 0.5625"])
     def test_bad_arcn_framing_fails_before_out_dir(self, tmp_path, cli_corpus, capsys, line):
         """Framing that the network cannot use exits 2 naming the field, before
         ``out_dir``, ``run_meta.json`` or a run log exists."""
@@ -435,6 +434,9 @@ META_DAMAGE = [
     ("arch.arcn.network_bins", 256, "arch.arcn.network_bins"),
     ("epoch", "3", "epoch"),
     ("rng_state.state", _DELETE, "rng_state"),
+    # keys that checkpoints written before the hops and Adam's step were derived carry
+    ("adam_step", 4, "adam_step"),
+    ("arch.dparn.frame_hop", 64, "arch.dparn.frame_hop"),
 ]
 
 

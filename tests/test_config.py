@@ -36,10 +36,9 @@ class TestLoadRunSpec:
 
     @pytest.mark.parametrize("key, value, read", [
         ("frame_ms", 16, lambda a: a.frame_ms),
-        ("hop_ms", 4, lambda a: a.hop_ms),
         ("temb_dim", 32, lambda a: a.temb_dim),
         ("temb_out", 48, lambda a: a.temb_out),
-    ], ids=["frame_ms", "hop_ms", "temb_dim", "temb_out"])
+    ], ids=["frame_ms", "temb_dim", "temb_out"])
     def test_each_arcn_alias_lands_in_its_nested_field(self, tmp_path, key, value, read):
         assert read(_spec(tmp_path, PATHS + f"arcn.{key} = {value}\n").arcn) == value
 

@@ -32,15 +32,13 @@ def micro_arcn_config():
         encoder_blocks=2,
         norm_groups=2,
         frame_ms=2.0,
-        hop_ms=0.5,
         temb_dim=8,
         temb_out=12,
     )
 
 
 def micro_dparn_config():
-    return tiny_dparn_config(frame_size=32, frame_hop=16, feature_dim=6,
-                             chunk_len=4, chunk_hop=2, attention_embed=3)
+    return tiny_dparn_config(frame_size=32, feature_dim=6, chunk_len=4, attention_embed=3)
 
 
 class TestTimeEmbedding:
@@ -352,6 +350,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="frame_ms 8.0 gives 64 bins.*encoder_blocks"):
             net.frame_geometry(16000)
 
+    def test_hop_must_be_a_whole_quarter_frame(self):
+        """9 samples at 16 kHz give 4 bins, which 2^2 divides, but a 2.25-sample hop."""
+        net = Arcn(tiny_arcn_config(encoder_blocks=2, frame_ms=0.5625), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="frame_ms 0.5625 gives 9 samples") as info:
+            net.frame_geometry(16000)
+        assert "hop_ms" not in str(info.value)
+
     def test_bad_chunk_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_dparn_config(chunk_len=10, chunk_hop=20)
+        """Frames and chunks overlap by half, so an odd length is refused by name."""
+        with pytest.raises(ValueError, match="chunk_len must be even and at least 2, got 7"):
+            tiny_dparn_config(chunk_len=7)
+        with pytest.raises(ValueError, match="frame_size must be even and at least 2, got 255"):
+            tiny_dparn_config(frame_size=255)

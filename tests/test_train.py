@@ -49,6 +49,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="validate_every"):
             micro_train_config(validate_every=validate_every)
 
+    def test_ratio_must_divide_the_sample_rate(self):
+        with pytest.raises(ConfigError, match="ratio 3 does not divide sample_rate 16000"):
+            micro_train_config(ratio=3)
+
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ConfigError, match="max_steps"):
             micro_train_config(max_steps=-1)
@@ -132,12 +136,18 @@ class TestFit:
         assert (out / "run_meta.json").exists()
         assert (out / "runlog_steps.csv").exists()
 
-    def test_resume_reproduces_lr_trace_bitwise(self, tmp_path, micro_corpus):
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(plateau_patience=1, learning_rate=0.05),
+    ], ids=["flat", "halved-before-cut"])
+    def test_resume_reproduces_lr_trace_bitwise(self, tmp_path, micro_corpus, overrides):
         arcn, dparn = micro_arch()
-        cfg6 = micro_train_config(epochs=6, seed=9)
+        cfg6 = micro_train_config(epochs=6, seed=9, **overrides)
         full = fit(cfg6, arcn, dparn, SCHED, micro_corpus, micro_corpus,
                    tmp_path / "full")
-        cfg3 = micro_train_config(epochs=3, seed=9)
+        if overrides:  # the rate has fallen before the cut, so the resume must take it up
+            assert full.lr_trace[2] < cfg6.learning_rate
+        cfg3 = micro_train_config(epochs=3, seed=9, **overrides)
         part = fit(cfg3, arcn, dparn, SCHED, micro_corpus, micro_corpus,
                    tmp_path / "part")
         resumed = fit(cfg6, arcn, dparn, SCHED, micro_corpus, micro_corpus,
@@ -228,6 +238,15 @@ class TestFit:
             fit(micro_train_config(), arcn, dparn, SCHED, micro_corpus,
                 micro_corpus, tmp_path / "boom")
         assert (tmp_path / "boom" / "diagnostic.ckpt").exists()
+
+    def test_crop_shorter_than_a_dparn_frame_refused_before_out_dir(self, tmp_path,
+                                                                   micro_corpus):
+        arcn, dparn = micro_arch()
+        with pytest.raises(ConfigError, match=r"crop_seconds 0\.005 gives 80 samples.*"
+                                              r"frame_size 128"):
+            fit(micro_train_config(crop_seconds=0.005), arcn, dparn, SCHED, micro_corpus,
+                micro_corpus, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_resume_arch_mismatch_rejected(self, tmp_path, micro_corpus, micro_run):
         result, _ = micro_run
