@@ -17,11 +17,12 @@ padded input that start on a panel; its last window ends in the product's
 partial tail panel, which a narrow GEMM computes with other bits, so that
 window starts early enough to be as wide as the others. Without a graph
 the padded input is built one block of rows at a time; with one, the vjp
-keeps it whole and builds dX as a forward correlation. The layers are
-primitives, not compositions: ``linear``, ``pointwise_channels``,
-``fir_resample_freq``, the whole-sequence ``gru`` and the fused
-``group_norm_silu`` are one graph node each and add their bias in place;
-``group_norm_silu`` works through its groups in chunks of the same budget.
+keeps it whole, and builds dX as a forward correlation of the upstream
+gradient padded one block of rows at a time. The layers are primitives,
+not compositions: ``linear``, ``pointwise_channels``, ``fir_resample_freq``,
+the whole-sequence ``gru`` and the fused ``group_norm_silu`` are one graph
+node each and add their bias in place; ``group_norm_silu`` works through
+its groups in chunks of the same budget.
 
 The forward passes over whole maps run on every CPU: attention's query
 blocks, im2col's row blocks (forward and dX) with conv2d's bias,
@@ -641,42 +642,34 @@ def _taps_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.nda
     return gw
 
 
-def _zero_pad(a: np.ndarray, pt: int, pf: int) -> np.ndarray:
-    """``a`` (C, H, W) with ``pt`` zero rows and ``pf`` zero columns on each
-    side; a negative pad crops as many instead. One zero fill and one slice
-    copy, which is half of ``np.pad``'s time on conv2d's maps."""
-    c, h, w = a.shape
-    out = np.zeros((c, h + 2 * pt, w + 2 * pf))
-    (dt, st), (df, sf) = ((max(p, 0), max(-p, 0)) for p in (pt, pf))
-    out[:, dt:dt + h - 2 * st, df:df + w - 2 * sf] = a[:, st:h - st, sf:w - sf]
-    return out
-
-
 def conv2d(x, w, b=None, pad=(0, 0)):
     """2-D cross-correlation over (C_in, T, F) with zero padding, stride 1.
 
-    ``w`` has shape (C_out, C_in, kh, kw); ``b`` (C_out,) is added per
-    output channel in place, block by block of the output, so the conv with
-    its bias is one node. The forward takes whichever GEMM layout has the
-    smaller intermediate:
-    im2col's ``(C*kh*kw, Ho*Wo)`` patches, or the ``(kh*kw*O, Hp*Wp)``
-    per-tap responses of :func:`_conv_taps` when ``O*Hp*Wp < C*Ho*Wo``
-    (few output channels, or more input channels than output). im2col's
-    GEMM runs per block of output rows (:func:`_row_blocks`) into its slice
-    of the output, the blocks shared among the block workers, so at most
-    ``CONV_BLOCK_BYTES`` of patches per worker exist at once whatever the
-    input length. The per-tap GEMM runs per window of the flat
+    ``pad`` is the (rows, columns) of zeros per side, each in [0, k - 1]
+    (else ``ValueError``): the layers pad (0, 1) at 1x3, (1, 1) at 3x3 and
+    (3, 3) at 7x7. ``w`` has shape (C_out, C_in, kh, kw); ``b`` (C_out,) is
+    added per output channel in place, block by block of the output, so the
+    conv with its bias is one node. The forward takes whichever GEMM layout
+    has the smaller intermediate: im2col's ``(C*kh*kw, Ho*Wo)`` patches, or
+    the ``(kh*kw*O, Hp*Wp)`` per-tap responses of :func:`_conv_taps` when
+    ``O*Hp*Wp < C*Ho*Wo`` (few output channels, or more input channels than
+    output). im2col's GEMM runs per block of output rows (:func:`_row_blocks`)
+    into its slice of the output, the blocks shared among the block workers,
+    so at most ``CONV_BLOCK_BYTES`` of patches per worker exist at once
+    whatever the input length. The per-tap GEMM runs per window of the flat
     padded input (:func:`_tap_windows`) under the same budget. Windows start
     on a 16-column GEMM panel, and the last one, which ends in the product's
     partial tail panel, is as wide as the others: a tail panel computed by a
-    GEMM narrower than a few thousand columns moves output bits. Without a
-    graph each block's padded rows are copied from the unpadded map into a
-    reused buffer, one per worker; with one, the padded input is built
-    whole, because the vjp keeps it, and the blocks read it. The vjp keeps
-    only the padded input and the kernel:
-    - dX is the forward correlation of the padded upstream gradient with
-      the flipped, transposed kernel, in the layout the same rule picks;
-      it is skipped when x needs no gradient.
+    GEMM narrower than a few thousand columns moves output bits. Every pad is
+    made by :func:`_padded_rows`. Without a graph each block's padded rows are
+    copied into a reused buffer, one per worker; with one, the padded input
+    is built whole, because the vjp keeps it, and the blocks read it; at pad
+    (0, 0), which no layer uses, it is a view of ``x``'s data, not a copy.
+    The vjp keeps only the padded input and the kernel:
+    - dX is the forward correlation of the upstream gradient, padded by
+      ``k - 1 - pad`` per side one block of rows at a time, with the
+      flipped, transposed kernel, in the layout the same rule picks; it is
+      skipped when x needs no gradient.
     - dW is one GEMM per tap (:func:`_taps_weight_grad`) when ``O <= C``,
       so the input's patches are never built. A widening layer
       (``in_conv``, 6 -> 64) accumulates one GEMM per im2col block
@@ -695,6 +688,8 @@ def conv2d(x, w, b=None, pad=(0, 0)):
             raise ValueError(f"bias shape {b.shape} != ({o},)")
         parents = (x, w, b)
     pt, pf = pad
+    if not (0 <= pt < kh and 0 <= pf < kw):
+        raise ValueError(f"conv2d pad {tuple(pad)} outside [0, k - 1] for a {kh}x{kw} kernel")
     c_in, h, f = x.shape
     hp, wp = h + 2 * pt, f + 2 * pf
     if hp < kh or wp < kw:
@@ -702,7 +697,7 @@ def conv2d(x, w, b=None, pad=(0, 0)):
     ho, wo = hp - kh + 1, wp - kw + 1
     wd = w.data
     # The vjp reads the padded input whole; without a graph only blocks of it exist.
-    xp = _zero_pad(x.data, pt, pf) if records(parents) else None
+    xp = _padded_rows(x.data, pt, pf)(0, hp) if records(parents) else None
     bias = None if b is None else b.data
     data = _correlate(x.data, pt, pf, wd, bias) if xp is None else _correlate(xp, 0, 0, wd, bias)
 
@@ -716,13 +711,9 @@ def conv2d(x, w, b=None, pad=(0, 0)):
             for lo, hi in _row_blocks(c_in * kh * kw, ho, wo):
                 gw += g2[:, lo * wo:hi * wo] @ _im2col(xp[:, lo:hi + kh - 1], kh, kw).T
             gw = gw.reshape(wd.shape)
-        gx = None
-        if x_grad:
-            # Padding g by k-1-p per side makes the correlation's output the
-            # unpadded input's shape; a pad wider than k-1 crops g instead.
-            gp = _zero_pad(g, kh - 1 - pt, kw - 1 - pf)
-            flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _correlate(gp, 0, 0, flipped)
+        # Padding g by k-1-p per side gives the correlation the input's shape.
+        flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gx = _correlate(g, kh - 1 - pt, kw - 1 - pf, flipped) if x_grad else None
         return (gx, gw, g.sum((1, 2))) if has_bias else (gx, gw)
 
     return make_result(data, parents, vjp)

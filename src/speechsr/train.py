@@ -220,6 +220,14 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     if (crop := round(cfg.crop_seconds * cfg.sample_rate)) < dparn_cfg.frame_size:
         raise ConfigError(f"crop_seconds {cfg.crop_seconds} gives {crop} samples, fewer than"
                           f" one DPARN frame (frame_size {dparn_cfg.frame_size})")
+    for kind, manifest in (("train", train_manifest), ("valid", valid_manifest)):
+        for e in manifest.entries:  # preprocess keeps every factor-th sample
+            named = f"{kind} manifest entry {e.utt_id!r} ({e.path}, {e.sample_rate} Hz)"
+            factor, rest = divmod(e.sample_rate, cfg.sample_rate)
+            if rest or not factor:
+                raise ConfigError(f"{named}: rate not a multiple of train.sample_rate")
+            if (n := -(-e.n_samples // factor)) < dparn_cfg.frame_size:
+                raise ConfigError(f"{named}: {n} samples at train.sample_rate < dparn.frame_size")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ratio = UpsamplingRatio(cfg.ratio)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from speechsr.cli import main
-from speechsr.data import read_wav, write_wav
+from speechsr.data import (Manifest, ManifestEntry, read_manifest, read_wav, write_manifest,
+                           write_wav)
 from speechsr.dsp import Waveform
 from speechsr.engine import load_state, malloc_settings, save_state, thread_counts
 from speechsr.engine.checkpoint import FORMAT_VERSION, MAGIC
@@ -285,6 +286,24 @@ class TestExitCodes:
                                   extra=line + "\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert line.split(".", 1)[1].split(" ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["train", "valid"])
+    @pytest.mark.parametrize("rate, n", [(16000, 100), (8000, 8000)], ids=["short", "rate"])
+    def test_unusable_manifest_entry_fails_before_out_dir(self, tmp_path, cli_corpus, capsys,
+                                                          kind, rate, n):
+        """An entry shorter than one DPARN frame at the training rate, or at a rate
+        that is not an integer multiple of it, exits 2 naming the entry, before
+        ``out_dir`` exists."""
+        odd = tmp_path / "odd.wav"
+        write_wav(odd, Waveform(0.1 * np.random.default_rng(3).standard_normal(n), rate))
+        entries = read_manifest(cli_corpus / "manifest.tsv").entries
+        write_manifest(tmp_path / "odd.tsv",
+                       Manifest(entries + (ManifestEntry("odd_entry", str(odd), rate, n),)))
+        cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
+                                  extra=f"{kind}_manifest = {tmp_path / 'odd.tsv'}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "odd_entry" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -223,16 +224,11 @@ class TestConv2d:
 
             fd_gradient_check(build, [w, b, xin], rng)
 
-    def test_gradients_match_fd_with_padding_wider_than_the_kernel(self):
-        # The vjp crops the upstream gradient instead of padding it.
-        rng = np.random.default_rng(14)
-        w = Parameter("w", 0.5 * rng.standard_normal((2, 3, 1, 2)))
-        xin = Parameter("x", rng.standard_normal((3, 3, 4)))
-
-        def build():
-            return ops.sum_(ops.abs_(ops.conv2d(xin, w, pad=(1, 2))))
-
-        fd_gradient_check(build, [w, xin], rng)
+    @pytest.mark.parametrize("wshape, pad", [((2, 3, 1, 2), (1, 2)), ((2, 3, 3, 3), (-1, 0))])
+    def test_pad_outside_zero_to_k_minus_one_is_refused(self, wshape, pad):
+        x = Tensor(np.zeros((3, 4, 5)))
+        with pytest.raises(ValueError, match=re.escape(str(pad))):
+            ops.conv2d(x, Tensor(np.zeros(wshape)), pad=pad)
 
     def test_bias_is_added_inside_the_node(self):
         rng = np.random.default_rng(9)
@@ -280,12 +276,11 @@ class TestConv2d:
 
     # (input, kernel, pad, bytes per block): a short last block at kh 1, 3
     # and 7, where Wo = 12 and Wo = 8 take blocks in multiples of 4 and 2
-    # rows (whole 16-column panels), and a pad wider than k - 1.
+    # rows (whole 16-column panels).
     BLOCK_CASES = [
         ((4, 37, 16), (4, 4, 1, 3), (0, 1), 5 * 8 * 12 * 16),
         ((4, 36, 12), (4, 4, 3, 3), (1, 1), 8 * 8 * 36 * 12),
         ((3, 40, 8), (3, 3, 7, 7), (3, 3), 6 * 8 * 147 * 8),
-        ((4, 30, 11), (4, 4, 3, 2), (4, 3), 5 * 8 * 24 * 16),
     ]
 
     @pytest.mark.parametrize("one_panel", [False, True], ids=["blocks", "one_panel"])
@@ -314,12 +309,9 @@ class TestConv2d:
 
         g = rng.standard_normal(out.shape)
         gx = out._node.vjp(g)[0]
-        # dX correlates g, padded by k-1-p per side or cropped where p > k-1,
-        # with the flipped, transposed kernel.
-        et, ef = kh - 1 - pt, kw - 1 - pf
-        gp = np.pad(g, ((0, 0), (max(et, 0),) * 2, (max(ef, 0),) * 2))
-        ct, cf = max(-et, 0), max(-ef, 0)
-        gp = gp[:, ct:gp.shape[1] - ct, cf:gp.shape[2] - cf]
+        # dX correlates g, padded by k-1-p per side, with the flipped,
+        # transposed kernel.
+        gp = np.pad(g, ((0, 0), (kh - 1 - pt,) * 2, (kw - 1 - pf,) * 2))
         flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         assert np.array_equal(gx, correlate_oracle(gp, flipped))
 
@@ -425,7 +417,9 @@ class TestConv2d:
         assert peak < out.data.nbytes + 2 * ops.CONV_BLOCK_BYTES
 
     def test_input_gradient_transient_is_bounded_by_the_block(self):
-        """dX of an 8->8 1x3 conv on 4,000 rows: its whole patch matrix is 49 MB."""
+        """dX of an 8->8 1x3 conv on 4,000 rows: its whole patch matrix is 49 MB
+        and the whole padded gradient 17 MB; neither is built. Each extra block
+        worker holds one more block."""
         rng = np.random.default_rng(18)
         x = Parameter("x", rng.standard_normal((8, 4000, 64)))
         w = Parameter("w", rng.standard_normal((8, 8, 1, 3)))
@@ -433,8 +427,7 @@ class TestConv2d:
         g = rng.standard_normal(out.shape)
         peak, (gx, gw) = self._traced_peak(lambda: out._node.vjp(g))
         assert gx.shape == x.shape and gw.shape == w.shape
-        padded = 8 * 4000 * 66 * 8  # g padded by one column per side
-        assert peak < gx.nbytes + padded + 2 * ops.CONV_BLOCK_BYTES
+        assert peak < gx.nbytes + (1 + ops._workers()) * ops.CONV_BLOCK_BYTES
 
     def test_widening_weight_gradient_transient_is_bounded_by_the_block(self):
         """dW of a 6->64 7x7 conv on 400 rows: its whole patch matrix is 60 MB."""

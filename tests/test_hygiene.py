@@ -1,7 +1,10 @@
-"""Source hygiene: no unused imports and no engine op that nothing calls.
+"""Source hygiene: no unused imports, no engine op that nothing calls and no
+package definition that nothing references.
 
 Imports are checked in the package, the tests and the benchmark scripts;
-engine ops must be called from the package or the acceptance test.
+engine ops must be called from the package or the acceptance test, and
+the package's module-level functions and classes referenced from the
+package, the benchmark scripts or the acceptance test.
 """
 
 import ast
@@ -86,3 +89,50 @@ def test_every_op_is_called():
     called = set().union(*(_called_names(ast.parse(p.read_text()), p.resolve() == ops_path)
                            for p in paths))
     assert sorted(names - called) == []
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _referenced_names(tree: ast.Module, skip_own_defs: bool) -> set[str]:
+    """Names read as ``<name>``, ``<anything>.<name>`` or imported as ``<name>``.
+
+    With ``skip_own_defs`` (for the package's modules) a reference inside
+    the top-level def or class of the same name is no reference to it.
+    """
+    referenced = set()
+    for top in tree.body:
+        own = top.name if skip_own_defs and isinstance(top, DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            else:
+                continue
+            if name != own:
+                referenced.add(name)
+    return referenced
+
+
+def test_every_definition_is_referenced():
+    """Each module-level function and class of the package is referenced
+    outside its own definition, from the package, the benchmark scripts or
+    ``tests/test_acceptance.py`` (whose criterion 1 calls ``dsp.istft``): a
+    definition that only its own unit tests reach is dead code.
+
+    Names, attributes and import aliases count, so a function handed over by
+    name (``os.register_at_fork(after_in_child=_forget_pool)``) is referenced;
+    a name in a docstring or comment is not.
+    """
+    package = sorted(PACKAGE.rglob("*.py"))
+    readers = (package + sorted((ROOT / "bench").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    trees = {p: ast.parse(p.read_text()) for p in readers}
+    defined = {p: {node.name for node in trees[p].body if isinstance(node, DEFS)} for p in package}
+    referenced = set().union(*(_referenced_names(tree, p in defined) for p, tree in trees.items()))
+    unreferenced = [f"{_ident(p)}::{name}" for p in package
+                    for name in sorted(defined[p] - referenced)]
+    assert unreferenced == []
