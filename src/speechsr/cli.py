@@ -21,7 +21,7 @@ from .data import read_manifest, read_wav, synth_corpus, write_wav
 from .diffusion import NoiseSchedule, reverse_infer, sigma
 from .dsp import FrameConfig, Waveform, normalize, stft
 from .errors import ConfigError, DegenerateInputError, NumericsError, WavFormatError
-from .resample import UpsamplingRatio, simulate_lr
+from .resample import FILTER_KINDS, UpsamplingRatio, simulate_lr
 from .train import evaluate, fit, load_model, write_report
 
 
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write LR and interpolated wavs for a manifest")
     p.add_argument("--in", dest="manifest", required=True)
     p.add_argument("--ratio", type=int, required=True)
-    p.add_argument("--filter", choices=("chebyshev", "bessel"), default="chebyshev")
+    p.add_argument("--filter", choices=FILTER_KINDS, default="chebyshev")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="run the training loop from a config file")
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--ratio", type=int, required=True)
-    p.add_argument("--filter", choices=("chebyshev", "bessel"), default="chebyshev")
+    p.add_argument("--filter", choices=FILTER_KINDS, default="chebyshev")
     p.add_argument("--report", required=True)
     p.add_argument("--seed", type=int, default=0)
 

@@ -29,7 +29,7 @@ from typing import get_args, get_type_hints
 from .diffusion import NoiseSchedule
 from .errors import ConfigError
 from .networks import ArcnConfig, DparnConfig
-from .resample import UpsamplingRatio
+from .resample import FILTER_KINDS, UpsamplingRatio
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class TrainConfig:
             raise ConfigError("validate_every must be at least 1")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be nonnegative (0 means no cap)")
-        if self.filter_kind not in ("chebyshev", "bessel"):
+        if self.filter_kind not in FILTER_KINDS:
             raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
         try:
             object.__setattr__(self, "ratio", UpsamplingRatio(self.ratio).ratio)

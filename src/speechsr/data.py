@@ -23,13 +23,7 @@ import numpy as np
 
 from .dsp import Waveform, normalize
 from .errors import WavFormatError
-from .resample import (
-    UpsamplingRatio,
-    decimate,
-    design_lowpass,
-    iir_apply_zero_phase,
-    simulate_lr,
-)
+from .resample import UpsamplingRatio, downsample, simulate_lr
 
 # ---------------------------------------------------------------------------
 # WAV files
@@ -95,6 +89,8 @@ class Manifest:
     entries: tuple[ManifestEntry, ...]
 
     def __post_init__(self):
+        if not self.entries:
+            raise ValueError("empty manifest: no entries")
         ids = [e.utt_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate utterance ids in manifest")
@@ -129,7 +125,10 @@ def read_manifest(path) -> Manifest:
         if not Path(wav_path).exists():
             raise FileNotFoundError(f"{path}:{ln}: missing file {wav_path}")
         entries.append(ManifestEntry(utt_id, wav_path, int(rate), int(n)))
-    return Manifest(tuple(entries))
+    try:
+        return Manifest(tuple(entries))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +137,17 @@ def read_manifest(path) -> Manifest:
 
 
 def preprocess(w: Waveform, target_rate: int) -> Waveform:
-    """Integer-factor downsample to ``target_rate`` (if needed) and normalize."""
+    """Integer-factor downsample to ``target_rate`` (if needed) and normalize.
+
+    A fractional factor is refused here: 24 -> 16 kHz would reach ``downsample`` as 1.
+    """
     if w.sample_rate == target_rate:
         return normalize(w)[0]
     if w.sample_rate < target_rate or w.sample_rate % target_rate != 0:
         raise ValueError(
             f"unsupported resampling {w.sample_rate} -> {target_rate} Hz (non-integer factor)"
         )
-    factor = w.sample_rate // target_rate
-    filtered = iir_apply_zero_phase(design_lowpass("chebyshev", 1.0 / factor), w)
-    down = decimate(filtered, UpsamplingRatio(factor))
-    return normalize(down)[0]
+    return normalize(downsample(w, w.sample_rate // target_rate, "chebyshev"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +280,6 @@ class Batcher:
 
     def __init__(self, manifest: Manifest, batch_size: int, crop_s: float,
                  ratio: UpsamplingRatio, kind: str, sample_rate: int = 16000):
-        if len(manifest) == 0:
-            raise ValueError("empty manifest")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self.manifest = manifest

@@ -21,7 +21,7 @@ from .engine import FlatParams, Tensor, clip_global_norm, no_grad, ops
 from .errors import NumericsError
 from .networks import TwoStageModel
 from .objectives import LossReport, lambda_weight, loss_pred, loss_tf
-from .resample import UpsamplingRatio, cubic_spline_upsample, resample_chain
+from .resample import UpsamplingRatio, cubic_spline_upsample, simulate_lr
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,15 @@ def repaint(x0t: np.ndarray, s_inp: np.ndarray, sample_rate: int,
             ratio: UpsamplingRatio, kind: str = "chebyshev") -> np.ndarray:
     """Keep the estimate's high band, replace its low band with s_inp.
 
-    x0t' = s_inp + (x0t - Resample(x0t)).
+    x0t' = s_inp + (x0t - Resample(x0t)), where Resample(x0t) is the
+    interpolated output of :func:`~speechsr.resample.simulate_lr` on the
+    estimate: the same chain that made s_inp from the HR signal.
     """
     x0t = np.asarray(x0t, dtype=np.float64)
     s_inp = np.asarray(s_inp, dtype=np.float64)
     if x0t.shape != s_inp.shape:
         raise ValueError(f"length mismatch: {x0t.shape} vs {s_inp.shape}")
-    low = resample_chain(Waveform(x0t, sample_rate), ratio, kind)
+    low = simulate_lr(Waveform(x0t, sample_rate), ratio, kind)[1]
     return s_inp + (x0t - low.samples)
 
 

@@ -1,8 +1,9 @@
 """Low-resolution signal simulation and the resampling operator.
 
-The simulation chain is: IIR lowpass at the target Nyquist, decimation by
-an integer ratio, then natural-cubic-spline interpolation back to the
-original grid. The lowpass is a Chebyshev type I or a Bessel design from
+The simulation chain is :func:`downsample` (IIR lowpass at the target
+Nyquist, then every ratio-th sample) and natural-cubic-spline interpolation
+back to the original grid; preprocessing and repainting run the same code.
+The lowpass is a Chebyshev type I or a Bessel design from
 :mod:`scipy.signal` (bilinear transform, pre-warped so the cutoff lands
 exactly), held as second-order sections.
 
@@ -28,6 +29,7 @@ from .dsp import Waveform
 CHEBY_ORDER = 8
 CHEBY_RIPPLE_DB = 0.05
 BESSEL_ORDER = 5
+FILTER_KINDS = ("chebyshev", "bessel")
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ def design_lowpass(kind: str, cutoff_norm: float) -> np.ndarray:
 
     ``cutoff_norm`` is a fraction of Nyquist: the Chebyshev passband edge or
     the Bessel -3 dB point. Designs are memoised per ``(kind, cutoff_norm)``;
-    callers must not modify the returned array.
+    callers must not modify the returned array. The benchmark's tracer
+    counts designs through this module attribute.
     """
     from scipy import signal
 
@@ -58,7 +61,7 @@ def design_lowpass(kind: str, cutoff_norm: float) -> np.ndarray:
         return signal.cheby1(CHEBY_ORDER, CHEBY_RIPPLE_DB, cutoff_norm, output="sos")
     if kind == "bessel":
         return signal.bessel(BESSEL_ORDER, cutoff_norm, norm="mag", output="sos")
-    raise ValueError(f"unknown filter kind {kind!r} (expected 'chebyshev' or 'bessel')")
+    raise ValueError(f"unknown filter kind {kind!r} (expected one of {FILTER_KINDS})")
 
 
 def iir_apply_zero_phase(sos: np.ndarray, w: Waveform) -> Waveform:
@@ -68,7 +71,7 @@ def iir_apply_zero_phase(sos: np.ndarray, w: Waveform) -> Waveform:
     forward and backward from zero state; the reflection suppresses
     start-up transients. Unlike ``scipy.signal.sosfiltfilt``, neither pass
     starts from steady-state initial conditions, which would change the
-    output of inputs shorter than the extension.
+    output of inputs shorter than the extension, as the tests check.
     """
     from scipy import signal
 
@@ -83,14 +86,15 @@ def iir_apply_zero_phase(sos: np.ndarray, w: Waveform) -> Waveform:
     return Waveform(y[pad:pad + x.size], w.sample_rate)
 
 
-def decimate(w: Waveform, ratio: UpsamplingRatio) -> Waveform:
-    """Keep every ratio-th sample (caller is responsible for anti-aliasing)."""
-    r = ratio.ratio
-    if r == 1:
-        return w
-    if w.sample_rate % r != 0:
-        raise ValueError(f"sample rate {w.sample_rate} not divisible by ratio {r}")
-    return Waveform(w.samples[::r].copy(), w.sample_rate // r)
+def downsample(w: Waveform, factor: int, kind: str) -> Waveform:
+    """Zero-phase ``kind`` lowpass at 1 / factor of Nyquist, then every factor-th sample.
+
+    ``factor`` must exceed 1: :func:`design_lowpass` refuses a cutoff at Nyquist.
+    """
+    if w.sample_rate % factor != 0:
+        raise ValueError(f"sample rate {w.sample_rate} not divisible by factor {factor}")
+    filtered = iir_apply_zero_phase(design_lowpass(kind, 1.0 / factor), w)
+    return Waveform(filtered.samples[::factor].copy(), w.sample_rate // factor)
 
 
 def cubic_spline_upsample(w: Waveform, ratio: UpsamplingRatio) -> Waveform:
@@ -98,7 +102,8 @@ def cubic_spline_upsample(w: Waveform, ratio: UpsamplingRatio) -> Waveform:
 
     Knots sit at integer indices; outputs are taken at k/ratio for
     k = 0..(n*ratio - 1), extrapolating the last polynomial piece beyond the
-    final knot.
+    final knot. Ratio 1 returns ``w`` itself: ``reverse_infer`` calls this
+    with the caller's ratio, which may be 1.
     """
     r = ratio.ratio
     if r == 1:
@@ -120,28 +125,14 @@ def simulate_lr(hr: Waveform, ratio: UpsamplingRatio,
     the original length).
     """
     r = ratio.ratio
-    if hr.sample_rate % r != 0:
-        raise ValueError(f"sample rate {hr.sample_rate} not divisible by ratio {r}")
-    if kind not in ("chebyshev", "bessel"):
-        raise ValueError(f"unknown filter kind {kind!r} (expected 'chebyshev' or 'bessel')")
+    if kind not in FILTER_KINDS:
+        raise ValueError(f"unknown filter kind {kind!r} (expected one of {FILTER_KINDS})")
     if r == 1:
-        # Nothing to remove; a cutoff at Nyquist itself would only stamp the
-        # ripple floor onto the whole band.
+        # Nothing to remove, and design_lowpass refuses a cutoff at Nyquist
+        # itself, which would only stamp the ripple floor onto the whole band.
         copy = Waveform(hr.samples.copy(), hr.sample_rate)
         return copy, Waveform(hr.samples.copy(), hr.sample_rate)
-    filtered = iir_apply_zero_phase(design_lowpass(kind, 1.0 / r), hr)
-    s_lr = decimate(filtered, ratio)
+    s_lr = downsample(hr, r, kind)
     # The spline yields ceil(n / r) * r >= n samples; keep the first n.
     s_up = cubic_spline_upsample(s_lr, ratio)
     return s_lr, Waveform(s_up.samples[:len(hr)], hr.sample_rate)
-
-
-def resample_chain(w: Waveform, ratio: UpsamplingRatio,
-                   kind: str = "chebyshev") -> Waveform:
-    """Filter -> decimate -> spline-upsample, back at the caller's rate.
-
-    This is the operator the repainting step subtracts to split a signal
-    into its low-band (kept) and high-band (replaced) parts.
-    """
-    _, s_inp = simulate_lr(w, ratio, kind)
-    return s_inp

@@ -23,7 +23,7 @@ from . import __version__
 from .config import Arch, TrainConfig, from_dict
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import NoiseSchedule, StepWorkers, reverse_infer, train_step, validation_loss
-from .dsp import FrameConfig, n_frames_for, stft
+from .dsp import FrameConfig, Waveform, n_frames_for, stft
 from .engine import Adam, Ema, load_state, malloc_settings, ops, save_state, thread_counts
 from .errors import ConfigError, NumericsError
 from .networks import Arcn, ArcnConfig, DparnConfig, TwoStageModel
@@ -350,6 +350,8 @@ def evaluate_model(model, manifest: Manifest, ratio: UpsamplingRatio,
         s_lr, s_inp = simulate_lr(hr, ratio, eval_kind)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, i]))
         s_hat = reverse_infer(s_lr, model, sched, ratio, repaint_kind, rng)
+        # Of the ceil(n / r) * r samples, keep the first n, as simulate_lr does.
+        s_hat = Waveform(s_hat.samples[:len(hr)], hr.sample_rate)
         ref_spec = stft(hr, METRIC_STFT)
         reports = []
         for est in (s_hat, s_inp):

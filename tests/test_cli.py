@@ -11,12 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechsr.cli import main
+from speechsr.cli import build_parser, main
+from speechsr.config import TrainConfig
 from speechsr.data import (Manifest, ManifestEntry, read_manifest, read_wav, write_manifest,
                            write_wav)
 from speechsr.dsp import Waveform
 from speechsr.engine import load_state, malloc_settings, save_state, thread_counts
 from speechsr.engine.checkpoint import FORMAT_VERSION, MAGIC
+from speechsr.errors import ConfigError
+from speechsr.resample import FILTER_KINDS
 from speechsr.train import META_KEYS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -305,6 +308,37 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "odd_entry" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["train", "valid"])
+    def test_empty_manifest_fails_before_out_dir(self, tmp_path, cli_corpus, capsys, kind):
+        """A manifest with no entries exits 2 naming its file, before ``out_dir`` exists."""
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
+                                  extra=f"{kind}_manifest = {empty}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert str(empty) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_evaluate_refuses_an_empty_manifest(self, cli_run, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        assert main(["evaluate", "--ckpt", str(cli_run / "best.ckpt"), "--manifest", str(empty),
+                     "--ratio", "2", "--report", str(tmp_path / "r.csv")]) == 2
+        assert str(empty) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+
+def test_filter_choices_are_the_filter_kinds():
+    """The CLI and the training config accept exactly ``resample.FILTER_KINDS``."""
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command in ("simulate", "evaluate"):
+        (flag,) = [a for a in subcommands[command]._actions if a.dest == "filter"]
+        assert tuple(flag.choices) == FILTER_KINDS
+    for kind in FILTER_KINDS:
+        assert TrainConfig(filter_kind=kind).filter_kind == kind
+    with pytest.raises(ConfigError, match="unknown filter kind"):
+        TrainConfig(filter_kind="butterworth")
 
 
 def _drop(prefix):

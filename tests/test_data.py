@@ -1,5 +1,6 @@
 """Tests for WAV I/O, manifests, preprocessing, corpus synthesis, batching."""
 
+import re
 import struct
 
 import numpy as np
@@ -118,6 +119,10 @@ class TestWav:
 
 
 class TestManifest:
+    def test_empty_manifest_rejected(self):
+        with pytest.raises(ValueError, match="empty manifest"):
+            Manifest(())
+
     def test_roundtrip(self, tmp_path):
         wav = tmp_path / "a.wav"
         write_wav(wav, Waveform(np.zeros(100), 16000))
@@ -134,6 +139,16 @@ class TestManifest:
                 ManifestEntry("a", "x.wav", 16000, 10),
                 ManifestEntry("a", "y.wav", 16000, 10),
             ))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty manifest"), ("a\ta.wav\t16000\t100\na\ta.wav\t16000\t100\n", "duplicate"),
+    ])
+    def test_read_refusals_name_the_file(self, tmp_path, text, message):
+        write_wav(tmp_path / "a.wav", Waveform(np.zeros(100), 16000))
+        path = tmp_path / "m.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            read_manifest(path)
 
     def test_missing_file_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -178,6 +193,9 @@ class TestPreprocess:
     def test_non_integer_factor_rejected(self):
         with pytest.raises(ValueError):
             preprocess(Waveform(np.zeros(100), 44100), 16000)
+        # 24 / 16 floors to a factor of 1, which downsample would refuse as a cutoff.
+        with pytest.raises(ValueError, match="non-integer factor"):
+            preprocess(Waveform(np.zeros(100), 24000), 16000)
 
     def test_empty_input_says_so(self):
         with pytest.raises(ValueError, match="empty waveform"):
@@ -252,7 +270,3 @@ class TestBatcher:
                           kind="chebyshev")
         ids = [i for b in batcher.epoch(np.random.default_rng(1)) for i in b.ids]
         assert sorted(ids) == [f"u{i}" for i in range(5)]
-
-    def test_empty_manifest_rejected(self):
-        with pytest.raises(ValueError):
-            Batcher(Manifest(()), 2, 1.0, UpsamplingRatio(2), "chebyshev")

@@ -126,21 +126,18 @@ class TestUpsamplingRatio:
         assert r.ratio == 2 and type(r.ratio) is int
 
 
-class TestDecimate:
-    def test_ratio_one_identity(self):
-        w = dsp.Waveform(np.arange(10.0), 16000)
-        assert resample.decimate(w, UpsamplingRatio(1)) is w
+class TestDownsample:
+    @pytest.mark.parametrize("kind", ["chebyshev", "bessel"])
+    def test_lowpass_then_every_factor_th_sample(self, kind):
+        w = speechlike(48000, rate=48000)
+        y = resample.downsample(w, 3, kind)
+        ref = resample.iir_apply_zero_phase(resample.design_lowpass(kind, 1 / 3), w).samples[::3]
+        assert y.samples.tobytes() == ref.tobytes()
+        assert y.sample_rate == 16000 and len(y) == 16000
 
-    def test_keeps_every_other(self):
-        w = dsp.Waveform(np.array([0.0, 1, 2, 3, 4, 5]), 16000)
-        y = resample.decimate(w, UpsamplingRatio(2))
-        np.testing.assert_array_equal(y.samples, [0, 2, 4])
-        assert y.sample_rate == 8000
-
-    def test_length_and_rate(self):
-        w = dsp.Waveform(np.zeros(16000), 16000)
-        y = resample.decimate(w, UpsamplingRatio(2))
-        assert len(y) == 8000 and y.sample_rate == 8000
+    def test_indivisible_rate_rejected(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            resample.downsample(dsp.Waveform(np.zeros(100), 16000), 3, "chebyshev")
 
 
 class TestCubicSplineUpsample:
@@ -212,13 +209,15 @@ class TestSimulateLr:
         with pytest.raises(ValueError, match="empty waveform"):
             resample.simulate_lr(empty, UpsamplingRatio(2))
         with pytest.raises(ValueError, match="empty waveform"):
-            resample.resample_chain(empty, UpsamplingRatio(2))
+            resample.downsample(empty, 2, "chebyshev")
         sos = resample.design_lowpass("chebyshev", 0.5)
         one = resample.iir_apply_zero_phase(sos, dsp.Waveform(np.ones(1), 16000))
         assert len(one) == 1
 
 
 class TestResampleChain:
+    """The repainting operator: ``simulate_lr``'s interpolated output."""
+
     def test_lowband_signal_passes(self):
         """Signal below 0.8 * LR Nyquist survives with low-bin LSD < 0.15."""
         n = 32000
@@ -229,21 +228,21 @@ class TestResampleChain:
         x = np.fft.irfft(spec, n=n)
         x /= np.std(x)
         w = dsp.Waveform(x, 16000)
-        y = resample.resample_chain(w, UpsamplingRatio(2))
+        y = resample.simulate_lr(w, UpsamplingRatio(2))[1]
         assert band_lsd(w, y, 0.0, 3200.0) < 0.15
 
     def test_ratio_one_near_identity(self):
         w = speechlike(16000, seed=3)
-        y = resample.resample_chain(w, UpsamplingRatio(1))
+        y = resample.simulate_lr(w, UpsamplingRatio(1))[1]
         assert band_lsd(w, y, 0.0, 6400.0) < 0.1
 
     def test_zeros_fixed_point(self):
         w = dsp.Waveform(np.zeros(8000), 16000)
-        y = resample.resample_chain(w, UpsamplingRatio(2))
+        y = resample.simulate_lr(w, UpsamplingRatio(2))[1]
         assert np.all(y.samples == 0)
 
     def test_approximate_idempotence(self):
         w = speechlike(32000, seed=9)
-        once = resample.resample_chain(w, UpsamplingRatio(2))
-        twice = resample.resample_chain(once, UpsamplingRatio(2))
+        once = resample.simulate_lr(w, UpsamplingRatio(2))[1]
+        twice = resample.simulate_lr(once, UpsamplingRatio(2))[1]
         assert band_lsd(once, twice, 0.0, 0.8 * 4000.0) < 0.15

@@ -15,7 +15,7 @@ from conftest import micro_arch, micro_train_config
 from speechsr import diffusion, networks
 from speechsr import train as train_mod
 from speechsr.config import TrainConfig
-from speechsr.data import Batch, Manifest, synth_corpus
+from speechsr.data import Batch, Manifest, ManifestEntry, read_wav, synth_corpus, write_wav
 from speechsr.diffusion import NoiseSchedule, reverse_infer
 from speechsr.dsp import Waveform
 from speechsr.engine import Adam, Ema, load_state, ops
@@ -442,3 +442,17 @@ class TestEvaluate:
         for a, b in zip(r1, r2):
             assert a.baseline == b.baseline
         assert any(a.metrics != b.metrics for a, b in zip(r1, r2))
+
+    def test_odd_length_utterance_scores(self, micro_corpus, tmp_path):
+        """reverse_infer returns ceil(n / r) * r samples; the first n are scored."""
+        entry = micro_corpus.entries[0]
+        w = read_wav(entry.path)
+        odd = Waveform(np.append(w.samples, w.samples[-1]), w.sample_rate)
+        path = tmp_path / "odd.wav"
+        write_wav(path, odd)
+        manifest = Manifest((ManifestEntry("odd", str(path), odd.sample_rate, len(odd)),))
+        assert len(odd) % 2 == 1
+        model = TwoStageModel(*micro_arch(), seed=1)
+        (row,) = evaluate_model(model, manifest, UpsamplingRatio(2), "chebyshev",
+                                "chebyshev", NoiseSchedule(inference_steps=2), 16000, seed=0)
+        assert np.isfinite(row.metrics.sisnr_db) and np.isfinite(row.metrics.lsd_db)
