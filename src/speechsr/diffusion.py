@@ -321,7 +321,9 @@ def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
 
     Shallow-diffusion initialization (start from the predictive estimate)
     followed by ``sched.inference_steps`` denoising steps, each repainted so
-    the low band stays pinned to the interpolated input.
+    the low band stays pinned to the interpolated input. Raises
+    NumericsError naming the step and its ``t`` when ARCN's estimate is
+    not finite.
     """
     if rng is None:
         raise ValueError("reverse_infer needs an explicit Generator for determinism")
@@ -332,8 +334,10 @@ def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
     with no_grad():
         s_pred = model.dparn.forward(Tensor(inp)).data
         x0 = s_pred
-        for t in inference_time_grid(sched):
+        for i, t in enumerate(inference_time_grid(sched)):
             x_t = forward_sample(x0, inp, t, rng.standard_normal(n), sched)
             x0 = model.arcn.forward(x_t, s_pred, inp, ratio, t * sched.total_steps, rate).data
+            if not np.isfinite(x0).all():
+                raise NumericsError(f"non-finite ARCN estimate at reverse step {i} (t={t})")
             x0 = repaint(x0, inp, rate, ratio, kind)
     return Waveform(x0, rate)

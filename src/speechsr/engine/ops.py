@@ -346,23 +346,17 @@ def concat(tensors, axis=0):
     return make_result(data, tuple(tensors), vjp)
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a):
+    """The sum of every element."""
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
     a_shape = a.shape
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a_shape).copy(),)
-
-    return make_result(data, (a,), vjp)
+    return make_result(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a_shape).copy(),))
 
 
-def mean_(a, axis=None, keepdims=False):
+def mean_(a):
+    """The mean of every element."""
     a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(sum_(a), 1.0 / a.size)
 
 
 def abs_(a):
@@ -893,18 +887,18 @@ def fir_resample_freq(x, direction: str):
     return make_result(data, (x,), vjp)
 
 
-def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
+def group_norm_silu(x, gamma, beta, groups: int):
     """``silu(x̂·γ + β)``, x̂ standardized per group over (channels-in-group, T, F).
 
     One node. The statistics are those of ``np.var``, bit for bit: centre
-    once, then the mean square of the centred values. The groups are worked
-    through in chunks of whole groups, as many as fit in
-    ``CONV_BLOCK_BYTES`` (at least one; :func:`_blocks`), shared among the
-    block workers (:func:`_run_blocks`) with one chunk of scratch each; the
-    statistics are per group, so any chunking gives the same bits. Without
-    a graph the output and that scratch are all the op allocates. With one,
-    x̂ and the sigmoid are kept whole for the vjp, which recomputes
-    ``x̂·γ + β`` from x̂.
+    once, then the mean square of the centred values, to which ε = 1e-5 is
+    added. The groups are worked through in chunks of whole groups, as many
+    as fit in ``CONV_BLOCK_BYTES`` (at least one; :func:`_blocks`), shared
+    among the block workers (:func:`_run_blocks`) with one chunk of scratch
+    each; the statistics are per group, so any chunking gives the same
+    bits. Without a graph the output and that scratch are all the op
+    allocates. With one, x̂ and the sigmoid are kept whole for the vjp,
+    which recomputes ``x̂·γ + β`` from x̂.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c, t, f = x.shape
@@ -929,7 +923,7 @@ def group_norm_silu(x, gamma, beta, groups: int, eps: float = 1e-5):
             rows, tmp = slice(lo, hi), scratch[:hi - lo]
             xc = np.subtract(xg[rows], xg[rows].mean(axis=1, keepdims=True), out=xhat[rows])
             var = np.square(xc, out=tmp).sum(axis=1, keepdims=True) / n
-            istd[rows] = 1.0 / np.sqrt(var + eps)
+            istd[rows] = 1.0 / np.sqrt(var + 1e-5)
             xc *= istd[rows]
             # s = x̂·γ + β goes to the scratch when x̂ is kept, else over x̂; the
             # sigmoid goes where s does not.

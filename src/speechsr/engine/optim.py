@@ -22,14 +22,14 @@ from .tensor import FlatParams, Parameter
 class Adam:
     """Bias-corrected Adam over a fixed parameter list."""
 
-    def __init__(self, params: list[Parameter], lr: float = 6e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float = 6e-4):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.flat = FlatParams.of(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.step_count = 0
         self._m, self._v = np.zeros_like(self.flat.data), np.zeros_like(self.flat.data)
         self.m = dict(zip(names, self.flat.views(self._m)))
@@ -39,21 +39,21 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - self.BETA1**t
+        bc2 = 1.0 - self.BETA2**t
         g, m, v = self.flat.grad, self._m, self._v
         a, b = self._scratch
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=a)
+        m *= self.BETA1
+        m += np.multiply(g, 1.0 - self.BETA1, out=a)
+        v *= self.BETA2
+        np.multiply(g, 1.0 - self.BETA2, out=a)
         v += np.multiply(a, g, out=a)
         # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(m, bc1, out=a)
         a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += self.EPS
         self.flat.data -= np.divide(a, b, out=a)
 
     def zero_grad(self):

@@ -19,4 +19,4 @@ class ConfigError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """Training aborted on a non-finite quantity."""
+    """Training or inference aborted on a non-finite quantity."""

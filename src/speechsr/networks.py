@@ -62,9 +62,9 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, name, d_in, d_out, rng, bias=True, init_scale=1.0):
+    def __init__(self, name, d_in, d_out, rng, init_scale=1.0):
         self.w = Parameter(f"{name}.w", init_scale * _init(rng, (d_out, d_in), d_in))
-        self.b = Parameter(f"{name}.b", np.zeros(d_out)) if bias else None
+        self.b = Parameter(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x):
         return ops.linear(x, self.w, self.b)
@@ -290,36 +290,31 @@ class ResidualBlock(Module):
             stages.append(lambda h: ops.fir_resample_freq(h, resample))
         return stages
 
-    def __call__(self, x, temb, lossmap):
-        for stage in self.stages(temb, lossmap):
-            x = stage(x)
-        return x
-
 
 class Arcn(Module):
     """Diffusion model over cropped complex spectrograms with a residual output."""
 
-    def __init__(self, cfg: ArcnConfig, rng, name="arcn"):
+    def __init__(self, cfg: ArcnConfig, rng):
         self.cfg = cfg
         c = cfg.base_channels
         k = cfg.input_conv_kernel
-        self.time_embedding = TimeEmbedding(f"{name}.temb", cfg.temb_dim, cfg.temb_out, rng)
-        self.in_conv = Conv2d(f"{name}.in_conv", 6, c, k, k, rng)
+        self.time_embedding = TimeEmbedding("arcn.temb", cfg.temb_dim, cfg.temb_out, rng)
+        self.in_conv = Conv2d("arcn.in_conv", 6, c, k, k, rng)
         self.encoder = [
-            ResidualBlock(f"{name}.enc{i}", c, c, cfg, "encoder", rng)
+            ResidualBlock(f"arcn.enc{i}", c, c, cfg, "encoder", rng)
             for i in range(cfg.encoder_blocks)
         ]
         self.bottleneck = [
-            ResidualBlock(f"{name}.mid{i}", c, c, cfg, "bottleneck", rng)
+            ResidualBlock(f"arcn.mid{i}", c, c, cfg, "bottleneck", rng)
             for i in range(cfg.bottleneck_blocks)
         ]
         self.decoder = [
-            ResidualBlock(f"{name}.dec{i}", 2 * c, c, cfg, "decoder", rng)
+            ResidualBlock(f"arcn.dec{i}", 2 * c, c, cfg, "decoder", rng)
             for i in range(cfg.encoder_blocks)
         ]
-        self.final = ResidualBlock(f"{name}.final", c, c, cfg, "bottleneck", rng)
+        self.final = ResidualBlock("arcn.final", c, c, cfg, "bottleneck", rng)
         # Small head: training starts near the residual identity s_inp.
-        self.out_conv = Conv2d(f"{name}.out_conv", c, 2, k, k, rng, init_scale=0.05)
+        self.out_conv = Conv2d("arcn.out_conv", c, 2, k, k, rng, init_scale=0.05)
 
     def frame_geometry(self, sample_rate: int) -> tuple[int, int]:
         """(frame_len, frame_len // 4) at ``sample_rate``; ARCN sees ``frame_len // 2`` bins."""
@@ -440,17 +435,16 @@ class DparnBlock(Module):
 class Dparn(Module):
     """Predictive stage: dual-path recurrent/attentive refinement, residual."""
 
-    def __init__(self, cfg: DparnConfig, rng, name="dparn"):
+    def __init__(self, cfg: DparnConfig, rng):
         self.cfg = cfg
         d = cfg.feature_dim
-        self.in_proj = Linear(f"{name}.in_proj", cfg.frame_size, d, rng)
+        self.in_proj = Linear("dparn.in_proj", cfg.frame_size, d, rng)
         self.blocks = [
-            DparnBlock(f"{name}.block{i}", d, cfg.attention_embed, rng)
+            DparnBlock(f"dparn.block{i}", d, cfg.attention_embed, rng)
             for i in range(cfg.num_blocks)
         ]
         # Small head: the top-level residual starts near s_pred = s_inp.
-        self.out_proj = Linear(f"{name}.out_proj", d, cfg.frame_size, rng,
-                               init_scale=0.05)
+        self.out_proj = Linear("dparn.out_proj", d, cfg.frame_size, rng, init_scale=0.05)
 
     def forward(self, s_inp) -> Tensor:
         s_inp = as_tensor(s_inp)

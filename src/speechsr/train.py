@@ -157,20 +157,24 @@ def _read_checkpoint(path) -> tuple[CheckpointMeta, dict[str, np.ndarray]]:
     return from_dict(CheckpointMeta, meta, str(path)), arrays
 
 
-def _restore(arrays: dict[str, np.ndarray], table: dict[str, dict[str, np.ndarray]]):
-    """Copy each ``<prefix>/<name>`` array into the table's array in place.
+def _restore(path, arrays: dict[str, np.ndarray], table: dict[str, dict[str, np.ndarray]]):
+    """Copy each ``<prefix>/<name>`` array of checkpoint ``path`` into the
+    table's array in place.
 
-    Every array is checked for presence and shape before any is copied, so
-    a bad checkpoint leaves the state untouched. Raises ConfigError naming
-    the first missing or mis-shaped array.
+    Every array is checked for presence, shape and finite values before any
+    is copied, so a bad checkpoint leaves the state untouched. Raises
+    ConfigError naming the checkpoint and the first missing, mis-shaped or
+    non-finite array.
     """
     targets = _flatten(table)
     for key, target in targets.items():
         if key not in arrays:
-            raise ConfigError(f"checkpoint has no array {key!r}")
+            raise ConfigError(f"{path}: checkpoint has no array {key!r}")
         if arrays[key].shape != target.shape:
-            raise ConfigError(f"checkpoint array {key!r} has shape {arrays[key].shape}, "
+            raise ConfigError(f"{path}: checkpoint array {key!r} has shape {arrays[key].shape}, "
                               f"the model needs {target.shape}")
+        if not np.isfinite(arrays[key]).all():
+            raise ConfigError(f"{path}: checkpoint array {key!r} has non-finite values")
     for key, target in targets.items():
         target[...] = arrays[key]
 
@@ -180,7 +184,7 @@ def load_model(ckpt_path) -> tuple[TwoStageModel, CheckpointMeta]:
     meta, arrays = _read_checkpoint(ckpt_path)
     model = TwoStageModel(meta.arch.arcn, meta.arch.dparn, seed=meta.train_config.seed)
     params = {p.name: p.data for p in model.params()}
-    _restore(arrays, {"param": params, "ema": params})
+    _restore(ckpt_path, arrays, {"param": params, "ema": params})
     return model, meta
 
 
@@ -245,7 +249,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         meta, arrays = _read_checkpoint(resume_from)
         if meta.arch != arch:
             raise ConfigError("checkpoint architecture differs from configuration")
-        _restore(arrays, _state_table(model, opt, ema))
+        _restore(resume_from, arrays, _state_table(model, opt, ema))
         scheduler = meta.scheduler
         rng.bit_generator.state = meta.rng_state
         start_epoch = meta.epoch
@@ -349,7 +353,10 @@ def evaluate_model(model, manifest: Manifest, ratio: UpsamplingRatio,
         hr = preprocess(read_wav(entry.path), sample_rate)
         s_lr, s_inp = simulate_lr(hr, ratio, eval_kind)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, i]))
-        s_hat = reverse_infer(s_lr, model, sched, ratio, repaint_kind, rng)
+        try:
+            s_hat = reverse_infer(s_lr, model, sched, ratio, repaint_kind, rng)
+        except NumericsError as exc:
+            raise NumericsError(f"utterance {entry.utt_id!r}: {exc}") from exc
         # Of the ceil(n / r) * r samples, keep the first n, as simulate_lr does.
         s_hat = Waveform(s_hat.samples[:len(hr)], hr.sample_rate)
         ref_spec = stft(hr, METRIC_STFT)

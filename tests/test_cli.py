@@ -357,10 +357,20 @@ def _misshape(prefix):
     return damage
 
 
+def _poison(prefix):
+    def damage(arrays):
+        key = min(k for k in arrays if k.startswith(prefix))
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = np.nan
+        return key
+    return damage
+
+
 CHECKPOINT_DAMAGE = {
     "missing parameter": _drop("param/"),
     "missing Adam moment": _drop("adam/m/"),
     "mis-shaped EMA shadow": _misshape("ema/"),
+    "non-finite parameter": _poison("param/"),
 }
 
 
@@ -374,7 +384,8 @@ def _damaged_checkpoint(cli_run, tmp_path, damage):
 
 
 class TestIncompleteCheckpoint:
-    """A missing or mis-shaped array is a data error (exit 2) that names it."""
+    """A missing, mis-shaped or non-finite array is a data error (exit 2) that
+    names it and the checkpoint."""
 
     @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
     def test_resume_refuses_before_training(self, cli_run, tmp_path, capsys, damage):
@@ -385,11 +396,13 @@ class TestIncompleteCheckpoint:
                                  else line for line in lines))
         code = main(["train", "--config", str(cfg), "--resume", str(ckpt)])
         assert code == 2
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(ckpt) in err
         assert not (tmp_path / "run" / "last.ckpt").exists()
 
     @pytest.mark.parametrize("damage, expected", [("missing parameter", 2),
                                                   ("mis-shaped EMA shadow", 2),
+                                                  ("non-finite parameter", 2),
                                                   ("missing Adam moment", 0)])
     def test_enhance_needs_parameters_and_shadows_only(self, cli_run, cli_corpus, tmp_path,
                                                        capsys, damage, expected):
@@ -403,7 +416,19 @@ class TestIncompleteCheckpoint:
         assert code == expected
         assert out.exists() == (expected == 0)
         if expected:
-            assert repr(key) in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert repr(key) in err and str(ckpt) in err
+
+    def test_evaluate_refuses_a_non_finite_parameter(self, cli_run, cli_corpus, tmp_path,
+                                                     capsys):
+        ckpt, key = _damaged_checkpoint(cli_run, tmp_path, "non-finite parameter")
+        report = tmp_path / "report.csv"
+        assert main(["evaluate", "--ckpt", str(ckpt),
+                     "--manifest", str(cli_corpus / "manifest.tsv"), "--ratio", "2",
+                     "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint array {key!r} has non-finite values" in err
+        assert not report.exists()
 
 
 def _enhance_args(ckpt, cli_corpus, tmp_path):

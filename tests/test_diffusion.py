@@ -520,6 +520,17 @@ class TestReverseInfer:
             reverse_infer(Waveform(np.zeros(100), 8000), model, SCHED,
                           UpsamplingRatio(2))
 
+    def test_non_finite_estimate_is_a_numerics_error(self):
+        """A NaN ARCN weight fails at the first step's estimate, named with its t,
+        not later as a waveform with non-finite samples (a data error)."""
+        model = _tiny_model(seed=5)
+        model.arcn.out_conv.b.data[0] = np.nan
+        s_lr, _ = simulate_lr(speechlike(8000, seed=33), UpsamplingRatio(2))
+        with pytest.raises(NumericsError,
+                           match=r"^non-finite ARCN estimate at reverse step 0 \(t=0\.999\)$"):
+            reverse_infer(s_lr, model, SCHED, UpsamplingRatio(2), "chebyshev",
+                          np.random.default_rng(1))
+
     def test_oracle_network_recovers_target_bands(self):
         """With zero noise and a perfect network, output matches s_hr per band."""
         s_hr = speechlike(16000, seed=32)

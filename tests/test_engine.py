@@ -126,7 +126,7 @@ RETENTION_CASES = {
     "reshape": ((3, 4), lambda x: ops.reshape(x, (12,)), False),
     "transpose": ((3, 4), lambda x: ops.transpose(x, (1, 0)), False),
     "getitem": ((3, 4), lambda x: ops.getitem(x, (slice(1, None),)), False),
-    "sum_": ((3, 4), lambda x: ops.sum_(x, axis=1), False),
+    "sum_": ((3, 4), ops.sum_, False),
     "concat": ((3, 4), lambda x: ops.concat([x, x], axis=0), False),
     "fir_resample_freq.down": ((2, 3, 8), lambda x: ops.fir_resample_freq(x, "down"), False),
     "fir_resample_freq.up": ((2, 3, 8), lambda x: ops.fir_resample_freq(x, "up"), False),
@@ -1167,14 +1167,42 @@ class TestBlockWorkers:
         assert sorted(done) == [0, 2]
 
 
-def _python(code):
-    """Run ``code`` in a fresh interpreter that imports speechsr from this checkout."""
+def _python(code, *args, **env):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports speechsr from
+    this checkout, with ``env`` added to the environment; returns its output."""
     paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **env}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout.strip()
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in cpuinfo.splitlines() if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()}
+
+
+@pytest.mark.skipif(ops._OPENBLAS is None, reason="numpy has no bundled scipy-openblas")
+@pytest.mark.skipif("avx2" not in _cpu_flags(), reason="the CPU lacks AVX2")
+def test_panel_blocks_keep_the_bits_on_the_haswell_kernel():
+    """The pointwise panel-block test passes with OpenBLAS's AVX2 (Haswell)
+    dgemm kernel forced, not only with the kernel this CPU selects."""
+    code = """
+import ctypes, sys
+import pytest
+from speechsr.engine import ops
+corename = ops._OPENBLAS.scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+assert corename() == b"Haswell", corename()
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+    test = f"{Path(__file__).resolve()}::TestBlockWorkers::test_pointwise_channels"
+    assert "1 passed" in _python(code, test, OPENBLAS_CORETYPE="Haswell")
 
 
 def test_a_block_worker_that_splits_again_runs_inline():

@@ -1,13 +1,16 @@
-"""Source hygiene: no unused imports, no engine op that nothing calls and no
-package definition that nothing references.
+"""Source hygiene: no unused imports, no engine op that nothing calls, no
+package definition that nothing references and no default that no call
+overrides.
 
 Imports are checked in the package, the tests and the benchmark scripts;
 engine ops must be called from the package or the acceptance test, and
-the package's module-level functions and classes referenced from the
-package, the benchmark scripts or the acceptance test.
+the package's module-level functions and classes referenced, and their
+defaulted parameters passed, from the package, the benchmark scripts or
+the acceptance test.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -136,3 +139,108 @@ def test_every_definition_is_referenced():
     unreferenced = [f"{_ident(p)}::{name}" for p in package
                     for name in sorted(defined[p] - referenced)]
     assert unreferenced == []
+
+
+def _defaulted(tree: ast.Module):
+    """``(owner, name, [(param, position)])`` for each top-level function and
+    each method of a top-level class with defaulted parameters; ``position``
+    is the parameter's index among a call's positional arguments (``self``
+    and ``cls`` are not passed), or None if it is keyword-only."""
+    found = []
+    for top in tree.body:
+        owner, defs = (top.name, top.body) if isinstance(top, ast.ClassDef) else (None, [top])
+        for fn in defs:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            shift = 0 if owner is None else 1
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            if params:
+                found.append((owner, fn.name, params))
+    return found
+
+
+def _passed(tree: ast.Module, bases: dict[str, list[str]]):
+    """The calls in ``tree``, as ``(callee, positional count, keywords, has **)``,
+    and the names it reads without a call. ``callee`` is the called name (a
+    class name stands for its ``__init__``), or for ``super().__init__`` in a
+    class each of the class's bases; a ``*`` splat passes every position."""
+    calls, funcs, names = [], set(), set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            fn = node.func
+            funcs.add(id(fn))
+            callees = []
+            if isinstance(fn, ast.Name):
+                callees = [fn.id]
+            elif isinstance(fn, ast.Attribute):
+                callees = [fn.attr]
+                if (fn.attr == "__init__" and isinstance(fn.value, ast.Call)
+                        and isinstance(fn.value.func, ast.Name) and fn.value.func.id == "super"):
+                    callees = bases.get(cls, [])
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.extend((callee, count, keywords, None in keywords) for callee in callees)
+        elif isinstance(node, ast.Name) and id(node) not in funcs:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and id(node) not in funcs:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return calls, names
+
+
+# Tests drive the CLI through ``main(argv)``; the console script passes nothing.
+DEFAULT_EXEMPT = {"cli.py::main.argv"}
+
+
+def test_every_default_is_overridden():
+    """Each defaulted parameter of a package function, method or
+    ``__init__`` is passed by some call in the package, the benchmark
+    scripts or ``tests/test_acceptance.py``: by keyword, by position or
+    through a ``*``/``**`` splat. A default that no call overrides is a
+    setting with one value in use, and belongs in the code as a constant.
+
+    Calls are matched by name: ``f(...)`` and ``x.f(...)`` pass to every
+    function and method named ``f``, ``C(...)`` to ``C.__init__``, and
+    ``super().__init__(...)`` to the ``__init__`` of the class's bases. A
+    function or method read without a call (a callback such as ``_serve``)
+    may be called with anything, so it counts as passing every parameter.
+    """
+    package = sorted(PACKAGE.rglob("*.py"))
+    readers = (package + sorted((ROOT / "bench").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    trees = {p: ast.parse(p.read_text()) for p in readers}
+    bases = {node.name: [b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))]
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    calls, read = [], set()
+    for tree in trees.values():
+        tree_calls, tree_names = _passed(tree, bases)
+        calls += tree_calls
+        read |= tree_names
+    unset = []
+    for p in package:
+        for owner, fn, params in _defaulted(trees[p]):
+            if fn != "__init__" and fn in read:
+                continue
+            callee = owner if fn == "__init__" else fn
+            for name, position in params:
+                ident = f"{_ident(p)}::{owner + '.' if owner else ''}{fn}.{name}"
+                if ident not in DEFAULT_EXEMPT and not any(
+                        c == callee and (name in keywords or splat
+                                         or (position is not None and position < count))
+                        for c, count, keywords, splat in calls):
+                    unset.append(ident)
+    assert unset == []

@@ -102,6 +102,13 @@ class TestFrameAttention:
         assert np.abs(out - ref).max() < 1e-10
 
 
+def _apply_stages(block, x, temb, lossmap):
+    """``block``'s stages applied to ``x`` in order, as ``Arcn.forward`` runs them."""
+    for stage in block.stages(temb, lossmap):
+        x = stage(x)
+    return x
+
+
 class TestResidualBlock:
     def test_zero_init_reduces_to_resampled_skip(self):
         cfg = micro_arcn_config()
@@ -114,7 +121,7 @@ class TestResidualBlock:
         # zeroes the residual branch entirely, which is the point here.
         x = Tensor(np.random.default_rng(8).standard_normal((cfg.base_channels, 3, 16)))
         temb = Tensor(np.zeros(cfg.temb_out))
-        out = block(x, temb, Tensor(np.ones(16)))
+        out = _apply_stages(block, x, temb, Tensor(np.ones(16)))
         ref = ops.fir_resample_freq(x, "down")
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
 
@@ -124,7 +131,7 @@ class TestResidualBlock:
         block = ResidualBlock("b", cfg.base_channels, cfg.base_channels, cfg,
                               "encoder", rng)
         x = Tensor(rng.standard_normal((cfg.base_channels, 5, 16)))
-        out = block(x, Tensor(np.zeros(cfg.temb_out)), Tensor(np.ones(16)))
+        out = _apply_stages(block, x, Tensor(np.zeros(cfg.temb_out)), Tensor(np.ones(16)))
         assert out.shape == (cfg.base_channels, 5, 8)
 
     def test_gradients_match_fd(self):
@@ -136,7 +143,7 @@ class TestResidualBlock:
         lm = Tensor((rng.uniform(size=8) > 0.5).astype(float))
 
         def build():
-            out = block(x, temb, lm)
+            out = _apply_stages(block, x, temb, lm)
             return ops.sum_(ops.abs_(out))
 
         fd_gradient_check(build, block.params(), rng, n_probes=40)
@@ -309,7 +316,7 @@ class TestModule:
             def __init__(self):
                 self.cfg = ArcnConfig()
                 self.scale = Parameter("toy.scale", np.ones(2))
-                self.head = Linear("toy.head", 2, 3, rng, bias=False)
+                self.head = Linear("toy.head", 2, 3, rng)
                 self.skip = None
                 self.stack = [Linear(f"toy.stack{i}", 3, 3, rng) for i in range(2)]
                 self.width = 3
@@ -317,8 +324,8 @@ class TestModule:
 
         toy = Toy()
         first, second = toy.stack
-        assert toy.params() == [toy.scale, toy.head.w, first.w, first.b, second.w, second.b,
-                                toy.tail]
+        assert toy.params() == [toy.scale, toy.head.w, toy.head.b, first.w, first.b, second.w,
+                                second.b, toy.tail]
 
 
 class TestTwoStageModel:

@@ -305,6 +305,13 @@ class TestStepProcesses:
             _fit_mixed(mixed_corpus, tmp_path / "nan", monkeypatch, 2)
         assert (tmp_path / "nan" / "diagnostic.ckpt").exists()
         assert multiprocessing.active_children() == []
+        # Saved before Adam moved, the diagnostic's arrays are finite, so a run resumes from it.
+        monkeypatch.undo()
+        arcn, dparn = micro_arch()
+        resumed = fit(micro_train_config(epochs=2, batch_size=3, seed=7, max_steps=1), arcn,
+                      dparn, SCHED, mixed_corpus, mixed_corpus, tmp_path / "resumed",
+                      resume_from=tmp_path / "nan" / "diagnostic.ckpt")
+        assert resumed.total_steps == 1
 
     def test_dead_worker_fails_the_step_instead_of_hanging(self, tmp_path, mixed_corpus,
                                                            monkeypatch):
@@ -442,6 +449,15 @@ class TestEvaluate:
         for a, b in zip(r1, r2):
             assert a.baseline == b.baseline
         assert any(a.metrics != b.metrics for a, b in zip(r1, r2))
+
+    def test_non_finite_model_names_the_utterance(self, micro_corpus):
+        model = TwoStageModel(*micro_arch(), seed=1)
+        model.arcn.out_conv.b.data[0] = np.nan
+        first = micro_corpus.entries[0].utt_id
+        with pytest.raises(NumericsError, match=rf"^utterance '{first}': non-finite ARCN"
+                                                r" estimate at reverse step 0 \(t=0\.999\)$"):
+            evaluate_model(model, micro_corpus, UpsamplingRatio(2), "chebyshev",
+                           "chebyshev", NoiseSchedule(inference_steps=2), 16000, seed=0)
 
     def test_odd_length_utterance_scores(self, micro_corpus, tmp_path):
         """reverse_infer returns ceil(n / r) * r samples; the first n are scored."""
