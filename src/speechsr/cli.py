@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .config import load_run_spec
 from .data import read_manifest, read_wav, synth_corpus, write_wav
-from .diffusion import NoiseSchedule, reverse_infer, sigma
+from .diffusion import GAMMA, reverse_infer, sigma
 from .dsp import FrameConfig, Waveform, normalize, stft
 from .errors import ConfigError, DegenerateInputError, NumericsError, WavFormatError
 from .resample import FILTER_KINDS, UpsamplingRatio, simulate_lr
@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", help="super-resolve one WAV file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--in", dest="wav_in", required=True)
-    p.add_argument("--ratio", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -125,13 +124,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
-    ratio = UpsamplingRatio(args.ratio)
     model, meta = load_model(args.ckpt)
     w = read_wav(args.wav_in)
     rate = meta.train_config.sample_rate
-    if w.sample_rate * args.ratio != rate:
-        raise ValueError(f"input is {w.sample_rate} Hz at --ratio {args.ratio}; this checkpoint"
-                         f" needs {rate / args.ratio:g} Hz input (trained at {rate} Hz)")
+    factor, rest = divmod(rate, w.sample_rate)
+    if rest or not factor:
+        raise ValueError(f"input is {w.sample_rate} Hz; this checkpoint, trained at {rate} Hz,"
+                         f" needs a rate that divides {rate} Hz")
+    ratio = UpsamplingRatio(factor)
     normalized, mean, std = normalize(w)
     rng = np.random.default_rng(args.seed)
     out = reverse_infer(normalized, model, meta.schedule, ratio,
@@ -156,13 +156,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_dump_schedule(args) -> int:
-    sched = NoiseSchedule()
     grid = np.linspace(0.0, 1.0, args.points)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "sigma", "exp_neg_gamma_t"])
         for t in grid:
-            writer.writerow([t, sigma(float(t), sched), np.exp(-sched.gamma * t)])
+            writer.writerow([t, sigma(float(t)), np.exp(-GAMMA * t)])
     print(f"wrote {args.points} schedule rows to {args.out}")
     return 0
 

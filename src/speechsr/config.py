@@ -16,7 +16,7 @@ Example::
     train.batch_size = 4
     arcn.base_channels = 8
     arcn.frame_ms = 8
-    schedule.total_steps = 1000
+    schedule.inference_steps = 10
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class TrainConfig:
     batch_size: int = 4          # paper-scale runs use 32
     crop_seconds: float = 4.0
     learning_rate: float = 0.0006
-    plateau_patience: int = 3
-    lr_factor: float = 0.5
-    clip_norm: float = 1.0
     ema_decay: float = 0.999
     seed: int = 0
     ratio: int = 2
@@ -55,12 +52,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.epochs < 1 or self.batch_size < 1 or self.crop_seconds <= 0:
             raise ConfigError("epochs, batch_size, crop_seconds must be positive")
-        if self.plateau_patience < 1:
-            raise ConfigError(f"plateau_patience must be at least 1, got {self.plateau_patience}")
-        if not 0 < self.lr_factor < 1:
-            raise ConfigError("lr_factor must lie in (0, 1)")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ConfigError("learning_rate and clip_norm must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
         if not 0 <= self.ema_decay <= 1:
             raise ConfigError("ema_decay must lie in [0, 1]")
         if self.sample_rate < 1:

@@ -2,7 +2,8 @@
 
 The forward marginal has mean mu = e^(-gamma t) x0 + (1 - e^(-gamma t)) y
 (y being the interpolated low-resolution input) and a closed-form variance
-controlled by (sigma_min, sigma_max, gamma). Training teaches the
+controlled by (sigma_min, sigma_max, gamma), the OUVE constants of SGMSE+
+below, with time in T = TOTAL_STEPS integer steps. Training teaches the
 diffusion network to predict the clean signal directly at a uniformly
 sampled step; inference starts from the predictive stage's output (shallow
 diffusion) and stitches the known low band back in after every step
@@ -12,7 +13,7 @@ diffusion) and stitches the known low band back in after every step
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,41 +25,34 @@ from .objectives import LossReport, lambda_weight, loss_pred, loss_tf
 from .resample import UpsamplingRatio, cubic_spline_upsample, simulate_lr
 
 
+SIGMA_MIN, SIGMA_MAX, GAMMA = 0.05, 0.5, 1.5
+TOTAL_STEPS = 1000  # T: training draws k in [1, T], so t = k / T
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
-    sigma_min: float = 0.05
-    sigma_max: float = 0.5
-    gamma: float = 1.5
-    total_steps: int = 1000
     inference_steps: int = 10
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not 0 < self.sigma_min < self.sigma_max:
-            raise ValueError("need 0 < sigma_min < sigma_max")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if not 1 <= self.inference_steps <= self.total_steps:
-            raise ValueError("inference_steps must lie in [1, total_steps]")
+        if not 1 <= self.inference_steps <= TOTAL_STEPS:
+            raise ValueError(f"inference_steps must lie in [1, {TOTAL_STEPS}]")
 
 
-def sigma(t, sched: NoiseSchedule):
+def sigma(t):
     """Noise standard deviation at continuous time t in [0, 1]."""
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError(f"diffusion time must lie in [0, 1], got {t}")
-    ratio = sched.sigma_max / sched.sigma_min
+    ratio = SIGMA_MAX / SIGMA_MIN
     log_ratio = np.log(ratio)
-    var = (sched.sigma_min**2
-           * (ratio ** (2.0 * t_arr) - np.exp(-2.0 * sched.gamma * t_arr))
-           * log_ratio / (sched.gamma + log_ratio))
+    var = (SIGMA_MIN**2
+           * (ratio ** (2.0 * t_arr) - np.exp(-2.0 * GAMMA * t_arr))
+           * log_ratio / (GAMMA + log_ratio))
     out = np.sqrt(np.maximum(var, 0.0))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def mean_mu(x0: np.ndarray, y: np.ndarray, t: float, gamma: float) -> np.ndarray:
+def mean_mu(x0: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     """Closed-form forward mean: e^(-gamma t) x0 + (1 - e^(-gamma t)) y."""
     x0 = np.asarray(x0, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -66,23 +60,22 @@ def mean_mu(x0: np.ndarray, y: np.ndarray, t: float, gamma: float) -> np.ndarray
         raise ValueError(f"length mismatch: {x0.shape} vs {y.shape}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    decay = np.exp(-gamma * t)
+    decay = np.exp(-GAMMA * t)
     return decay * x0 + (1.0 - decay) * y
 
 
-def forward_sample(x0: np.ndarray, y: np.ndarray, t: float, z: np.ndarray,
-                   sched: NoiseSchedule) -> np.ndarray:
+def forward_sample(x0: np.ndarray, y: np.ndarray, t: float, z: np.ndarray) -> np.ndarray:
     """Draw x_t = mu(x0, y, t) + sigma(t) * z with caller-supplied noise."""
     z = np.asarray(z, dtype=np.float64)
-    mu = mean_mu(x0, y, t, sched.gamma)
+    mu = mean_mu(x0, y, t)
     if z.shape != mu.shape:
         raise ValueError(f"noise shape {z.shape} != signal shape {mu.shape}")
-    return mu + sigma(t, sched) * z
+    return mu + sigma(t) * z
 
 
 def inference_time_grid(sched: NoiseSchedule) -> np.ndarray:
     """Uniformly spaced continuous times from (T-1)/T down to 0."""
-    t_max = (sched.total_steps - 1) / sched.total_steps
+    t_max = (TOTAL_STEPS - 1) / TOTAL_STEPS
     return np.linspace(t_max, 0.0, sched.inference_steps)
 
 
@@ -111,14 +104,13 @@ class StepLosses:
 
 
 def _utterance_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
-                    sched: NoiseSchedule, ratio: UpsamplingRatio,
-                    sample_rate: int, k: int, z: np.ndarray):
+                    ratio: UpsamplingRatio, sample_rate: int, k: int, z: np.ndarray):
     """Loss graph for one utterance at integer diffusion step k."""
-    t = k / sched.total_steps
+    t = k / TOTAL_STEPS
     frame_len, hop = model.arcn.frame_geometry(sample_rate)
     s_pred = model.dparn.forward(Tensor(inp))
-    x_t = forward_sample(hr, inp, t, z, sched)
-    s_hat = model.arcn.forward(x_t, s_pred, inp, ratio, t * sched.total_steps, sample_rate)
+    x_t = forward_sample(hr, inp, t, z)
+    s_hat = model.arcn.forward(x_t, s_pred, inp, ratio, t * TOTAL_STEPS, sample_rate)
     pre_re, pre_im = ops.stft_pair(s_pred, frame_len, hop)
     ref_re, ref_im = ops.stft_pair(Tensor(hr), frame_len, hop)
     l_pred = loss_pred(pre_re, pre_im, ref_re, ref_im)
@@ -128,24 +120,23 @@ def _utterance_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
     return total, LossReport.build(l_pred.item(), l_time.item(), l_freq.item(), lam)
 
 
-def _backward_item(model: TwoStageModel, item, sched: NoiseSchedule, ratio: UpsamplingRatio,
-                   sample_rate: int, n_items: int) -> LossReport:
+def _backward_item(model: TwoStageModel, item, ratio: UpsamplingRatio, sample_rate: int,
+                   n_items: int) -> LossReport:
     """Add one ``(utt_id, hr, inp, k, z)`` item's share of the batch loss to ``.grad``.
 
     Raises NumericsError naming the utterance and k on a non-finite loss,
     before anything reaches ``.grad``.
     """
     utt_id, hr, inp, k, z = item
-    total, report = _utterance_loss(model, hr, inp, sched, ratio, sample_rate, k, z)
+    total, report = _utterance_loss(model, hr, inp, ratio, sample_rate, k, z)
     if not np.isfinite(total.item()):
         raise NumericsError(f"non-finite loss on utterance {utt_id!r} at step k={k}")
     ops.mul(total, 1.0 / n_items).backward()
     return report
 
 
-def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
-               rng: np.random.Generator, ratio: UpsamplingRatio,
-               clip_norm: float = 1.0, workers: StepWorkers | None = None) -> StepLosses:
+def train_step(model: TwoStageModel, batch, opt, ema, rng: np.random.Generator,
+               ratio: UpsamplingRatio, workers: StepWorkers | None = None) -> StepLosses:
     """One joint gradient step over a batch (per-utterance accumulation).
 
     Each batch element draws its own diffusion step and noise, all drawn up
@@ -174,11 +165,11 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
     n_items = len(batch.hr)
     items = []
     for utt_id, hr, inp in zip(batch.ids, batch.hr, batch.inp):
-        k = int(rng.integers(1, sched.total_steps + 1))
+        k = int(rng.integers(1, TOTAL_STEPS + 1))
         items.append((utt_id, hr, inp, k, rng.standard_normal(hr.size)))
     n = min(1 + (len(workers) if workers is not None else 0), n_items)
     parts = [items[n_items * i // n:n_items * (i + 1) // n] for i in range(n)]
-    task = (sched, ratio, batch.sample_rate, n_items)
+    task = (ratio, batch.sample_rate, n_items)
     for i, part in enumerate(parts[1:]):
         workers.send(i, (flat.data, *task, part))
     reports = []
@@ -196,7 +187,7 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
             flat.grad += grad
             reports.append(report)
 
-    scale = clip_global_norm(flat.params, clip_norm)
+    scale = clip_global_norm(flat.params)
     opt.step()
     ema.update()
     mean = LossReport(*(float(np.mean([getattr(r, f.name) for r in reports]))
@@ -204,7 +195,7 @@ def train_step(model: TwoStageModel, batch, sched: NoiseSchedule, opt, ema,
     return StepLosses(report=mean, clip_scale=scale)
 
 
-def _run_part(model: TwoStageModel, flat: FlatParams, sched, ratio, sample_rate, n_items,
+def _run_part(model: TwoStageModel, flat: FlatParams, ratio, sample_rate, n_items,
               items) -> list:
     """A worker's part of a step: per item, from cleared gradients, a copy of
     the flat gradient (zero where ``backward`` did not reach) and the report.
@@ -214,7 +205,7 @@ def _run_part(model: TwoStageModel, flat: FlatParams, sched, ratio, sample_rate,
     for item in items:
         flat.zero_grad()
         try:
-            report = _backward_item(model, item, sched, ratio, sample_rate, n_items)
+            report = _backward_item(model, item, ratio, sample_rate, n_items)
         except Exception as exc:
             results.append(exc)
             break
@@ -306,11 +297,11 @@ class StepWorkers:
 
 
 def validation_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
-                    sched: NoiseSchedule, ratio: UpsamplingRatio,
-                    sample_rate: int, k: int, z: np.ndarray) -> LossReport:
+                    ratio: UpsamplingRatio, sample_rate: int, k: int,
+                    z: np.ndarray) -> LossReport:
     """Total loss on one utterance with a frozen (k, z) draw; no state change."""
     with no_grad():
-        _, report = _utterance_loss(model, hr, inp, sched, ratio, sample_rate, k, z)
+        _, report = _utterance_loss(model, hr, inp, ratio, sample_rate, k, z)
     return report
 
 
@@ -335,8 +326,8 @@ def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
         s_pred = model.dparn.forward(Tensor(inp)).data
         x0 = s_pred
         for i, t in enumerate(inference_time_grid(sched)):
-            x_t = forward_sample(x0, inp, t, rng.standard_normal(n), sched)
-            x0 = model.arcn.forward(x_t, s_pred, inp, ratio, t * sched.total_steps, rate).data
+            x_t = forward_sample(x0, inp, t, rng.standard_normal(n))
+            x0 = model.arcn.forward(x_t, s_pred, inp, ratio, t * TOTAL_STEPS, rate).data
             if not np.isfinite(x0).all():
                 raise NumericsError(f"non-finite ARCN estimate at reverse step {i} (t={t})")
             x0 = repaint(x0, inp, rate, ratio, kind)

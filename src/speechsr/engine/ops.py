@@ -762,43 +762,40 @@ def overlap_add_rows(frames, hop: int, out_len: int):
 # ---------------------------------------------------------------------------
 
 
-def linear(x, w, b=None):
+def linear(x, w, b):
     """Affine map on the last axis, ``x @ wᵀ + b``: x (..., I), w (O, I), b (O,).
 
     One node for any leading axes, a 1-D ``x`` included: the leading axes
     are flattened into one GEMM and the bias is added in place.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     d_out, d_in = w.shape
     if x.shape[-1] != d_in:
         raise ValueError(f"linear: input {x.shape} does not match weight {w.shape}")
-    parents = (x, w) if b is None else (x, w, as_tensor(b))
     data = x.data.reshape(-1, d_in) @ w.data.T
-    if b is not None:
-        data += parents[2].data
+    data += b.data
 
     def vjp(g):
         g2 = g.reshape(-1, d_out)
         gx = (g2 @ w.data).reshape(x.shape)
         gw = g2.T @ x.data.reshape(-1, d_in)
-        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
+        return gx, gw, g2.sum(axis=0)
 
-    return make_result(data.reshape(x.shape[:-1] + (d_out,)), parents, vjp)
+    return make_result(data.reshape(x.shape[:-1] + (d_out,)), (x, w, b), vjp)
 
 
-def pointwise_channels(x, w, b=None):
+def pointwise_channels(x, w, b):
     """1x1 convolution, (C,T,F) x (O,C) -> (O,T,F), as one ``(O,C) @ (C,T·F)`` GEMM.
 
     Above ``CONV_BLOCK_BYTES`` the GEMM and the bias run in blocks of whole
     16-column panels, shared among the block workers, so each column keeps
     the whole product's bits; ``T·F`` that ends in a partial panel is one block.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     c, t, f = x.shape
     o = w.shape[0]
     if w.shape[1] != c:
         raise ValueError(f"channel mismatch: input {c} vs weight {w.shape}")
-    parents = (x, w) if b is None else (x, w, as_tensor(b))
     cols, xf = t * f, x.data.reshape(c, t * f)
     data = np.empty((o, cols))
     blocks = [(0, cols)]
@@ -809,8 +806,7 @@ def pointwise_channels(x, w, b=None):
     def run(blocks):
         for lo, hi in blocks:
             block = np.matmul(w.data, xf[:, lo:hi], out=data[:, lo:hi])
-            if b is not None:
-                block += parents[2].data.reshape(o, 1)
+            block += b.data.reshape(o, 1)
 
     _run_blocks(run, blocks)
 
@@ -818,9 +814,9 @@ def pointwise_channels(x, w, b=None):
         g2 = g.reshape(o, t * f)
         gx = (w.data.T @ g2).reshape(x.shape)
         gw = g2 @ x.data.reshape(c, t * f).T
-        return (gx, gw) if b is None else (gx, gw, g.sum(axis=(1, 2)))
+        return gx, gw, g.sum(axis=(1, 2))
 
-    return make_result(data.reshape(o, t, f), parents, vjp)
+    return make_result(data.reshape(o, t, f), (x, w, b), vjp)
 
 
 def _resample_down(x: np.ndarray, out: np.ndarray) -> None:

@@ -60,8 +60,11 @@ class Adam:
         self.flat.zero_grad()
 
 
-def clip_global_norm(params: list[Parameter], max_norm: float = 1.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+CLIP_NORM = 1.0
+
+
+def clip_global_norm(params: list[Parameter]) -> float:
+    """Scale all gradients so their joint L2 norm is at most ``CLIP_NORM``.
 
     The squared norm is summed per parameter in list order, which its bits
     depend on. Returns the scale that was applied (1.0 when already within
@@ -75,9 +78,9 @@ def clip_global_norm(params: list[Parameter], max_norm: float = 1.0) -> float:
     if not np.isfinite(norm):
         bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
         raise NumericsError(f"non-finite gradient norm {norm}; non-finite gradients in {bad}")
-    if norm <= max_norm or norm == 0.0:
+    if norm <= CLIP_NORM or norm == 0.0:
         return 1.0
-    scale = max_norm / norm
+    scale = CLIP_NORM / norm
     for p in params:
         p.grad *= scale
     return scale

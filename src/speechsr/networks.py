@@ -203,7 +203,6 @@ class ArcnConfig:
     base_channels: int = 64
     input_conv_kernel: int = 7
     encoder_blocks: int = 5
-    bottleneck_blocks: int = 1
     attention_embed: int = 5
     norm_groups: int = 8
     frame_ms: float = 32.0
@@ -213,7 +212,7 @@ class ArcnConfig:
     def __post_init__(self):
         _check_sizes(self, 1, "base_channels input_conv_kernel attention_embed norm_groups"
                               " temb_out")
-        _check_sizes(self, 0, "encoder_blocks bottleneck_blocks")
+        _check_sizes(self, 0, "encoder_blocks")
         if self.input_conv_kernel % 2 == 0:
             raise ValueError(f"input_conv_kernel must be odd, got {self.input_conv_kernel}")
         if self.base_channels % self.norm_groups != 0:
@@ -304,10 +303,7 @@ class Arcn(Module):
             ResidualBlock(f"arcn.enc{i}", c, c, cfg, "encoder", rng)
             for i in range(cfg.encoder_blocks)
         ]
-        self.bottleneck = [
-            ResidualBlock(f"arcn.mid{i}", c, c, cfg, "bottleneck", rng)
-            for i in range(cfg.bottleneck_blocks)
-        ]
+        self.bottleneck = ResidualBlock("arcn.mid0", c, c, cfg, "bottleneck", rng)
         self.decoder = [
             ResidualBlock(f"arcn.dec{i}", 2 * c, c, cfg, "decoder", rng)
             for i in range(cfg.encoder_blocks)
@@ -369,7 +365,7 @@ class Arcn(Module):
         del x, chans, re, im
         depth = self.cfg.encoder_blocks
         plan = ([(block, i) for i, block in enumerate(self.encoder)]
-                + [(block, depth) for block in self.bottleneck]
+                + [(self.bottleneck, depth)]
                 + [(block, depth - j) for j, block in enumerate(self.decoder)]
                 + [(self.final, 0)])
         skips = []
@@ -398,11 +394,10 @@ class DparnConfig:
     frame_size: int = 256
     feature_dim: int = 64
     chunk_len: int = 32
-    num_blocks: int = 2
     attention_embed: int = 16
 
     def __post_init__(self):
-        _check_sizes(self, 1, "feature_dim num_blocks attention_embed")
+        _check_sizes(self, 1, "feature_dim attention_embed")
         for name in ("frame_size", "chunk_len"):
             if getattr(self, name) < 2 or getattr(self, name) % 2 != 0:
                 raise ValueError(f"{name} must be even and at least 2, got {getattr(self, name)}")
@@ -435,13 +430,15 @@ class DparnBlock(Module):
 class Dparn(Module):
     """Predictive stage: dual-path recurrent/attentive refinement, residual."""
 
+    BLOCKS = 2
+
     def __init__(self, cfg: DparnConfig, rng):
         self.cfg = cfg
         d = cfg.feature_dim
         self.in_proj = Linear("dparn.in_proj", cfg.frame_size, d, rng)
         self.blocks = [
             DparnBlock(f"dparn.block{i}", d, cfg.attention_embed, rng)
-            for i in range(cfg.num_blocks)
+            for i in range(self.BLOCKS)
         ]
         # Small head: the top-level residual starts near s_pred = s_inp.
         self.out_proj = Linear("dparn.out_proj", d, cfg.frame_size, rng, init_scale=0.05)

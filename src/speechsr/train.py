@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .config import Arch, TrainConfig, from_dict
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
-from .diffusion import NoiseSchedule, StepWorkers, reverse_infer, train_step, validation_loss
+from .diffusion import (TOTAL_STEPS, NoiseSchedule, StepWorkers, reverse_infer, train_step,
+                        validation_loss)
 from .dsp import FrameConfig, Waveform, n_frames_for, stft
 from .engine import Adam, Ema, load_state, malloc_settings, ops, save_state, thread_counts
 from .errors import ConfigError, NumericsError
@@ -35,11 +36,11 @@ METRIC_STFT = FrameConfig()  # 32 ms / 8 ms analysis for reported metrics
 
 @dataclass
 class PlateauScheduler:
-    """Halve the LR after ``patience`` consecutive non-improving validations."""
+    """Scale the LR by ``FACTOR`` after ``PATIENCE`` consecutive non-improving validations."""
+
+    PATIENCE, FACTOR = 3, 0.5
 
     lr: float
-    factor: float = 0.5
-    patience: int = 3
     best: float | None = None
     bad_epochs: int = 0
 
@@ -50,8 +51,8 @@ class PlateauScheduler:
             self.bad_epochs = 0
             return False
         self.bad_epochs += 1
-        if self.bad_epochs >= self.patience:
-            self.lr *= self.factor
+        if self.bad_epochs >= self.PATIENCE:
+            self.lr *= self.FACTOR
             self.bad_epochs = 0
             return True
         return False
@@ -106,11 +107,11 @@ class FitResult:
     step_totals: tuple[float, ...]
 
 
-def _validation_draws(cfg: TrainConfig, sched: NoiseSchedule, items):
+def _validation_draws(cfg: TrainConfig, items):
     draws = []
     for i, (_, hr, _) in enumerate(items):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7A11D, i]))
-        k = int(rng.integers(1, sched.total_steps + 1))
+        k = int(rng.integers(1, TOTAL_STEPS + 1))
         z = rng.standard_normal(hr.size)
         draws.append((k, z))
     return draws
@@ -237,8 +238,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     ratio = UpsamplingRatio(cfg.ratio)
     opt = Adam(model.params(), lr=cfg.learning_rate)
     ema = Ema(model.params(), decay=cfg.ema_decay)
-    scheduler = PlateauScheduler(lr=cfg.learning_rate, factor=cfg.lr_factor,
-                                 patience=cfg.plateau_patience)
+    scheduler = PlateauScheduler(lr=cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB47C4]))
     start_epoch = global_step = 0
 
@@ -264,7 +264,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     batcher = Batcher(train_manifest, cfg.batch_size, cfg.crop_seconds, ratio,
                       cfg.filter_kind, cfg.sample_rate)
     valid = validation_items(valid_manifest, cfg.sample_rate, ratio, cfg.filter_kind)
-    draws = _validation_draws(cfg, sched, valid)
+    draws = _validation_draws(cfg, valid)
 
     runlog = RunLog(out, resume=None if resume_from is None else (start_epoch, global_step))
     best_path = out / "best.ckpt"
@@ -285,8 +285,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             opt.lr = scheduler.lr
             for batch in batcher.epoch(rng):
-                result = train_step(model, batch, sched, opt, ema, rng, ratio,
-                                    clip_norm=cfg.clip_norm, workers=workers)
+                result = train_step(model, batch, opt, ema, rng, ratio, workers=workers)
                 global_step += 1
                 step_totals.append(result.report.total)
                 runlog.step(global_step, epoch, result.report, result.clip_scale)
@@ -295,8 +294,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
                     break
             if epoch % cfg.validate_every == 0 or stop or epoch == cfg.epochs:
                 vals = [
-                    validation_loss(model, hr, inp, sched, ratio,
-                                    cfg.sample_rate, k, z).total
+                    validation_loss(model, hr, inp, ratio, cfg.sample_rate, k, z).total
                     for (_, hr, inp), (k, z) in zip(valid, draws)
                 ]
                 val_loss = float(np.mean(vals))
@@ -312,7 +310,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
             if stop:
                 break
     except NumericsError:
-        save(out / "diagnostic.ckpt", -1)
+        save(out / "diagnostic.ckpt", epoch - 1)  # the last epoch completed
         raise
     finally:
         workers.close()

@@ -30,6 +30,7 @@ from speechsr import dsp
 from speechsr.config import TrainConfig
 from speechsr.data import preprocess, read_wav, synth_corpus, validation_items
 from speechsr.diffusion import (
+    TOTAL_STEPS,
     NoiseSchedule,
     forward_sample,
     mean_mu,
@@ -192,9 +193,9 @@ def test_criterion_02_gradient_suite():
 
 
 def test_criterion_03_schedule_correctness():
-    assert sigma(0.0, SCHED) == 0.0
+    assert sigma(0.0) == 0.0
     grid = np.linspace(0.0, 1.0, 1001)
-    vals = sigma(grid, SCHED)
+    vals = sigma(grid)
     assert np.all(np.diff(vals) > 0)
     with mp.workdps(50):
         smin = mp.mpf("0.05")
@@ -218,10 +219,10 @@ def test_criterion_03_schedule_correctness():
 def test_criterion_04_mean_formula():
     rng = np.random.default_rng(4)
     x0, y = rng.standard_normal(100), rng.standard_normal(100)
-    np.testing.assert_array_equal(mean_mu(x0, y, 0.0, SCHED.gamma), x0)
+    np.testing.assert_array_equal(mean_mu(x0, y, 0.0), x0)
     with mp.workdps(50):
         decay = float(mp.e ** mp.mpf("-1.5"))
-    mu = mean_mu(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, SCHED.gamma)
+    mu = mean_mu(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
     assert abs(mu[0] - decay) < 1e-12
     assert abs(mu[1] - (1.0 - decay)) < 1e-12
     _ok(4, "mu(x0,y,0)=x0 exact; t=1 coefficients match e^-1.5 to 1e-12")
@@ -236,12 +237,12 @@ def test_criterion_05_forward_sample_statistics():
     n, draws = 200, 500  # 1e5 samples per time point
     x0, y = rng.standard_normal(n), rng.standard_normal(n)
     for t in (0.25, 0.5, 1.0):
-        mu = mean_mu(x0, y, t, SCHED.gamma)
+        mu = mean_mu(x0, y, t)
         residuals = np.stack([
-            forward_sample(x0, y, t, rng.standard_normal(n), SCHED) - mu
+            forward_sample(x0, y, t, rng.standard_normal(n)) - mu
             for _ in range(draws)
         ])
-        ratio = residuals.var() / sigma(t, SCHED) ** 2
+        ratio = residuals.var() / sigma(t) ** 2
         assert abs(ratio - 1.0) < 0.03
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -317,7 +318,7 @@ def test_criterion_07_filter_robustness_harness(overfit):
 def _frozen_draw_losses(model, items, draws):
     """Sum of lambda(k) * l_diff, and mean l_pred, over frozen (k, z) draws."""
     reports = [
-        validation_loss(model, hr, inp, SCHED, UpsamplingRatio(2), 16000, k, z)
+        validation_loss(model, hr, inp, UpsamplingRatio(2), 16000, k, z)
         for (_, hr, inp), item_draws in zip(items, draws)
         for k, z in item_draws
     ]
@@ -350,7 +351,7 @@ def test_criterion_08_toy_overfit(overfit):
     assert totals.size == 200
     items = validation_items(corpus, cfg.sample_rate, UpsamplingRatio(2),
                              cfg.filter_kind, max_s=0.5)
-    ks = np.unique(np.geomspace(1, SCHED.total_steps, 12).round().astype(int))
+    ks = np.unique(np.geomspace(1, TOTAL_STEPS, 12).round().astype(int))
     draw_rng = np.random.default_rng(OVERFIT_SEED)
     draws = [[(int(k), draw_rng.standard_normal(hr.size)) for k in ks]
              for _, hr, _ in items]
@@ -443,12 +444,12 @@ def test_criterion_10_lambda_and_alpha_constants():
 
 
 def test_criterion_11_scheduler_state_machine(tmp_path, micro_corpus):
-    s = PlateauScheduler(lr=1.0, patience=3)
+    s = PlateauScheduler(lr=1.0)
     halved = [s.update(5.0) for _ in range(4)]
     assert halved == [False, False, False, True]
     assert s.lr == 0.5
 
-    s = PlateauScheduler(lr=1.0, patience=3)
+    s = PlateauScheduler(lr=1.0)
     lr_trace = []
     for v in (9.0, 8.0, 8.0, 8.0, 8.0, 7.0, 7.0, 7.0, 7.0):
         s.update(v)

@@ -121,8 +121,7 @@ class TestEnhance:
         out2 = tmp_path / "sr2.wav"
         for out in (out1, out2):
             assert main(["enhance", "--ckpt", str(ckpt),
-                         "--in", str(sim / "utt0000_lr.wav"),
-                         "--ratio", "2", "--seed", "4",
+                         "--in", str(sim / "utt0000_lr.wav"), "--seed", "4",
                          "--out", str(out)]) == 0
         lr = read_wav(sim / "utt0000_lr.wav")
         sr = read_wav(out1)
@@ -159,7 +158,7 @@ class TestEnhance:
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": blas}
             proc = subprocess.run(
                 [sys.executable, "-c", code, blas, "enhance", "--ckpt", str(cli_run / "best.ckpt"),
-                 "--in", str(inp), "--ratio", "2", "--seed", "4",
+                 "--in", str(inp), "--seed", "4",
                  "--out", str(tmp_path / f"blas{blas}.wav")],
                 env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
@@ -168,26 +167,35 @@ class TestEnhance:
         assert samples["1"] == samples["2"]
         assert (tmp_path / "blas1.wav").read_bytes() == (tmp_path / "blas2.wav").read_bytes()
 
-    def test_rate_mismatch_names_needed_rate(self, cli_run, cli_corpus, tmp_path, capsys):
-        """A 16 kHz input at ratio 2 against a 16 kHz model is a data error."""
-        code = main(["enhance", "--ckpt", str(cli_run / "best.ckpt"),
-                     "--in", str(cli_corpus / "utt0000.wav"),
-                     "--ratio", "2", "--out", str(tmp_path / "sr.wav")])
-        err = capsys.readouterr().err
+    @staticmethod
+    def _enhance_at(rate, cli_run, tmp_path, capsys):
+        """Enhance a 0.5 s input at ``rate`` with the 16 kHz model: (exit code, stderr)."""
+        inp = tmp_path / "in.wav"
+        write_wav(inp, Waveform(0.1 * np.random.default_rng(8).standard_normal(rate // 2), rate))
+        code = main(["enhance", "--ckpt", str(cli_run / "best.ckpt"), "--in", str(inp),
+                     "--out", str(tmp_path / "sr.wav")])
+        return code, capsys.readouterr().err
+
+    def test_rate_mismatch_names_needed_rate(self, cli_run, tmp_path, capsys):
+        """A 12 kHz input against a 16 kHz model, a ratio of 4/3, is a data error."""
+        code, err = self._enhance_at(12000, cli_run, tmp_path, capsys)
         assert code == 2
-        assert "16000 Hz" in err and "--ratio 2" in err and "8000 Hz" in err
+        assert "input is 12000 Hz" in err and "a rate that divides 16000 Hz" in err
         assert not (tmp_path / "sr.wav").exists()
 
-    @pytest.mark.parametrize("ratio", ["0", "-2"])
-    def test_nonpositive_ratio_is_a_data_error(self, cli_run, cli_corpus, tmp_path, capsys,
-                                               ratio):
-        code = main(["enhance", "--ckpt", str(cli_run / "best.ckpt"),
-                     "--in", str(cli_corpus / "utt0000.wav"),
-                     "--ratio", ratio, "--out", str(tmp_path / "sr.wav")])
-        err = capsys.readouterr().err
+    def test_input_above_the_model_rate_is_a_data_error(self, cli_run, tmp_path, capsys):
+        """A 32 kHz input against a 16 kHz model, a ratio below 1, is a data error."""
+        code, err = self._enhance_at(32000, cli_run, tmp_path, capsys)
         assert code == 2
-        assert "upsampling ratio must be >= 1" in err
+        assert "input is 32000 Hz" in err and "16000 Hz" in err
         assert not (tmp_path / "sr.wav").exists()
+
+    def test_input_at_the_model_rate_is_enhanced_at_ratio_one(self, cli_run, tmp_path, capsys):
+        """The ratio is the model's rate over the input's: 1 for a 16 kHz input."""
+        code, err = self._enhance_at(16000, cli_run, tmp_path, capsys)
+        assert code == 0, err
+        out = read_wav(tmp_path / "sr.wav")
+        assert (out.sample_rate, len(out)) == (16000, 8000)
 
 
 class TestEvaluateCli:
@@ -262,6 +270,7 @@ class TestExitCodes:
         "train.crop_seconds = inf", "train.clip_norm = inf", "train.batch_size = 1.5",
         "train.epochs = 1.5", "dparn.feature_dim = 8.5", "train.ratio = 2.0",
         "train.sample_rate = 0", "train.plateau_patience = 0", "train.ratio = 3",
+        "train.lr_factor = 0.5", "schedule.total_steps = 1000", "dparn.num_blocks = 2",
         "train.crop_seconds = 0.005",
         "arcn.base_channels = 0", "arcn.input_conv_kernel = 0", "arcn.input_conv_kernel = 4",
         "arcn.encoder_blocks = -1", "arcn.bottleneck_blocks = -1", "arcn.attention_embed = 0",
@@ -271,8 +280,8 @@ class TestExitCodes:
         "dparn.frame_size = 255", "dparn.chunk_len = 7",
     ])
     def test_bad_loop_setting_fails_before_training(self, tmp_path, cli_corpus, capsys, line):
-        """An out-of-range, non-finite or mistyped value exits 2 naming its field,
-        before ``out_dir`` exists."""
+        """An out-of-range, non-finite or mistyped value, or a key that is now a
+        constant (``train.clip_norm``), exits 2 naming its field, before ``out_dir`` exists."""
         cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
                                   extra=line + "\n")
         assert main(["train", "--config", str(cfg)]) == 2
@@ -412,7 +421,7 @@ class TestIncompleteCheckpoint:
                      "--ratio", "2", "--out", str(sim)]) == 0
         out = tmp_path / "sr.wav"
         code = main(["enhance", "--ckpt", str(ckpt), "--in", str(sim / "utt0000_lr.wav"),
-                     "--ratio", "2", "--seed", "4", "--out", str(out)])
+                     "--seed", "4", "--out", str(out)])
         assert code == expected
         assert out.exists() == (expected == 0)
         if expected:
@@ -436,7 +445,7 @@ def _enhance_args(ckpt, cli_corpus, tmp_path):
     assert main(["simulate", "--in", str(cli_corpus / "manifest.tsv"),
                  "--ratio", "2", "--out", str(sim)]) == 0
     return ["enhance", "--ckpt", str(ckpt), "--in", str(sim / "utt0000_lr.wav"),
-            "--ratio", "2", "--out", str(tmp_path / "sr.wav")]
+            "--out", str(tmp_path / "sr.wav")]
 
 
 def _without_meta_key(cli_run, tmp_path, key):
@@ -504,7 +513,7 @@ class TestMalformedCheckpoint:
 
 # (dotted meta key, the value it is set to or _DELETE, the field the error names)
 META_DAMAGE = [
-    ("schedule", {}, "schedule.sigma_min"),
+    ("schedule", {}, "schedule.inference_steps"),
     ("schedule.sigma_min", "x", "schedule.sigma_min"),
     ("train_config.seed", _DELETE, "train_config.seed"),
     ("scheduler.momentum", 0.9, "scheduler.momentum"),
@@ -515,6 +524,12 @@ META_DAMAGE = [
     # keys that checkpoints written before the hops and Adam's step were derived carry
     ("adam_step", 4, "adam_step"),
     ("arch.dparn.frame_hop", 64, "arch.dparn.frame_hop"),
+    # keys that checkpoints written before these settings became constants carry
+    ("schedule.gamma", 1.5, "schedule.gamma"),
+    ("train_config.clip_norm", 1.0, "train_config.clip_norm"),
+    ("scheduler.patience", 3, "scheduler.patience"),
+    ("arch.arcn.bottleneck_blocks", 1, "arch.arcn.bottleneck_blocks"),
+    ("arch.dparn.num_blocks", 2, "arch.dparn.num_blocks"),
 ]
 
 
@@ -556,7 +571,7 @@ class TestRunMetadata:
         meta = json.loads((cli_run / "run_meta.json").read_text())
         assert meta["train_config"]["seed"] == 2
         assert meta["arch"]["arcn"]["base_channels"] == 4
-        assert meta["schedule"]["sigma_min"] == 0.05
+        assert meta["schedule"] == {"inference_steps": 10}
 
     def test_thread_counts_recorded(self, cli_run):
         meta = json.loads((cli_run / "run_meta.json").read_text())

@@ -30,9 +30,9 @@ class TestLoadRunSpec:
         assert spec.dparn == DparnConfig()
 
     def test_section_values_overlay_the_defaults(self, tmp_path):
-        spec = _spec(tmp_path, PATHS + "train.epochs = 7\ndparn.num_blocks = 3\n")
+        spec = _spec(tmp_path, PATHS + "train.epochs = 7\ndparn.feature_dim = 32\n")
         assert spec.train == TrainConfig(epochs=7)
-        assert spec.dparn == DparnConfig(num_blocks=3)
+        assert spec.dparn == DparnConfig(feature_dim=32)
 
     @pytest.mark.parametrize("key, value, read", [
         ("frame_ms", 16, lambda a: a.frame_ms),
@@ -146,6 +146,5 @@ class TestFromDict:
             from_dict(Outer, {"inner": GOOD["inner"]}, "f")
 
     def test_constructor_errors_become_config_errors(self):
-        with pytest.raises(ConfigError, match="f: NoiseSchedule: need 0 < sigma_min"):
-            from_dict(NoiseSchedule, {"sigma_min": 0.5, "sigma_max": 0.05, "gamma": 1.5,
-                                      "total_steps": 10, "inference_steps": 2}, "f")
+        with pytest.raises(ConfigError, match=r"f: NoiseSchedule: inference_steps must lie in"):
+            from_dict(NoiseSchedule, {"inference_steps": 0}, "f")

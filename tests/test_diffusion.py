@@ -20,6 +20,7 @@ from helpers import (
 from speechsr import diffusion, networks
 from speechsr.data import Batch
 from speechsr.diffusion import (
+    TOTAL_STEPS,
     NoiseSchedule,
     forward_sample,
     inference_time_grid,
@@ -40,11 +41,12 @@ from speechsr.errors import NumericsError
 SCHED = NoiseSchedule()
 
 
-def sigma_mp(t, sched=SCHED, dps=50):
+def sigma_mp(t, dps=50):
     """Independent arbitrary-precision evaluation of the schedule."""
     with mp.workdps(dps):
         t = mp.mpf(t)
-        smin, smax, gam = mp.mpf(sched.sigma_min), mp.mpf(sched.sigma_max), mp.mpf(sched.gamma)
+        smin, smax, gam = (mp.mpf(c) for c in (diffusion.SIGMA_MIN, diffusion.SIGMA_MAX,
+                                                diffusion.GAMMA))
         ratio = smax / smin
         log_ratio = mp.log(ratio)
         var = smin**2 * (ratio ** (2 * t) - mp.e ** (-2 * gam * t)) * log_ratio / (gam + log_ratio)
@@ -53,41 +55,41 @@ def sigma_mp(t, sched=SCHED, dps=50):
 
 class TestSigma:
     def test_zero_at_origin(self):
-        assert sigma(0.0, SCHED) == 0.0
+        assert sigma(0.0) == 0.0
 
     def test_matches_high_precision_oracle(self):
         for t in (0.001, 0.1, 0.25, 0.5, 0.777, 1.0):
-            assert abs(sigma(t, SCHED) - sigma_mp(t)) < 1e-12
+            assert abs(sigma(t) - sigma_mp(t)) < 1e-12
 
     def test_strictly_increasing_on_grid(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        vals = sigma(grid, SCHED)
+        vals = sigma(grid)
         assert np.all(np.diff(vals) > 0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            sigma(-0.01, SCHED)
+            sigma(-0.01)
         with pytest.raises(ValueError):
-            sigma(1.01, SCHED)
+            sigma(1.01)
 
 
 class TestMeanMu:
     def test_t_zero_returns_x0(self):
         rng = np.random.default_rng(0)
         x0, y = rng.standard_normal(50), rng.standard_normal(50)
-        np.testing.assert_array_equal(mean_mu(x0, y, 0.0, 1.5), x0)
+        np.testing.assert_array_equal(mean_mu(x0, y, 0.0), x0)
 
     def test_equal_endpoints_fixed(self):
         x = np.random.default_rng(1).standard_normal(30)
         for t in (0.0, 0.3, 1.0, 2.5):
-            np.testing.assert_allclose(mean_mu(x, x, t, 1.5), x, rtol=1e-15)
+            np.testing.assert_allclose(mean_mu(x, x, t), x, rtol=1e-15)
 
     def test_coefficients_at_t1(self):
         with mp.workdps(40):
             decay = float(mp.e ** mp.mpf("-1.5"))
         x0 = np.array([1.0, 0.0])
         y = np.array([0.0, 1.0])
-        mu = mean_mu(x0, y, 1.0, 1.5)
+        mu = mean_mu(x0, y, 1.0)
         assert abs(mu[0] - decay) < 1e-12
         assert abs(mu[1] - (1.0 - decay)) < 1e-12
 
@@ -95,27 +97,27 @@ class TestMeanMu:
         rng = np.random.default_rng(2)
         x0, y = rng.standard_normal(200), rng.standard_normal(200)
         for t in (0.0, 0.2, 0.7, 1.0, 3.0):
-            mu = mean_mu(x0, y, t, 1.5)
+            mu = mean_mu(x0, y, t)
             assert np.all(mu >= np.minimum(x0, y) - 1e-12)
             assert np.all(mu <= np.maximum(x0, y) + 1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mean_mu(np.zeros(3), np.zeros(4), 0.5, 1.5)
+            mean_mu(np.zeros(3), np.zeros(4), 0.5)
 
 
 class TestForwardSample:
     def test_t_zero_exact(self):
         rng = np.random.default_rng(3)
         x0, y, z = (rng.standard_normal(40) for _ in range(3))
-        np.testing.assert_array_equal(forward_sample(x0, y, 0.0, z, SCHED), x0)
+        np.testing.assert_array_equal(forward_sample(x0, y, 0.0, z), x0)
 
     def test_zero_noise_gives_mean(self):
         rng = np.random.default_rng(4)
         x0, y = rng.standard_normal(40), rng.standard_normal(40)
         np.testing.assert_array_equal(
-            forward_sample(x0, y, 0.5, np.zeros(40), SCHED),
-            mean_mu(x0, y, 0.5, SCHED.gamma),
+            forward_sample(x0, y, 0.5, np.zeros(40)),
+            mean_mu(x0, y, 0.5),
         )
 
     def test_monte_carlo_variance(self):
@@ -123,19 +125,19 @@ class TestForwardSample:
         x0 = rng.standard_normal(100)
         y = rng.standard_normal(100)
         t = 0.5
-        mu = mean_mu(x0, y, t, SCHED.gamma)
+        mu = mean_mu(x0, y, t)
         draws = np.stack([
-            forward_sample(x0, y, t, rng.standard_normal(100), SCHED) - mu
+            forward_sample(x0, y, t, rng.standard_normal(100)) - mu
             for _ in range(400)
         ])
-        assert abs(draws.var() / sigma(t, SCHED) ** 2 - 1.0) < 0.03
+        assert abs(draws.var() / sigma(t) ** 2 - 1.0) < 0.03
 
 
 class TestInferenceGrid:
     def test_grid_shape_and_endpoints(self):
         grid = inference_time_grid(SCHED)
         assert grid.size == 10
-        assert grid[0] == (SCHED.total_steps - 1) / SCHED.total_steps
+        assert grid[0] == (TOTAL_STEPS - 1) / TOTAL_STEPS
         assert grid[-1] == 0.0
         np.testing.assert_allclose(np.diff(grid), np.diff(grid)[0])
 
@@ -204,7 +206,7 @@ class TestTrainStep:
         ema = Ema(model.params(), decay=0.9)
         batch = _toy_batch()
         before = {p.name: p.data.copy() for p in model.params()}
-        out = train_step(model, batch, SCHED, opt, ema,
+        out = train_step(model, batch, opt, ema,
                          np.random.default_rng(0), UpsamplingRatio(2))
         r = out.report
         for v in (r.l_pred, r.l_time, r.l_freq, r.l_diff, r.total):
@@ -222,14 +224,14 @@ class TestTrainStep:
         ref_rng = np.random.default_rng(6)
         reports = []
         for hr, inp in zip(batch.hr, batch.inp):
-            k = int(ref_rng.integers(1, SCHED.total_steps + 1))
+            k = int(ref_rng.integers(1, TOTAL_STEPS + 1))
             z = ref_rng.standard_normal(hr.size)
-            _, report = diffusion._utterance_loss(model, hr, inp, SCHED, UpsamplingRatio(2),
+            _, report = diffusion._utterance_loss(model, hr, inp, UpsamplingRatio(2),
                                                   16000, k, z)
             reports.append(report)
         assert reports[0] != reports[1]
         rng = np.random.default_rng(6)
-        out = train_step(model, batch, SCHED, Adam(model.params()), Ema(model.params()),
+        out = train_step(model, batch, Adam(model.params()), Ema(model.params()),
                          rng, UpsamplingRatio(2))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         expected = LossReport(*(float(np.mean([getattr(r, f.name) for r in reports]))
@@ -248,7 +250,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(diffusion, "_utterance_loss", spy)
         model = _tiny_model(seed=1)
-        train_step(model, _toy_batch(lengths=(4000,) * 3), SCHED, Adam(model.params()),
+        train_step(model, _toy_batch(lengths=(4000,) * 3), Adam(model.params()),
                    Ema(model.params()), np.random.default_rng(0), UpsamplingRatio(2))
         assert alive == [0, 0, 0]
 
@@ -266,7 +268,7 @@ class TestTrainStep:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            total, _ = diffusion._utterance_loss(model, hr, inp, SCHED, UpsamplingRatio(2),
+            total, _ = diffusion._utterance_loss(model, hr, inp, UpsamplingRatio(2),
                                                  16000, 400, z)
             total.backward()
             peak = tracemalloc.get_traced_memory()[1]
@@ -279,7 +281,7 @@ class TestTrainStep:
         model = _tiny_model(seed=3)
         opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
         batch = _toy_batch(lengths=(2000,))
-        train_step(model, batch, SCHED, opt, ema, np.random.default_rng(0), UpsamplingRatio(2))
+        train_step(model, batch, opt, ema, np.random.default_rng(0), UpsamplingRatio(2))
         inner, target = diffusion._utterance_loss, model.params()[0]
 
         def poisoned(*args):
@@ -292,7 +294,7 @@ class TestTrainStep:
                  {k: v.copy() for k, v in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()},
                  {k: v.copy() for k, v in ema.shadow.items()})
         with pytest.raises(NumericsError, match="non-finite gradient"):
-            train_step(model, batch, SCHED, opt, ema, np.random.default_rng(1), UpsamplingRatio(2))
+            train_step(model, batch, opt, ema, np.random.default_rng(1), UpsamplingRatio(2))
         after = ({p.name: p.data for p in model.params()}, opt.m, opt.v, ema.shadow)
         for before_arrays, after_arrays in zip(state, after):
             assert before_arrays.keys() == after_arrays.keys()
@@ -310,14 +312,13 @@ class TestTrainStep:
         batch = _toy_batch(lengths=(4000,))
         hr, inp = batch.hr[0], batch.inp[0]
         k, z = 700, np.random.default_rng(8).standard_normal(hr.size)
-        report = diffusion.validation_loss(model, hr, inp, SCHED,
-                                           UpsamplingRatio(2), 16000, k, z)
+        report = diffusion.validation_loss(model, hr, inp, UpsamplingRatio(2), 16000, k, z)
         frame_len, hop = model.arcn.frame_geometry(16000)
         ire, iim = ops.stft_pair(Tensor(inp), frame_len, hop)
         rre, rim = ops.stft_pair(Tensor(hr), frame_len, hop)
         ref_pred = loss_pred(ire, iim, rre, rim).item()
         _, _, ref_diff = loss_tf(inp, hr, frame_len, hop)
-        lam = lambda_weight(k / SCHED.total_steps)
+        lam = lambda_weight(k / TOTAL_STEPS)
         np.testing.assert_allclose(report.l_pred, ref_pred, rtol=1e-12)
         np.testing.assert_allclose(report.l_diff, ref_diff.item(), rtol=1e-12)
         np.testing.assert_allclose(report.total, ref_pred + lam * ref_diff.item(),
@@ -365,7 +366,7 @@ class TestStepWorkers:
             rng = np.random.default_rng(6)
             workers = diffusion.StepWorkers(model, n_workers)
             try:
-                outs = [train_step(model, batch, SCHED, opt, ema, rng, UpsamplingRatio(2),
+                outs = [train_step(model, batch, opt, ema, rng, UpsamplingRatio(2),
                                    workers=workers) for _ in range(2)]
             finally:
                 workers.close()
@@ -386,7 +387,7 @@ class TestStepWorkers:
         views = [p.grad for p in opt.flat.params]
         workers = diffusion.StepWorkers(model, count)
         try:
-            train_step(model, _toy_batch(lengths=(2000, 3000, 4000)), SCHED, opt, ema,
+            train_step(model, _toy_batch(lengths=(2000, 3000, 4000)), opt, ema,
                        np.random.default_rng(6), UpsamplingRatio(2), workers=workers)
         finally:
             workers.close()
@@ -407,7 +408,7 @@ class TestStepWorkers:
         rng = np.random.default_rng(6)
         workers = diffusion.StepWorkers(model, count)
         try:
-            outs = [train_step(model, batch, SCHED, opt, ema, rng, UpsamplingRatio(2),
+            outs = [train_step(model, batch, opt, ema, rng, UpsamplingRatio(2),
                                workers=workers) for _ in range(3)]
         finally:
             workers.close()
@@ -415,7 +416,7 @@ class TestStepWorkers:
         loop_opt, loop_ema = LoopAdam(oracle.params(), lr=1e-3), LoopEma(oracle.params(), 0.9)
         loop_rng = np.random.default_rng(6)
         monkeypatch.setattr(diffusion, "clip_global_norm", loop_clip_global_norm)
-        loop_outs = [train_step(oracle, batch, SCHED, loop_opt, loop_ema, loop_rng,
+        loop_outs = [train_step(oracle, batch, loop_opt, loop_ema, loop_rng,
                                 UpsamplingRatio(2)) for _ in range(3)]
         assert outs == loop_outs
         assert rng.bit_generator.state == loop_rng.bit_generator.state
@@ -430,8 +431,8 @@ class TestStepWorkers:
         batch = _toy_batch(lengths=(2000, 3000, 4000))
         ref = np.random.default_rng(6)
         for n in (2000, 3000):
-            ref.integers(1, SCHED.total_steps + 1), ref.standard_normal(n)
-        k2 = int(ref.integers(1, SCHED.total_steps + 1))
+            ref.integers(1, TOTAL_STEPS + 1), ref.standard_normal(n)
+        k2 = int(ref.integers(1, TOTAL_STEPS + 1))
         _poison_size(monkeypatch, 4000)
         grads = []
         for n_workers in (0, 1):
@@ -441,7 +442,7 @@ class TestStepWorkers:
             workers = diffusion.StepWorkers(model, n_workers)
             try:
                 with pytest.raises(NumericsError, match=f"utterance 'u2' at step k={k2}$"):
-                    train_step(model, batch, SCHED, opt, ema, np.random.default_rng(6),
+                    train_step(model, batch, opt, ema, np.random.default_rng(6),
                                UpsamplingRatio(2), workers=workers)
             finally:
                 workers.close()
@@ -465,9 +466,9 @@ class TestStepWorkers:
                 with monkeypatch.context() as patch:
                     _poison_size(patch, 2000)
                     with pytest.raises(NumericsError, match="utterance 'u0'"):
-                        train_step(model, batch, SCHED, opt, ema, np.random.default_rng(1),
+                        train_step(model, batch, opt, ema, np.random.default_rng(1),
                                    UpsamplingRatio(2), workers=workers)
-                train_step(model, batch, SCHED, opt, ema, np.random.default_rng(2),
+                train_step(model, batch, opt, ema, np.random.default_rng(2),
                            UpsamplingRatio(2), workers=workers)
             finally:
                 workers.close()
@@ -546,16 +547,9 @@ class TestReverseInfer:
 
 
 class TestScheduleValidation:
-    def test_bad_sigma_order_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(sigma_min=0.5, sigma_max=0.05)
-
     def test_bad_inference_steps_rejected(self):
         with pytest.raises(ValueError):
             NoiseSchedule(inference_steps=0)
-
-    @pytest.mark.parametrize("field", ["sigma_min", "sigma_max", "gamma"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_float_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            NoiseSchedule(**{field: value})
+        with pytest.raises(ValueError, match=r"\[1, 1000\]"):
+            NoiseSchedule(inference_steps=TOTAL_STEPS + 1)
+        assert NoiseSchedule(inference_steps=TOTAL_STEPS).inference_steps == TOTAL_STEPS

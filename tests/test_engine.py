@@ -66,7 +66,8 @@ class TestBackward:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((4, 3))
         p1 = Parameter("p", data.copy())
-        loss = ops.sum_(ops.silu(ops.linear(p1, Tensor(rng.standard_normal((2, 3))))))
+        loss = ops.sum_(ops.silu(ops.linear(p1, Tensor(rng.standard_normal((2, 3))),
+                                            Tensor(np.zeros(2)))))
         loss.backward()
         loss.backward()
         twice = p1.grad.copy()
@@ -75,7 +76,8 @@ class TestBackward:
         rng2 = np.random.default_rng(2)
         rng2.standard_normal((4, 3))
         w = rng2.standard_normal((2, 3))
-        ops.mul(ops.sum_(ops.silu(ops.linear(p2, Tensor(w)))), 2.0).backward()
+        loss = ops.sum_(ops.silu(ops.linear(p2, Tensor(w), Tensor(np.zeros(2)))))
+        ops.mul(loss, 2.0).backward()
         np.testing.assert_allclose(twice, p2.grad, rtol=1e-12, atol=1e-15)
 
     def test_composite_stack_matches_fd(self):
@@ -87,7 +89,7 @@ class TestBackward:
 
         def build():
             h = ops.silu(ops.linear(x, w1, b1))
-            y = ops.tanh(ops.linear(h, w2))
+            y = ops.tanh(ops.linear(h, w2, np.zeros(2)))
             return ops.sum_(ops.mul(y, y))
 
         fd_gradient_check(build, [w1, b1, w2], rng)
@@ -140,9 +142,9 @@ RETENTION_CASES = {
     "stft_pair": ((64,), lambda x: ops.stft_pair(x, 16, 4), False),
     "istft_pair": ((7, 9), lambda x: ops.istft_pair(x, x, 16, 4, 16), False),
     "mul": ((3, 4), lambda x: ops.mul(x, _param((3, 4))), True),
-    "linear": ((3, 4), lambda x: ops.linear(x, _param((2, 4))), True),
-    "pointwise_channels": ((3, 2, 4), lambda x: ops.pointwise_channels(x, _param((2, 3))),
-                           True),
+    "linear": ((3, 4), lambda x: ops.linear(x, _param((2, 4)), np.zeros(2)), True),
+    "pointwise_channels": ((3, 2, 4), lambda x: ops.pointwise_channels(x, _param((2, 3)),
+                                                                      np.zeros(2)), True),
     "attention": ((5, 3), lambda x: ops.attention(x, _param((4, 3)), _param((4, 2))), True),
     "silu": ((3, 4), ops.silu, True),
     "gru": ((1, 4, 3), lambda x: ops.gru(x, _param((1, 2)), _param((6, 3)), _param((6, 2)),
@@ -603,11 +605,12 @@ class TestLinear:
     @pytest.mark.parametrize("shape", LINEAR_SHAPES, ids=["1-d", "2-d", "3-d"])
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
     def test_one_graph_node_and_fd(self, shape, bias):
+        """The no-bias case passes a zero bias."""
         rng = np.random.default_rng(43)
         x = Parameter("x", rng.standard_normal(shape))
         w = Parameter("w", 0.5 * rng.standard_normal((4, 5)))
-        b = Parameter("b", 0.1 * rng.standard_normal(4)) if bias else None
-        params = [x, w] + ([b] if bias else [])
+        b = Parameter("b", 0.1 * rng.standard_normal(4) if bias else np.zeros(4))
+        params = [x, w, b]
         out = ops.linear(x, w, b)
         assert out.shape == shape[:-1] + (4,)
         assert _is_one_node(out, *params)
@@ -620,20 +623,21 @@ class TestLinear:
     def test_width_mismatch_rejected(self):
         # (6, 4) would reshape to (8, 3) without the check.
         with pytest.raises(ValueError):
-            ops.linear(Tensor(np.zeros((6, 4))), Tensor(np.zeros((2, 3))))
+            ops.linear(Tensor(np.zeros((6, 4))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
 
 
 class TestPointwiseChannels:
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
     def test_one_graph_node_and_fd(self, bias):
+        """The no-bias case passes a zero bias."""
         rng = np.random.default_rng(44)
         x = Parameter("x", rng.standard_normal((3, 4, 5)))
         w = Parameter("w", rng.standard_normal((2, 3)))
-        b = Parameter("b", rng.standard_normal(2)) if bias else None
-        params = [x, w] + ([b] if bias else [])
+        b = Parameter("b", rng.standard_normal(2) if bias else np.zeros(2))
+        params = [x, w, b]
         out = ops.pointwise_channels(x, w, b)
         assert _is_one_node(out, *params)
-        ref = np.einsum("oc,ctf->otf", w.data, x.data) + (b.data[:, None, None] if bias else 0.0)
+        ref = np.einsum("oc,ctf->otf", w.data, x.data) + b.data[:, None, None]
         assert np.abs(out.data - ref).max() < 1e-12
         weights = Tensor(rng.standard_normal(out.shape))
 
@@ -1134,13 +1138,14 @@ class TestBlockWorkers:
         assert np.array_equal(plain, reference) and np.array_equal(recorded, reference)
 
     def test_pointwise_channels(self, monkeypatch):
-        """A 16->24 map over several 16-column panel blocks, with and without a
-        bias: the bits of the one-block GEMM."""
+        """A 16->24 map over several 16-column panel blocks, with a zero and a
+        random bias: the bits of the one-block GEMM."""
         rng = np.random.default_rng(57)
         x, w, b = rng.standard_normal((16, 40, 64)), rng.standard_normal((24, 16)), rng.standard_normal(24)
 
         def run():
-            return [ops.pointwise_channels(Parameter("x", x), w, bias).data for bias in (None, b)]
+            return [ops.pointwise_channels(Parameter("x", x), w, bias).data
+                    for bias in (np.zeros(24), b)]
 
         whole = run()
         monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", SMALL_BUDGET)
@@ -1238,7 +1243,7 @@ def test_a_steady_state_call_faults_few_pages():
 import resource
 import numpy as np
 from speechsr.data import Batch
-from speechsr.diffusion import NoiseSchedule, train_step
+from speechsr.diffusion import train_step
 from speechsr.dsp import Waveform
 from speechsr.engine import Adam, Ema, no_grad
 from speechsr.networks import Arcn, TwoStageModel, tiny_arcn_config, tiny_dparn_config
@@ -1266,7 +1271,7 @@ inps = [simulate_lr(Waveform(hr, 16000), UpsamplingRatio(2))[1].samples for hr i
 batch = Batch(hr=tuple(hrs), inp=tuple(inps), ids=tuple("abcd"), sample_rate=16000)
 step_rng = np.random.default_rng(5)
 def step():
-    train_step(model, batch, NoiseSchedule(), opt, ema, step_rng, UpsamplingRatio(2))
+    train_step(model, batch, opt, ema, step_rng, UpsamplingRatio(2))
 
 print(per_call(forward), per_call(step))
 """
@@ -1395,20 +1400,20 @@ class TestClipGlobalNorm:
     def test_small_norm_untouched(self):
         p = Parameter("p", np.zeros(2))
         p.grad = np.array([0.3, 0.4])
-        assert clip_global_norm([p], 1.0) == 1.0
+        assert clip_global_norm([p]) == 1.0
         np.testing.assert_array_equal(p.grad, [0.3, 0.4])
 
     def test_large_norm_scaled(self):
         p = Parameter("p", np.zeros(2))
         p.grad = np.array([0.0, 4.0])
-        scale = clip_global_norm([p], 1.0)
+        scale = clip_global_norm([p])
         assert abs(scale - 0.25) < 1e-15
         assert abs(np.linalg.norm(p.grad) - 1.0) < 1e-12
 
     def test_three_four_five(self):
         p = Parameter("p", np.zeros(2))
         p.grad = np.array([3.0, 4.0])
-        clip_global_norm([p], 1.0)
+        clip_global_norm([p])
         np.testing.assert_allclose(p.grad, [0.6, 0.8], rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -1416,7 +1421,7 @@ class TestClipGlobalNorm:
         p, q = Parameter("p", np.zeros(2)), Parameter("q", np.zeros(2))
         p.grad, q.grad = np.array([3.0, 4.0]), np.array([bad, 1.0])
         with pytest.raises(NumericsError, match=r"\['q'\]"):
-            clip_global_norm([p, q], 1.0)
+            clip_global_norm([p, q])
         np.testing.assert_array_equal(p.grad, [3.0, 4.0])
         np.testing.assert_array_equal(q.grad, [bad, 1.0])
 
@@ -1527,10 +1532,10 @@ class TestDeterminism:
             ema = Ema([w], decay=0.9)
             for _ in range(5):
                 x = Tensor(rng.standard_normal((4, 4)))
-                loss = ops.sum_(ops.abs_(ops.silu(ops.linear(x, w))))
+                loss = ops.sum_(ops.abs_(ops.silu(ops.linear(x, w, np.zeros(4)))))
                 opt.zero_grad()
                 loss.backward()
-                clip_global_norm([w], 1.0)
+                clip_global_norm([w])
                 opt.step()
                 ema.update()
             return w.data.copy(), ema.shadow["w"].copy()

@@ -1,21 +1,26 @@
 """Source hygiene: no unused imports, no engine op that nothing calls, no
-package definition that nothing references and no default that no call
-overrides.
+package definition that nothing references and no default, of a parameter
+or of a config field, that no call overrides.
 
 Imports are checked in the package, the tests and the benchmark scripts;
 engine ops must be called from the package or the acceptance test, and
-the package's module-level functions and classes referenced, and their
-defaulted parameters passed, from the package, the benchmark scripts or
-the acceptance test.
+the package's module-level functions and classes referenced, their
+defaulted parameters passed, and the defaulted fields of the ``RunSpec``
+sections named by keyword, from the package, the benchmark scripts or the
+acceptance test.
 """
 
 import ast
 import math
+import sys
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import speechsr
+from speechsr.config import RunSpec
 from speechsr.engine import ops
 
 PACKAGE = Path(speechsr.__file__).parent
@@ -203,6 +208,46 @@ def _passed(tree: ast.Module, bases: dict[str, list[str]]):
 # Tests drive the CLI through ``main(argv)``; the console script passes nothing.
 DEFAULT_EXEMPT = {"cli.py::main.argv"}
 
+SECTIONS = [cls for cls in get_type_hints(RunSpec).values() if is_dataclass(cls)]
+
+
+def _builders(tree: ast.Module) -> dict[str, tuple[str, set[str]]]:
+    """The top-level functions that take ``**overrides`` and call a ``RunSpec``
+    section with a ``**`` splat: ``{name: (section, keys of their dict(...) calls)}``."""
+    names = {cls.__name__ for cls in SECTIONS}
+    found = {}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.args.kwarg is None:
+            continue
+        calls = [node for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        keys = {k.arg for call in calls if call.func.id == "dict"
+                for k in call.keywords if k.arg is not None}
+        for call in calls:
+            if call.func.id in names and any(k.arg is None for k in call.keywords):
+                found[fn.name] = (call.func.id, keys)
+    return found
+
+
+def _unset_fields(package_trees, calls) -> list[str]:
+    """The defaulted fields of the ``RunSpec`` sections that no call names by
+    keyword, to the section or to a builder that forwards ``**overrides`` into
+    it (whose own ``dict(...)`` keys count as named). A ``**`` splat, as
+    ``from_dict`` makes, names no field."""
+    builders = {}
+    for tree in package_trees:
+        builders.update(_builders(tree))
+    named = {cls.__name__: set() for cls in SECTIONS}
+    for section, keys in builders.values():
+        named[section] |= keys
+    for callee, _, keywords, _ in calls:
+        section = builders[callee][0] if callee in builders else callee
+        if section in named:
+            named[section] |= keywords - {None}
+    return [f"{_ident(Path(sys.modules[cls.__module__].__file__))}::{cls.__name__}.{f.name}"
+            for cls in SECTIONS for f in fields(cls)
+            if f.default is not MISSING and f.name not in named[cls.__name__]]
+
 
 def test_every_default_is_overridden():
     """Each defaulted parameter of a package function, method or
@@ -216,6 +261,12 @@ def test_every_default_is_overridden():
     ``super().__init__(...)`` to the ``__init__`` of the class's bases. A
     function or method read without a call (a callback such as ``_serve``)
     may be called with anything, so it counts as passing every parameter.
+
+    A defaulted field of a ``RunSpec`` section (``TrainConfig``,
+    ``NoiseSchedule``, ``ArcnConfig``, ``DparnConfig``) counts as a defaulted
+    parameter, passed only where a call names it by keyword (see
+    :func:`_unset_fields`): config files and checkpoints reach every field
+    through ``from_dict``'s splat, so the splat proves no use.
     """
     package = sorted(PACKAGE.rglob("*.py"))
     readers = (package + sorted((ROOT / "bench").glob("*.py"))
@@ -243,4 +294,5 @@ def test_every_default_is_overridden():
                                          or (position is not None and position < count))
                         for c, count, keywords, splat in calls):
                     unset.append(ident)
+    unset += _unset_fields([trees[p] for p in package], calls)
     assert unset == []

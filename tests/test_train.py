@@ -58,8 +58,7 @@ class TestTrainConfig:
             micro_train_config(max_steps=-1)
         assert micro_train_config(max_steps=0).max_steps == 0
 
-    @pytest.mark.parametrize("field", ["crop_seconds", "learning_rate", "lr_factor",
-                                       "clip_norm", "ema_decay"])
+    @pytest.mark.parametrize("field", ["crop_seconds", "learning_rate", "ema_decay"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
@@ -68,34 +67,35 @@ class TestTrainConfig:
 
 class TestPlateauScheduler:
     def test_flat_sequence_halves_once(self):
-        s = PlateauScheduler(lr=1.0, patience=3)
+        s = PlateauScheduler(lr=1.0)
         halved = [s.update(5.0) for _ in range(4)]
         assert halved == [False, False, False, True]
         assert s.lr == 0.5
 
     def test_improvement_resets_patience(self):
-        s = PlateauScheduler(lr=1.0, patience=3)
+        s = PlateauScheduler(lr=1.0)
         for v in (5.0, 5.0, 4.0, 4.0, 4.0, 4.0):
             s.update(v)
         # bad epochs: 0,1 then reset at 4.0, then 1,2,3 -> one halving
         assert s.lr == 0.5
 
-    def test_strict_improvement_required(self):
-        s = PlateauScheduler(lr=1.0, patience=2)
+    def test_strict_improvement_required(self, monkeypatch):
+        monkeypatch.setattr(PlateauScheduler, "PATIENCE", 2)
+        s = PlateauScheduler(lr=1.0)
         s.update(3.0)
         assert s.update(3.0) is False  # equal is not an improvement
         assert s.update(3.0) is True
         assert s.lr == 0.5
 
     def test_monotone_decreasing_never_halves(self):
-        s = PlateauScheduler(lr=1.0, patience=3)
+        s = PlateauScheduler(lr=1.0)
         for v in np.linspace(10, 1, 30):
             assert s.update(float(v)) is False
         assert s.lr == 1.0
 
     def test_trace_decreases_by_half_only(self):
         rng = np.random.default_rng(0)
-        s = PlateauScheduler(lr=0.8, patience=3)
+        s = PlateauScheduler(lr=0.8)
         trace = []
         for _ in range(60):
             s.update(float(rng.uniform(1, 2)))
@@ -104,7 +104,7 @@ class TestPlateauScheduler:
             assert b == a or b == 0.5 * a
 
     def test_state_roundtrip(self):
-        s = PlateauScheduler(lr=0.25, patience=3, factor=0.5)
+        s = PlateauScheduler(lr=0.25)
         s.update(4.0)
         s.update(5.0)
         s2 = PlateauScheduler(**asdict(s))
@@ -138,9 +138,12 @@ class TestFit:
 
     @pytest.mark.parametrize("overrides", [
         {},
-        dict(plateau_patience=1, learning_rate=0.05),
+        dict(learning_rate=0.05),
     ], ids=["flat", "halved-before-cut"])
-    def test_resume_reproduces_lr_trace_bitwise(self, tmp_path, micro_corpus, overrides):
+    def test_resume_reproduces_lr_trace_bitwise(self, tmp_path, micro_corpus, monkeypatch,
+                                                overrides):
+        if overrides:  # with patience 1 the rate falls before the cut
+            monkeypatch.setattr(PlateauScheduler, "PATIENCE", 1)
         arcn, dparn = micro_arch()
         cfg6 = micro_train_config(epochs=6, seed=9, **overrides)
         full = fit(cfg6, arcn, dparn, SCHED, micro_corpus, micro_corpus,
@@ -216,12 +219,12 @@ class TestFit:
         hr = rng.standard_normal(4000)
         inp = rng.standard_normal(4000)
         from speechsr.diffusion import validation_loss
-        r1 = validation_loss(model, hr, inp, SCHED, UpsamplingRatio(2), 16000,
+        r1 = validation_loss(model, hr, inp, UpsamplingRatio(2), 16000,
                              k=500, z=rng.standard_normal(4000))
         z2 = np.random.default_rng(2).standard_normal(4000)
-        r2 = validation_loss(model, hr, inp, SCHED, UpsamplingRatio(2), 16000,
+        r2 = validation_loss(model, hr, inp, UpsamplingRatio(2), 16000,
                              k=500, z=z2)
-        r3 = validation_loss(model, hr, inp, SCHED, UpsamplingRatio(2), 16000,
+        r3 = validation_loss(model, hr, inp, UpsamplingRatio(2), 16000,
                              k=500, z=z2)
         assert r2 == r3  # deterministic given (k, z)
         for p in model.params():
@@ -238,6 +241,26 @@ class TestFit:
             fit(micro_train_config(), arcn, dparn, SCHED, micro_corpus,
                 micro_corpus, tmp_path / "boom")
         assert (tmp_path / "boom" / "diagnostic.ckpt").exists()
+
+    def test_resume_from_diagnostic_trains_only_the_epochs_left(self, tmp_path, micro_corpus,
+                                                                monkeypatch):
+        """A step that fails at once saves its diagnostic at epoch 0, the last one
+        completed, so a resume from it trains and validates epochs 1 and 2 only."""
+        def boom(*args, **kwargs):
+            raise NumericsError("poisoned step")
+
+        arcn, dparn = micro_arch()
+        cfg, out = micro_train_config(epochs=2), tmp_path / "boom"
+        monkeypatch.setattr(train_mod, "train_step", boom)
+        with pytest.raises(NumericsError):
+            fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, out)
+        monkeypatch.undo()
+        assert load_state(out / "diagnostic.ckpt")[0]["epoch"] == 0
+        resumed = fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, out,
+                      resume_from=out / "diagnostic.ckpt")
+        with open(out / "runlog_epochs.csv", newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["epoch", "1", "2"]
+        assert (resumed.total_steps, len(resumed.val_trace)) == (2, 2)
 
     def test_crop_shorter_than_a_dparn_frame_refused_before_out_dir(self, tmp_path,
                                                                    micro_corpus):
@@ -378,7 +401,7 @@ class TestStepProcesses:
             log.unlink()
             if run == "step":
                 diffusion.train_step(model, Batch(hr=(hr,), inp=(hr,), ids=("a",), sample_rate=16000),
-                                     SCHED, Adam(model.params()), Ema(model.params()),
+                                     Adam(model.params()), Ema(model.params()),
                                      np.random.default_rng(5), UpsamplingRatio(2))
             else:
                 reverse_infer(Waveform(np.resize(hr, 8000), 8000), model,
