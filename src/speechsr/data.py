@@ -273,57 +273,55 @@ class Batch:
 class Batcher:
     """Epoch iterator: shuffled order, one random crop per utterance.
 
-    Utterances are normalized full-length, then cropped to the crop length;
-    one shorter than a crop is taken whole. The LR simulation runs on each
-    crop. All randomness is drawn from the generator passed to :meth:`epoch`.
+    ``audio`` maps each utterance id to its normalized full-length samples
+    at ``sample_rate``, in manifest order; each is cropped to the crop
+    length, and one shorter than a crop is taken whole. The LR simulation
+    runs on each crop. All randomness is drawn from the generator passed to
+    :meth:`epoch`.
     """
 
-    def __init__(self, manifest: Manifest, batch_size: int, crop_s: float,
+    def __init__(self, audio: dict[str, np.ndarray], batch_size: int, crop_s: float,
                  ratio: UpsamplingRatio, kind: str, sample_rate: int = 16000):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        self.manifest = manifest
+        self.ids, self.audio = tuple(audio), tuple(audio.values())
         self.batch_size = batch_size
         self.crop_len = int(round(crop_s * sample_rate))
         self.ratio = ratio
         self.kind = kind
         self.sample_rate = sample_rate
-        self._cache: dict[str, np.ndarray] = {}
 
-    def _load(self, entry: ManifestEntry) -> np.ndarray:
-        if entry.utt_id not in self._cache:
-            w = preprocess(read_wav(entry.path), self.sample_rate)
-            self._cache[entry.utt_id] = w.samples
-        return self._cache[entry.utt_id]
+    def __len__(self) -> int:
+        """Batches per epoch."""
+        return -(-len(self.audio) // self.batch_size)
 
     def epoch(self, rng: np.random.Generator):
-        order = rng.permutation(len(self.manifest))
+        order = rng.permutation(len(self.audio))
         for start in range(0, len(order), self.batch_size):
             hrs, inps, ids = [], [], []
             for idx in order[start:start + self.batch_size]:
-                entry = self.manifest.entries[idx]
-                x = self._load(entry)
+                x = self.audio[idx]
                 if x.size >= self.crop_len:
                     off = int(rng.integers(0, x.size - self.crop_len + 1))
                     x = x[off:off + self.crop_len]
                 _, inp = simulate_lr(Waveform(x, self.sample_rate), self.ratio, self.kind)
                 hrs.append(x)
                 inps.append(inp.samples)
-                ids.append(entry.utt_id)
+                ids.append(self.ids[idx])
             yield Batch(hr=tuple(hrs), inp=tuple(inps), ids=tuple(ids),
                         sample_rate=self.sample_rate)
 
 
-def validation_items(manifest: Manifest, sample_rate: int, ratio: UpsamplingRatio,
+def validation_items(audio: dict[str, np.ndarray], sample_rate: int, ratio: UpsamplingRatio,
                      kind: str, max_s: float = 8.0):
-    """Full (center-cropped to <= max_s) utterances for validation."""
+    """Full (center-cropped to <= max_s) utterances for validation, from
+    ``audio`` as :class:`Batcher` takes it."""
     out = []
     limit = int(round(max_s * sample_rate))
-    for entry in manifest.entries:
-        x = preprocess(read_wav(entry.path), sample_rate).samples
+    for utt_id, x in audio.items():
         if x.size > limit:
             start = (x.size - limit) // 2
             x = x[start:start + limit]
         _, inp = simulate_lr(Waveform(x, sample_rate), ratio, kind)
-        out.append((entry.utt_id, x, inp.samples))
+        out.append((utt_id, x, inp.samples))
     return out

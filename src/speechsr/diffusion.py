@@ -143,9 +143,9 @@ def train_step(model: TwoStageModel, batch, opt, ema, rng: np.random.Generator,
     front in utterance order; losses are averaged over the batch before the
     clipped Adam update and EMA refresh. Each utterance's graph is built,
     backpropagated and dropped before the next one's, so a process holds one
-    graph at a time. The gradients accumulate in the parameters'
-    :class:`FlatParams` buffer, made here if ``opt`` did not make it, whose
-    views are the ``.grad`` arrays (zero where ``backward`` did not reach).
+    graph at a time. The gradients accumulate in ``opt.flat``, the layout
+    ``opt`` and ``ema`` share, whose views are the ``.grad`` arrays (zero
+    where ``backward`` did not reach).
 
     With ``workers``, the batch is cut into contiguous parts, one per
     process: this process runs the first, and each worker the next, on the
@@ -160,7 +160,7 @@ def train_step(model: TwoStageModel, batch, opt, ema, rng: np.random.Generator,
     the EMA moves; ``.grad`` then holds the sum over the utterances before
     the one that failed.
     """
-    flat = FlatParams.of(model.params())
+    flat = opt.flat
     flat.zero_grad()
     n_items = len(batch.hr)
     items = []
@@ -213,17 +213,17 @@ def _run_part(model: TwoStageModel, flat: FlatParams, ratio, sample_rate, n_item
     return results
 
 
-def _serve(model: TwoStageModel, conn, inherited) -> None:
+def _serve(model: TwoStageModel, flat: FlatParams, conn, inherited) -> None:
     """A step worker: run each part it is sent, until its pipe closes.
 
-    It first closes the parent's pipe ends it inherited, its own included,
-    so that its pipe closes when the parent exits. Its ops never split:
-    the parent and the other workers run on the other CPUs. EOF, a broken
-    pipe or Ctrl-C end it without a traceback.
+    ``flat`` is the layout of ``model``'s parameters it inherited at the
+    fork. It first closes the parent's pipe ends it inherited, its own
+    included, so that its pipe closes when the parent exits. Its ops never
+    split: the parent and the other workers run on the other CPUs. EOF, a
+    broken pipe or Ctrl-C end it without a traceback.
     """
     for other in inherited:
         other.close()
-    flat = FlatParams.of(model.params())
     try:
         with ops._unsplit():
             while True:
@@ -237,16 +237,17 @@ def _serve(model: TwoStageModel, conn, inherited) -> None:
 class StepWorkers:
     """``count`` forked processes, each running a part of every train step.
 
-    Each holds the model as it was at the fork and talks to this process
-    over its own pipe (:func:`train_step`, :func:`_serve`): per step it gets
-    the parameter values as one flat array and answers with one flat
-    gradient per utterance. Its ops run unsplit for its whole life.
-    :meth:`close` ends and joins them. They are forked, not spawned, so that
-    they start with the model and without a fresh import; a child runs only
-    on the forking thread, and the engine drops the block pool it inherits.
+    Each holds the model and its layout ``flat`` as they were at the fork
+    and talks to this process over its own pipe (:func:`train_step`,
+    :func:`_serve`): per step it gets the parameter values as one flat
+    array and answers with one flat gradient per utterance. Its ops run
+    unsplit for its whole life. :meth:`close` ends and joins them. They are
+    forked, not spawned, so that they start with the model and without a
+    fresh import; a child runs only on the forking thread, and the engine
+    drops the block pool it inherits.
     """
 
-    def __init__(self, model: TwoStageModel, count: int):
+    def __init__(self, model: TwoStageModel, flat: FlatParams, count: int):
         self.conns, self._procs = [], []
         if count < 1:
             return
@@ -254,8 +255,8 @@ class StepWorkers:
         try:
             for i in range(count):
                 conn, child = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(model, child, [*self.conns, conn]),
-                                   name=f"speechsr-step-{i + 1}", daemon=True)
+                proc = ctx.Process(target=_serve, name=f"speechsr-step-{i + 1}", daemon=True,
+                                   args=(model, flat, child, [*self.conns, conn]))
                 proc.start()
                 child.close()
                 self.conns.append(conn)
@@ -306,8 +307,7 @@ def validation_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
 
 
 def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
-                  ratio: UpsamplingRatio, kind: str = "chebyshev",
-                  rng: np.random.Generator | None = None) -> Waveform:
+                  ratio: UpsamplingRatio, kind: str, rng: np.random.Generator) -> Waveform:
     """Generate the super-resolved signal from a low-rate input.
 
     Shallow-diffusion initialization (start from the predictive estimate)
@@ -316,8 +316,6 @@ def reverse_infer(s_lr: Waveform, model: TwoStageModel, sched: NoiseSchedule,
     NumericsError naming the step and its ``t`` when ARCN's estimate is
     not finite.
     """
-    if rng is None:
-        raise ValueError("reverse_infer needs an explicit Generator for determinism")
     s_inp = cubic_spline_upsample(s_lr, ratio)
     rate = s_inp.sample_rate
     n = len(s_inp)

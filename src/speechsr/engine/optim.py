@@ -1,14 +1,14 @@
 """Adam with bias correction, global-norm gradient clipping, and EMA shadows.
 
-Adam and the EMA work on their parameter list's :class:`FlatParams` layout,
-made by whichever of them is built first: the values, gradients, Adam
-moments and EMA shadow are one float64 buffer each, in list order, so an
-update is a handful of whole-buffer numpy calls. Each does, element by
-element, what a loop over the parameters does, with the same bits. Each
-``.grad`` is its view of the gradient buffer, written in place, never
-rebound, and zero where ``backward`` did not reach. ``opt.m``, ``opt.v``
-and ``ema.shadow`` map each parameter's name to its view of those
-buffers, so a checkpoint restored through them in place lands in them.
+Adam and the EMA work on the :class:`FlatParams` layout they are given,
+which its owner (``train.fit``) makes once: the values, gradients, Adam
+moments ``m`` and ``v`` and the EMA ``shadow`` are one float64 buffer
+each, in layout order, so an update is a handful of whole-buffer numpy
+calls. Each does, element by element, what a loop over the parameters
+does, with the same bits. Each ``.grad`` is its view of the gradient
+buffer, written in place, never rebound, and zero where ``backward`` did
+not reach. Nothing here names a parameter's slice of a buffer; the
+layout's ``views`` do, for whoever saves them.
 """
 
 from __future__ import annotations
@@ -24,16 +24,14 @@ class Adam:
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Parameter], lr: float = 6e-4):
-        names = [p.name for p in params]
+    def __init__(self, flat: FlatParams, lr: float = 6e-4):
+        names = [p.name for p in flat.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
-        self.flat = FlatParams.of(params)
+        self.flat = flat
         self.lr = float(lr)
         self.step_count = 0
-        self._m, self._v = np.zeros_like(self.flat.data), np.zeros_like(self.flat.data)
-        self.m = dict(zip(names, self.flat.views(self._m)))
-        self.v = dict(zip(names, self.flat.views(self._v)))
+        self.m, self.v = np.zeros_like(flat.data), np.zeros_like(flat.data)
         self._scratch = np.empty((2, self.flat.data.size))  # reused by every step
 
     def step(self):
@@ -41,7 +39,7 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.BETA1**t
         bc2 = 1.0 - self.BETA2**t
-        g, m, v = self.flat.grad, self._m, self._v
+        g, m, v = self.flat.grad, self.m, self.v
         a, b = self._scratch
         m *= self.BETA1
         m += np.multiply(g, 1.0 - self.BETA1, out=a)
@@ -55,9 +53,6 @@ class Adam:
         np.sqrt(b, out=b)
         b += self.EPS
         self.flat.data -= np.divide(a, b, out=a)
-
-    def zero_grad(self):
-        self.flat.zero_grad()
 
 
 CLIP_NORM = 1.0
@@ -89,15 +84,14 @@ def clip_global_norm(params: list[Parameter]) -> float:
 class Ema:
     """Exponential moving average of parameters: shadow <- d*shadow + (1-d)*p."""
 
-    def __init__(self, params: list[Parameter], decay: float = 0.999):
+    def __init__(self, flat: FlatParams, decay: float = 0.999):
         if not 0.0 <= decay <= 1.0:
             raise ValueError(f"decay must lie in [0, 1], got {decay}")
         self.decay = float(decay)
-        self.flat = FlatParams.of(params)
-        self._shadow = self.flat.data.copy()
-        self.shadow = dict(zip((p.name for p in params), self.flat.views(self._shadow)))
+        self.flat = flat
+        self.shadow = flat.data.copy()
 
     def update(self):
         d = self.decay
-        self._shadow *= d
-        self._shadow += (1.0 - d) * self.flat.data
+        self.shadow *= d
+        self.shadow += (1.0 - d) * self.flat.data

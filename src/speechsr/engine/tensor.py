@@ -8,7 +8,7 @@ so once the caller drops an intermediate tensor its array is freed unless
 a vjp closure captured it: only the closures keep arrays, and each keeps
 only what it reads. ``backward`` walks the nodes once in reverse
 topological order. Only leaves keep a gradient: it accumulates into their
-``.grad`` and persists until the optimizer clears it, so on leaves two
+``.grad`` and persists until it is cleared, so on leaves two
 backward calls equal one backward of the doubled loss; a parameter laid
 out by :class:`FlatParams` keeps its view of the layout's gradient buffer
 as ``.grad``, written in place, never rebound, and zero where ``backward``
@@ -126,9 +126,12 @@ class Tensor:
                     pending[key] = np.asarray(pg, dtype=np.float64)
 
     def _accumulate(self, g: np.ndarray):
-        # A leaf owns its grad; clip/step mutate it in place, so it must not
-        # alias another node's gradient.
-        self.grad = g.copy() if self.grad is None else self.grad + g
+        # A leaf owns its grad (clip/step mutate it in place): the first is a
+        # copy, later ones, and all of a laid-out parameter's, add in place.
+        if self.grad is None:
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     # Shape sugar; the ops themselves live in speechsr.engine.ops.
 
@@ -169,11 +172,6 @@ class Parameter(Tensor):
         self.name = name
         self.layout: FlatParams | None = None
 
-    def _accumulate(self, g: np.ndarray):
-        if self.layout is None:
-            return super()._accumulate(g)
-        self.grad += g
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
@@ -188,10 +186,14 @@ class FlatParams:
     gradient set from outside is written in place (``p.grad[...] = g``), and
     a parameter ``backward`` did not reach reads zeros. An optimizer, a
     gradient sum or a process boundary handles one array, not one each.
+    Raises ValueError, rebinding nothing, if a parameter is laid out already.
     """
 
     def __init__(self, params: list[Parameter]):
         self.params = list(params)
+        taken = [p.name for p in self.params if p.layout is not None]
+        if taken:
+            raise ValueError(f"parameters already laid out: {taken[:3]}")
         offsets = np.cumsum([0, *(p.size for p in self.params)]).tolist()
         self._bounds = list(zip(offsets[:-1], offsets[1:]))
         self.data = np.empty(offsets[-1])
@@ -199,21 +201,6 @@ class FlatParams:
         for p, view, grad in zip(self.params, self.views(self.data), self.views(self.grad)):
             view[...] = p.data
             p.data, p.grad, p.layout = view, grad, self
-
-    @classmethod
-    def of(cls, params: list[Parameter]) -> FlatParams:
-        """The layout of exactly ``params`` in this order, made if there is none.
-
-        Raises ValueError if a parameter already belongs to another layout.
-        """
-        params = list(params)
-        layout = params[0].layout if params else None
-        if layout is not None and layout.params == params:
-            return layout
-        taken = [p.name for p in params if p.layout is not None]
-        if taken:
-            raise ValueError(f"parameters already laid out with another list: {taken[:3]}")
-        return cls(params)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """``flat``'s slice for each parameter, in list order and in its shape."""

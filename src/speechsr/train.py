@@ -15,6 +15,7 @@ import json
 import os
 import time
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import (TOTAL_STEPS, NoiseSchedule, StepWorkers, reverse_infer, train_step,
                         validation_loss)
 from .dsp import FrameConfig, Waveform, n_frames_for, stft
-from .engine import Adam, Ema, load_state, malloc_settings, ops, save_state, thread_counts
+from .engine import (Adam, Ema, FlatParams, load_state, malloc_settings, ops, save_state,
+                     thread_counts)
 from .errors import ConfigError, NumericsError
 from .networks import Arcn, ArcnConfig, DparnConfig, TwoStageModel
 from .objectives import LossReport, MetricReport, band_energy_error, lsd, sisnr
@@ -140,11 +142,13 @@ class CheckpointMeta:
 META_KEYS = tuple(f.name for f in fields(CheckpointMeta))
 
 
-def _state_table(model, opt, ema) -> dict[str, dict[str, np.ndarray]]:
-    """What a checkpoint holds: array prefix -> {name: live array}, saved as
+def _state_table(opt, ema) -> dict[str, dict[str, np.ndarray]]:
+    """What a checkpoint holds: array prefix -> {parameter name: its view of the
+    layout's values, an Adam moment or the EMA shadow}, saved as
     ``<prefix>/<name>`` and restored in place."""
-    return {"param": {p.name: p.data for p in model.params()},
-            "adam/m": opt.m, "adam/v": opt.v, "ema": ema.shadow}
+    names, views = [p.name for p in opt.flat.params], opt.flat.views
+    return {prefix: dict(zip(names, views(array))) for prefix, array in
+            (("param", opt.flat.data), ("adam/m", opt.m), ("adam/v", opt.v), ("ema", ema.shadow))}
 
 
 def _flatten(table: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -208,36 +212,54 @@ def _step_processes(arcn: Arcn, cfg: TrainConfig) -> int:
     return min(ops._workers(), cfg.batch_size)
 
 
+def _load_audio(kind: str, manifest: Manifest, sample_rate: int,
+                frame_size: int) -> dict[str, np.ndarray]:
+    """Each entry's WAV preprocessed to ``sample_rate``, by utterance id. Raises
+    ConfigError naming ``kind``, the entry and its file for a WAV whose rate is
+    not a multiple of ``sample_rate`` or that gives fewer than ``frame_size`` samples."""
+    audio = {}
+    for e in manifest.entries:
+        w = read_wav(e.path)
+        named = f"{kind} manifest entry {e.utt_id!r} ({e.path}, {w.sample_rate} Hz)"
+        if w.sample_rate % sample_rate:
+            raise ConfigError(f"{named}: rate not a multiple of train.sample_rate")
+        x = audio[e.utt_id] = preprocess(w, sample_rate).samples
+        if x.size < frame_size:
+            raise ConfigError(f"{named}: {x.size} samples at train.sample_rate < dparn.frame_size")
+    return audio
+
+
 def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         sched: NoiseSchedule, train_manifest: Manifest, valid_manifest: Manifest,
         out_dir, resume_from=None) -> FitResult:
     """Run the training loop; writes checkpoints, logs, and run metadata.
 
-    Adam takes the plateau scheduler's rate before each epoch's steps, so a
-    resumed run trains at its checkpoint's rate. Where the crop is small
-    enough (:func:`_step_processes`), ``fit`` forks one :class:`StepWorkers`
-    process per extra CPU, up to one per extra batch item, and each step's
-    utterances are shared among the processes with the same bits as inline.
-    The workers are joined before ``fit`` returns or raises.
+    ``fit`` reads every WAV and the checkpoint it resumes from before
+    ``out_dir`` exists, and owns the training state: it lays
+    ``model.params()`` out once and hands that layout to Adam, the EMA and
+    the step workers. Adam takes the plateau scheduler's rate before each
+    epoch's steps, so a resumed run trains at its checkpoint's rate; its
+    first epoch trains only the batches its checkpoint had left. Where the
+    crop is small enough (:func:`_step_processes`), ``fit`` forks one
+    :class:`StepWorkers` process per extra CPU, up to one per extra batch
+    item, and each step's utterances are shared among the processes with
+    the same bits as inline. The workers are joined before ``fit`` returns
+    or raises.
     """
     model = TwoStageModel(arcn_cfg, dparn_cfg, seed=cfg.seed)
     model.arcn.frame_geometry(cfg.sample_rate)  # refuse bad framing before any file exists
     if (crop := round(cfg.crop_seconds * cfg.sample_rate)) < dparn_cfg.frame_size:
         raise ConfigError(f"crop_seconds {cfg.crop_seconds} gives {crop} samples, fewer than"
                           f" one DPARN frame (frame_size {dparn_cfg.frame_size})")
-    for kind, manifest in (("train", train_manifest), ("valid", valid_manifest)):
-        for e in manifest.entries:  # preprocess keeps every factor-th sample
-            named = f"{kind} manifest entry {e.utt_id!r} ({e.path}, {e.sample_rate} Hz)"
-            factor, rest = divmod(e.sample_rate, cfg.sample_rate)
-            if rest or not factor:
-                raise ConfigError(f"{named}: rate not a multiple of train.sample_rate")
-            if (n := -(-e.n_samples // factor)) < dparn_cfg.frame_size:
-                raise ConfigError(f"{named}: {n} samples at train.sample_rate < dparn.frame_size")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ratio = UpsamplingRatio(cfg.ratio)
-    opt = Adam(model.params(), lr=cfg.learning_rate)
-    ema = Ema(model.params(), decay=cfg.ema_decay)
+    train_audio = _load_audio("train", train_manifest, cfg.sample_rate, dparn_cfg.frame_size)
+    valid_audio = _load_audio("valid", valid_manifest, cfg.sample_rate, dparn_cfg.frame_size)
+    batcher = Batcher(train_audio, cfg.batch_size, cfg.crop_seconds, ratio,
+                      cfg.filter_kind, cfg.sample_rate)
+    valid = validation_items(valid_audio, cfg.sample_rate, ratio, cfg.filter_kind)
+    draws = _validation_draws(cfg, valid)
+    flat = FlatParams(model.params())
+    opt, ema = Adam(flat, lr=cfg.learning_rate), Ema(flat, decay=cfg.ema_decay)
     scheduler = PlateauScheduler(lr=cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB47C4]))
     start_epoch = global_step = 0
@@ -249,22 +271,19 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         meta, arrays = _read_checkpoint(resume_from)
         if meta.arch != arch:
             raise ConfigError("checkpoint architecture differs from configuration")
-        _restore(resume_from, arrays, _state_table(model, opt, ema))
+        _restore(resume_from, arrays, _state_table(opt, ema))
         scheduler = meta.scheduler
         rng.bit_generator.state = meta.rng_state
         start_epoch = meta.epoch
         global_step = opt.step_count = meta.global_step
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     run_meta = {"version": __version__, "train_config": asdict(cfg), "arch": asdict(arch),
                 "schedule": asdict(sched), "threads": thread_counts(),
                 "malloc": malloc_settings(), "train_processes": processes,
                 "resumed_from": str(resume_from) if resume_from else None}
     (out / "run_meta.json").write_text(json.dumps(run_meta, indent=2, sort_keys=True))
-
-    batcher = Batcher(train_manifest, cfg.batch_size, cfg.crop_seconds, ratio,
-                      cfg.filter_kind, cfg.sample_rate)
-    valid = validation_items(valid_manifest, cfg.sample_rate, ratio, cfg.filter_kind)
-    draws = _validation_draws(cfg, valid)
 
     runlog = RunLog(out, resume=None if resume_from is None else (start_epoch, global_step))
     best_path = out / "best.ckpt"
@@ -278,13 +297,15 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     def save(path, epoch):
         meta = CheckpointMeta(__version__, arch, cfg, sched, epoch, global_step,
                               scheduler, rng.bit_generator.state)
-        save_state(path, asdict(meta), _flatten(_state_table(model, opt, ema)))
+        save_state(path, asdict(meta), _flatten(_state_table(opt, ema)))
 
-    workers = StepWorkers(model, processes - 1)
+    # The first epoch's steps that a diagnostic saved mid-epoch holds (else 0).
+    done = min(max(global_step - start_epoch * len(batcher), 0), len(batcher))
+    workers = StepWorkers(model, flat, processes - 1)
     try:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             opt.lr = scheduler.lr
-            for batch in batcher.epoch(rng):
+            for batch in islice(batcher.epoch(rng), len(batcher) - done):
                 result = train_step(model, batch, opt, ema, rng, ratio, workers=workers)
                 global_step += 1
                 step_totals.append(result.report.total)
@@ -309,6 +330,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
                 save(last_path, epoch)
             if stop:
                 break
+            done = 0
     except NumericsError:
         save(out / "diagnostic.ckpt", epoch - 1)  # the last epoch completed
         raise

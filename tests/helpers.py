@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 
 from speechsr import dsp
-from speechsr.engine import ops
+from speechsr.engine import Adam, Ema, FlatParams, ops
 
 
 def fd_gradient_check(build_loss, params, rng, n_probes=32, h=1e-5,
@@ -186,47 +186,49 @@ def group_norm_silu_oracle(x, gamma, beta, groups: int, eps: float = 1e-5) -> np
 
 
 class LoopAdam:
-    """Adam as a loop over the parameters, each with its own moment arrays:
-    the per-element arithmetic the flat optimizer must reproduce bit for bit."""
+    """Adam as a loop over the parameters of the layout it is given, each
+    with its own moment arrays: the per-element arithmetic the flat
+    optimizer must reproduce bit for bit. The moments are each parameter's
+    view of a flat ``m`` and ``v``, so its state reads as ``Adam``'s does."""
 
-    def __init__(self, params, lr=6e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params, self.lr = list(params), lr
+    def __init__(self, flat, lr=6e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.flat, self.lr = flat, lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        self.m, self.v = np.zeros_like(flat.data), np.zeros_like(flat.data)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m, v = self.m[p.name], self.v[p.name]
+        for p, m, v in zip(self.flat.params, self.flat.views(self.m), self.flat.views(self.v)):
+            g = p.grad
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
 
 class LoopEma:
-    """EMA as a loop over the parameters, each with its own shadow array."""
+    """EMA as a loop over the parameters of the layout it is given, each
+    with its own shadow array (its view of a flat ``shadow``)."""
 
-    def __init__(self, params, decay=0.999):
-        self.params, self.decay = list(params), decay
-        self.shadow = {p.name: p.data.copy() for p in params}
+    def __init__(self, flat, decay=0.999):
+        self.flat, self.decay = flat, decay
+        self.shadow = flat.data.copy()
 
     def update(self):
-        for p in self.params:
-            s = self.shadow[p.name]
+        for p, s in zip(self.flat.params, self.flat.views(self.shadow)):
             s *= self.decay
             s += (1.0 - self.decay) * p.data
+
+
+def adam_and_ema(model, lr=6e-4, decay=0.999):
+    """``Adam`` and ``Ema`` on one layout of ``model.params()``, as ``fit`` makes them."""
+    flat = FlatParams(model.params())
+    return Adam(flat, lr), Ema(flat, decay)
 
 
 def loop_clip_global_norm(params, max_norm=1.0) -> float:

@@ -349,8 +349,10 @@ def test_criterion_08_toy_overfit(overfit):
     # the centre 0.5 s of each utterance, a 12-point log grid of k, fixed z.
     totals = np.array(run_a.step_totals)
     assert totals.size == 200
-    items = validation_items(corpus, cfg.sample_rate, UpsamplingRatio(2),
-                             cfg.filter_kind, max_s=0.5)
+    audio = {e.utt_id: preprocess(read_wav(e.path), cfg.sample_rate).samples
+             for e in corpus.entries}
+    items = validation_items(audio, cfg.sample_rate, UpsamplingRatio(2), cfg.filter_kind,
+                             max_s=0.5)
     ks = np.unique(np.geomspace(1, TOTAL_STEPS, 12).round().astype(int))
     draw_rng = np.random.default_rng(OVERFIT_SEED)
     draws = [[(int(k), draw_rng.standard_normal(hr.size)) for k in ks]

@@ -301,21 +301,25 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind", ["train", "valid"])
-    @pytest.mark.parametrize("rate, n", [(16000, 100), (8000, 8000)], ids=["short", "rate"])
+    @pytest.mark.parametrize("rate, stated, n", [(16000, 16000, 100), (8000, 8000, 8000),
+                                                 (8000, 16000, 8000)],
+                             ids=["short", "rate", "stated-rate"])
     def test_unusable_manifest_entry_fails_before_out_dir(self, tmp_path, cli_corpus, capsys,
-                                                          kind, rate, n):
-        """An entry shorter than one DPARN frame at the training rate, or at a rate
-        that is not an integer multiple of it, exits 2 naming the entry, before
-        ``out_dir`` exists."""
+                                                          kind, rate, stated, n):
+        """An entry whose WAV is shorter than one DPARN frame at the training rate,
+        or at a rate that is not an integer multiple of it (whatever rate its
+        manifest line states), exits 2 naming the manifest kind, the entry and
+        its file, before ``out_dir`` exists."""
         odd = tmp_path / "odd.wav"
         write_wav(odd, Waveform(0.1 * np.random.default_rng(3).standard_normal(n), rate))
         entries = read_manifest(cli_corpus / "manifest.tsv").entries
         write_manifest(tmp_path / "odd.tsv",
-                       Manifest(entries + (ManifestEntry("odd_entry", str(odd), rate, n),)))
+                       Manifest(entries + (ManifestEntry("odd_entry", str(odd), stated, n),)))
         cfg = _write_train_config(tmp_path / "bad.cfg", cli_corpus, tmp_path / "run",
                                   extra=f"{kind}_manifest = {tmp_path / 'odd.tsv'}\n")
         assert main(["train", "--config", str(cfg)]) == 2
-        assert "odd_entry" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{kind} manifest entry 'odd_entry' ({odd}" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind", ["train", "valid"])

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     LoopAdam,
     LoopEma,
+    adam_and_ema,
     assert_grad_views,
     band_lsd,
     loop_clip_global_norm,
@@ -31,7 +32,7 @@ from speechsr.diffusion import (
     train_step,
 )
 from speechsr.dsp import Waveform
-from speechsr.engine import Adam, Ema, Tensor
+from speechsr.engine import FlatParams, Tensor
 from speechsr.objectives import LossReport, lambda_weight, loss_pred, loss_tf
 from speechsr.resample import UpsamplingRatio, simulate_lr
 from speechsr.engine import ops
@@ -202,8 +203,7 @@ def _toy_batch(lengths=(4000, 4000)):
 class TestTrainStep:
     def test_smoke_finite_and_updates(self):
         model = _tiny_model(seed=1)
-        opt = Adam(model.params(), lr=1e-3)
-        ema = Ema(model.params(), decay=0.9)
+        opt, ema = adam_and_ema(model, lr=1e-3, decay=0.9)
         batch = _toy_batch()
         before = {p.name: p.data.copy() for p in model.params()}
         out = train_step(model, batch, opt, ema,
@@ -231,8 +231,7 @@ class TestTrainStep:
             reports.append(report)
         assert reports[0] != reports[1]
         rng = np.random.default_rng(6)
-        out = train_step(model, batch, Adam(model.params()), Ema(model.params()),
-                         rng, UpsamplingRatio(2))
+        out = train_step(model, batch, *adam_and_ema(model), rng, UpsamplingRatio(2))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         expected = LossReport(*(float(np.mean([getattr(r, f.name) for r in reports]))
                                 for f in dataclasses.fields(LossReport)))
@@ -250,8 +249,8 @@ class TestTrainStep:
 
         monkeypatch.setattr(diffusion, "_utterance_loss", spy)
         model = _tiny_model(seed=1)
-        train_step(model, _toy_batch(lengths=(4000,) * 3), Adam(model.params()),
-                   Ema(model.params()), np.random.default_rng(0), UpsamplingRatio(2))
+        train_step(model, _toy_batch(lengths=(4000,) * 3), *adam_and_ema(model),
+                   np.random.default_rng(0), UpsamplingRatio(2))
         assert alive == [0, 0, 0]
 
     def test_paper_scale_utterance_graph_fits_its_memory_budget(self):
@@ -279,7 +278,7 @@ class TestTrainStep:
     def test_infinite_gradient_is_refused_before_any_state_moves(self, monkeypatch):
         """A finite loss with an infinite gradient raises; params, moments and EMA keep their bits."""
         model = _tiny_model(seed=3)
-        opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+        opt, ema = adam_and_ema(model, lr=1e-3, decay=0.9)
         batch = _toy_batch(lengths=(2000,))
         train_step(model, batch, opt, ema, np.random.default_rng(0), UpsamplingRatio(2))
         inner, target = diffusion._utterance_loss, model.params()[0]
@@ -290,16 +289,10 @@ class TestTrainStep:
             return ops.add(total, spike), report
 
         monkeypatch.setattr(diffusion, "_utterance_loss", poisoned)
-        state = ({p.name: p.data.copy() for p in model.params()},
-                 {k: v.copy() for k, v in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()},
-                 {k: v.copy() for k, v in ema.shadow.items()})
+        state = _step_state(opt, ema)
         with pytest.raises(NumericsError, match="non-finite gradient"):
             train_step(model, batch, opt, ema, np.random.default_rng(1), UpsamplingRatio(2))
-        after = ({p.name: p.data for p in model.params()}, opt.m, opt.v, ema.shadow)
-        for before_arrays, after_arrays in zip(state, after):
-            assert before_arrays.keys() == after_arrays.keys()
-            for name, arr in before_arrays.items():
-                np.testing.assert_array_equal(after_arrays[name], arr, err_msg=name)
+        _assert_same_state(state, _step_state(opt, ema))
         assert opt.step_count == 1
 
     def test_frozen_passthrough_reduces_to_closed_form(self):
@@ -336,19 +329,17 @@ def _poison_size(monkeypatch, size):
     monkeypatch.setattr(diffusion, "_utterance_loss", poisoned)
 
 
-def _step_state(model, opt, ema):
-    return ({p.name: p.data.copy() for p in model.params()},
-            {k: v.copy() for k, v in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()},
-            {k: v.copy() for k, v in ema.shadow.items()})
+STATE_NAMES = ("values", "adam/m", "adam/v", "ema")
 
 
-def _assert_same_arrays(a: dict, b: dict):
-    assert a.keys() == b.keys()
-    for name, arr in a.items():
-        if arr is None:
-            assert b[name] is None, name
-        else:
-            np.testing.assert_array_equal(b[name], arr, err_msg=name)
+def _step_state(opt, ema):
+    """Copies of the flat values, Adam moments and EMA shadow, in ``STATE_NAMES`` order."""
+    return tuple(a.copy() for a in (opt.flat.data, opt.m, opt.v, ema.shadow))
+
+
+def _assert_same_state(a, b):
+    for name, want, got in zip(STATE_NAMES, a, b, strict=True):
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestStepWorkers:
@@ -362,20 +353,19 @@ class TestStepWorkers:
         runs = []
         for n_workers in (0, count):
             model = _tiny_model(seed=4)
-            opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+            opt, ema = adam_and_ema(model, lr=1e-3, decay=0.9)
             rng = np.random.default_rng(6)
-            workers = diffusion.StepWorkers(model, n_workers)
+            workers = diffusion.StepWorkers(model, opt.flat, n_workers)
             try:
                 outs = [train_step(model, batch, opt, ema, rng, UpsamplingRatio(2),
                                    workers=workers) for _ in range(2)]
             finally:
                 workers.close()
-            runs.append((outs, _step_state(model, opt, ema), rng.bit_generator.state))
+            runs.append((outs, _step_state(opt, ema), rng.bit_generator.state))
         (outs_a, state_a, rng_a), (outs_b, state_b, rng_b) = runs
         assert outs_a == outs_b
         assert rng_a == rng_b
-        for a, b in zip(state_a, state_b):
-            _assert_same_arrays(a, b)
+        _assert_same_state(state_a, state_b)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -383,9 +373,9 @@ class TestStepWorkers:
         """After a step with ``count`` workers and after ``zero_grad``, each
         ``.grad`` is the view of ``flat.grad`` that laying out made."""
         model = _tiny_model(seed=4)
-        opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+        opt, ema = adam_and_ema(model, lr=1e-3, decay=0.9)
         views = [p.grad for p in opt.flat.params]
-        workers = diffusion.StepWorkers(model, count)
+        workers = diffusion.StepWorkers(model, opt.flat, count)
         try:
             train_step(model, _toy_batch(lengths=(2000, 3000, 4000)), opt, ema,
                        np.random.default_rng(6), UpsamplingRatio(2), workers=workers)
@@ -393,7 +383,7 @@ class TestStepWorkers:
             workers.close()
         assert_grad_views(opt.flat, views)
         assert np.any(opt.flat.grad)
-        opt.zero_grad()
+        opt.flat.zero_grad()
         assert_grad_views(opt.flat, views)
         assert not np.any(opt.flat.grad)
 
@@ -404,26 +394,26 @@ class TestStepWorkers:
         clip loop over the parameters, by ``np.array_equal``."""
         batch = _toy_batch(lengths=(2000, 3000, 4000))
         model = _tiny_model(seed=4)
-        opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+        opt, ema = adam_and_ema(model, lr=1e-3, decay=0.9)
         rng = np.random.default_rng(6)
-        workers = diffusion.StepWorkers(model, count)
+        workers = diffusion.StepWorkers(model, opt.flat, count)
         try:
             outs = [train_step(model, batch, opt, ema, rng, UpsamplingRatio(2),
                                workers=workers) for _ in range(3)]
         finally:
             workers.close()
         oracle = _tiny_model(seed=4)
-        loop_opt, loop_ema = LoopAdam(oracle.params(), lr=1e-3), LoopEma(oracle.params(), 0.9)
+        oracle_flat = FlatParams(oracle.params())
+        loop_opt, loop_ema = LoopAdam(oracle_flat, lr=1e-3), LoopEma(oracle_flat, 0.9)
         loop_rng = np.random.default_rng(6)
         monkeypatch.setattr(diffusion, "clip_global_norm", loop_clip_global_norm)
         loop_outs = [train_step(oracle, batch, loop_opt, loop_ema, loop_rng,
                                 UpsamplingRatio(2)) for _ in range(3)]
         assert outs == loop_outs
         assert rng.bit_generator.state == loop_rng.bit_generator.state
-        for got, want in zip(_step_state(model, opt, ema), _step_state(oracle, loop_opt, loop_ema)):
-            assert got.keys() == want.keys()
-            for name, arr in want.items():
-                assert np.array_equal(got[name], arr), name
+        for name, got, want in zip(STATE_NAMES, _step_state(opt, ema),
+                                   _step_state(loop_opt, loop_ema)):
+            assert np.array_equal(got, want), name
 
     def test_non_finite_worker_loss_leaves_the_earlier_sum(self, monkeypatch):
         """The third item, a worker's second, is NaN: the error names it and its k,
@@ -437,21 +427,20 @@ class TestStepWorkers:
         grads = []
         for n_workers in (0, 1):
             model = _tiny_model(seed=4)
-            opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
-            before = _step_state(model, opt, ema)
-            workers = diffusion.StepWorkers(model, n_workers)
+            opt, ema = adam_and_ema(model, lr=1e-3, decay=0.9)
+            before = _step_state(opt, ema)
+            workers = diffusion.StepWorkers(model, opt.flat, n_workers)
             try:
                 with pytest.raises(NumericsError, match=f"utterance 'u2' at step k={k2}$"):
                     train_step(model, batch, opt, ema, np.random.default_rng(6),
                                UpsamplingRatio(2), workers=workers)
             finally:
                 workers.close()
-            for a, b in zip(before, _step_state(model, opt, ema)):
-                _assert_same_arrays(a, b)
+            _assert_same_state(before, _step_state(opt, ema))
             assert opt.step_count == 0
-            grads.append({p.name: p.grad for p in model.params()})
-        assert any(g is not None for g in grads[0].values())
-        _assert_same_arrays(grads[0], grads[1])
+            grads.append(opt.flat.grad.copy())
+        assert np.any(grads[0])
+        np.testing.assert_array_equal(grads[1], grads[0])
 
     def test_failed_parent_part_leaves_no_reply_behind(self, monkeypatch):
         """A NaN in this process's part still reads the worker's reply, so the
@@ -460,8 +449,8 @@ class TestStepWorkers:
         states = []
         for n_workers in (0, 1):
             model = _tiny_model(seed=4)
-            opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
-            workers = diffusion.StepWorkers(model, n_workers)
+            opt, ema = adam_and_ema(model, lr=1e-3, decay=0.9)
+            workers = diffusion.StepWorkers(model, opt.flat, n_workers)
             try:
                 with monkeypatch.context() as patch:
                     _poison_size(patch, 2000)
@@ -472,9 +461,8 @@ class TestStepWorkers:
                            UpsamplingRatio(2), workers=workers)
             finally:
                 workers.close()
-            states.append(_step_state(model, opt, ema))
-        for a, b in zip(*states):
-            _assert_same_arrays(a, b)
+            states.append(_step_state(opt, ema))
+        _assert_same_state(*states)
 
 
 class _OracleModel:
@@ -517,9 +505,9 @@ class TestReverseInfer:
 
     def test_rng_required(self):
         model = _tiny_model(seed=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'rng'"):
             reverse_infer(Waveform(np.zeros(100), 8000), model, SCHED,
-                          UpsamplingRatio(2))
+                          UpsamplingRatio(2), "chebyshev")
 
     def test_non_finite_estimate_is_a_numerics_error(self):
         """A NaN ARCN weight fails at the first step's estimate, named with its t,

@@ -1245,7 +1245,7 @@ import numpy as np
 from speechsr.data import Batch
 from speechsr.diffusion import train_step
 from speechsr.dsp import Waveform
-from speechsr.engine import Adam, Ema, no_grad
+from speechsr.engine import Adam, Ema, FlatParams, no_grad
 from speechsr.networks import Arcn, TwoStageModel, tiny_arcn_config, tiny_dparn_config
 from speechsr.resample import UpsamplingRatio, simulate_lr
 
@@ -1265,7 +1265,8 @@ def forward():
         arcn.forward(x[0], x[1], x[2], UpsamplingRatio(2), 500.0, 16000)
 
 model = TwoStageModel(tiny_arcn_config(), tiny_dparn_config(), seed=1)
-opt, ema = Adam(model.params(), lr=1e-3), Ema(model.params(), decay=0.9)
+flat = FlatParams(model.params())
+opt, ema = Adam(flat, lr=1e-3), Ema(flat, decay=0.9)
 hrs = [rng.standard_normal(4000) for _ in range(4)]
 inps = [simulate_lr(Waveform(hr, 16000), UpsamplingRatio(2))[1].samples for hr in hrs]
 batch = Batch(hr=tuple(hrs), inp=tuple(inps), ids=tuple("abcd"), sample_rate=16000)
@@ -1323,9 +1324,8 @@ class TestFlatParams:
     def test_one_buffer_each_for_values_and_gradients(self):
         params = self._params()
         values = np.concatenate([p.data.ravel() for p in params])
-        flat = FlatParams.of(params)
+        flat = FlatParams(params)
         views = [p.grad for p in params]
-        assert FlatParams.of(params) is flat
         np.testing.assert_array_equal(flat.data, values)
         assert not np.any(flat.grad)
         params[1].data[2] = 7.0
@@ -1334,29 +1334,30 @@ class TestFlatParams:
         ops.sum_(ops.mul(a, a)).backward()
         assert_grad_views(flat, views)
         np.testing.assert_array_equal(flat.grad, np.concatenate([2 * a.data.ravel(), np.zeros(5)]))
-        with pytest.raises(ValueError, match="already laid out"):
-            FlatParams.of(params[:2])
+        with pytest.raises(ValueError, match=r"already laid out: \['a', 'b'\]"):
+            FlatParams(params[:2])
+        assert all(p.layout is flat for p in params)
+        assert_grad_views(flat, views)
 
-    def test_writes_through_the_name_maps_reach_the_update(self):
-        """Values written into ``opt.m``, ``opt.v`` and ``ema.shadow`` in place are
-        the ones the flat update reads: two steps equal a per-parameter loop's."""
+    def test_writes_through_the_views_reach_the_update(self):
+        """Values written into ``opt.m``, ``opt.v`` and ``ema.shadow`` through the
+        layout's views are the ones the flat update reads: two steps equal a
+        per-parameter loop's."""
         runs = []
         for make_opt, make_ema in ((Adam, Ema), (LoopAdam, LoopEma)):
             params = self._params()
-            FlatParams.of(params)  # gives the loop oracle gradient views to write into
-            opt, ema = make_opt(params, lr=0.05), make_ema(params, 0.5)
-            for i, p in enumerate(params):
-                opt.m[p.name][...] = 0.1 * (i + 1)
-                opt.v[p.name][...] = 0.2 * (i + 1)
-                ema.shadow[p.name][...] = -1.0 - i
+            flat = FlatParams(params)
+            opt, ema = make_opt(flat, lr=0.05), make_ema(flat, 0.5)
+            for i, (m, v, shadow) in enumerate(zip(*map(flat.views, (opt.m, opt.v, ema.shadow)))):
+                m[...] = 0.1 * (i + 1)
+                v[...] = 0.2 * (i + 1)
+                shadow[...] = -1.0 - i
             for step in range(2):
                 for i, p in enumerate(params):
                     p.grad[...] = 0.3 * (i - step)
                 opt.step()
                 ema.update()
-            runs.append([p.data.copy() for p in params] + [opt.m[p.name].copy() for p in params]
-                        + [opt.v[p.name].copy() for p in params]
-                        + [ema.shadow[p.name].copy() for p in params])
+            runs.append([a.copy() for a in (flat.data, opt.m, opt.v, ema.shadow)])
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
 
@@ -1364,21 +1365,21 @@ class TestFlatParams:
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         p = Parameter("p", np.array([1.0, -2.0]))
-        opt = Adam([p], lr=0.1)
+        opt = Adam(FlatParams([p]), lr=0.1)
         p.grad[...] = 0.0
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         p = Parameter("p", np.array([0.0]))
-        opt = Adam([p], lr=0.01)
+        opt = Adam(FlatParams([p]), lr=0.01)
         p.grad[...] = 3.7
         opt.step()
         np.testing.assert_allclose(abs(p.data[0]), 0.01, rtol=1e-6)
 
     def test_ten_step_trajectory_matches_hand_simulation(self):
         p = Parameter("p", np.array([0.5]))
-        opt = Adam([p], lr=0.05)
+        opt = Adam(FlatParams([p]), lr=0.05)
         rng = np.random.default_rng(20)
         grads = rng.standard_normal(10)
 
@@ -1429,26 +1430,26 @@ class TestClipGlobalNorm:
 class TestEma:
     def test_decay_zero_tracks_params(self):
         p = Parameter("p", np.array([1.0]))
-        ema = Ema([p], decay=0.0)
+        ema = Ema(FlatParams([p]), decay=0.0)
         p.data[:] = 5.0
         ema.update()
-        np.testing.assert_array_equal(ema.shadow["p"], [5.0])
+        np.testing.assert_array_equal(ema.shadow, [5.0])
 
     def test_decay_one_frozen(self):
         p = Parameter("p", np.array([1.0]))
-        ema = Ema([p], decay=1.0)
+        ema = Ema(FlatParams([p]), decay=1.0)
         p.data[:] = 5.0
         ema.update()
-        np.testing.assert_array_equal(ema.shadow["p"], [1.0])
+        np.testing.assert_array_equal(ema.shadow, [1.0])
 
     def test_geometric_series(self):
         p = Parameter("p", np.array([2.0]))
-        ema = Ema([p], decay=0.9)
-        ema.shadow["p"][...] = 10.0
+        ema = Ema(FlatParams([p]), decay=0.9)
+        ema.shadow[...] = 10.0
         for _ in range(7):
             ema.update()
         expected = 10.0 * 0.9**7 + 2.0 * (1 - 0.9**7)
-        np.testing.assert_allclose(ema.shadow["p"], [expected], rtol=1e-14)
+        np.testing.assert_allclose(ema.shadow, [expected], rtol=1e-14)
 
 
 class TestCheckpoint:
@@ -1528,17 +1529,18 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(42)
             w = Parameter("w", rng.standard_normal((4, 4)))
-            opt = Adam([w], lr=1e-2)
-            ema = Ema([w], decay=0.9)
+            flat = FlatParams([w])
+            opt = Adam(flat, lr=1e-2)
+            ema = Ema(flat, decay=0.9)
             for _ in range(5):
                 x = Tensor(rng.standard_normal((4, 4)))
                 loss = ops.sum_(ops.abs_(ops.silu(ops.linear(x, w, np.zeros(4)))))
-                opt.zero_grad()
+                flat.zero_grad()
                 loss.backward()
                 clip_global_norm([w])
                 opt.step()
                 ema.update()
-            return w.data.copy(), ema.shadow["w"].copy()
+            return w.data.copy(), ema.shadow.copy()
 
         w1, s1 = run()
         w2, s2 = run()

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import micro_arch, micro_train_config
+from helpers import adam_and_ema
 from speechsr import diffusion, networks
 from speechsr import train as train_mod
 from speechsr.config import TrainConfig
 from speechsr.data import Batch, Manifest, ManifestEntry, read_wav, synth_corpus, write_wav
 from speechsr.diffusion import NoiseSchedule, reverse_infer
 from speechsr.dsp import Waveform
-from speechsr.engine import Adam, Ema, load_state, ops
+from speechsr.engine import load_state, ops
 from speechsr.errors import ConfigError, NumericsError
 from speechsr.networks import TwoStageModel
 from speechsr.resample import UpsamplingRatio
@@ -242,25 +243,59 @@ class TestFit:
                 micro_corpus, tmp_path / "boom")
         assert (tmp_path / "boom" / "diagnostic.ckpt").exists()
 
+    @pytest.mark.parametrize("utts, fail_at, steps", [
+        (2, 1, [["1", "1"], ["2", "2"]]),
+        (4, 2, [["1", "1"], ["2", "1"], ["3", "2"], ["4", "2"]]),
+    ], ids=["at-once", "mid-epoch"])
     def test_resume_from_diagnostic_trains_only_the_epochs_left(self, tmp_path, micro_corpus,
-                                                                monkeypatch):
-        """A step that fails at once saves its diagnostic at epoch 0, the last one
-        completed, so a resume from it trains and validates epochs 1 and 2 only."""
-        def boom(*args, **kwargs):
-            raise NumericsError("poisoned step")
+                                                                monkeypatch, utts, fail_at, steps):
+        """A step that fails saves its diagnostic at epoch 0, the last one
+        completed, with the steps done before it, so a resume from it trains
+        the batches epoch 1 had left, then epoch 2: each step and each epoch is
+        logged once. At B=2, ``at-once`` fails epoch 1's only step and
+        ``mid-epoch`` the second of its two."""
+        corpus = (micro_corpus if utts == len(micro_corpus)
+                  else synth_corpus(tmp_path / "corpus", utts, 0.5, seed=3))
+        real_step, calls = train_mod.train_step, []
+
+        def fail_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise NumericsError("poisoned step")
+            return real_step(*args, **kwargs)
 
         arcn, dparn = micro_arch()
         cfg, out = micro_train_config(epochs=2), tmp_path / "boom"
-        monkeypatch.setattr(train_mod, "train_step", boom)
+        monkeypatch.setattr(train_mod, "train_step", fail_once)
         with pytest.raises(NumericsError):
-            fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, out)
+            fit(cfg, arcn, dparn, SCHED, corpus, corpus, out)
         monkeypatch.undo()
-        assert load_state(out / "diagnostic.ckpt")[0]["epoch"] == 0
-        resumed = fit(cfg, arcn, dparn, SCHED, micro_corpus, micro_corpus, out,
+        meta = load_state(out / "diagnostic.ckpt")[0]
+        assert (meta["epoch"], meta["global_step"]) == (0, fail_at - 1)
+        resumed = fit(cfg, arcn, dparn, SCHED, corpus, corpus, out,
                       resume_from=out / "diagnostic.ckpt")
+        with open(out / "runlog_steps.csv", newline="") as fh:
+            assert [row[:2] for row in csv.reader(fh)] == [["step", "epoch"], *steps]
         with open(out / "runlog_epochs.csv", newline="") as fh:
             assert [row[0] for row in csv.reader(fh)] == ["epoch", "1", "2"]
-        assert (resumed.total_steps, len(resumed.val_trace)) == (2, 2)
+        assert (resumed.total_steps, len(resumed.val_trace)) == (len(steps), 2)
+
+    def test_checkpoint_holds_each_parameter_under_each_prefix(self, micro_run):
+        """A checkpoint holds exactly ``param/``, ``adam/m/``, ``adam/v/`` and
+        ``ema/`` times every parameter name, each in its parameter's shape;
+        restored through ``_state_table`` they land in the flat values, Adam's
+        moments and the EMA shadow."""
+        result, _ = micro_run
+        _, arrays = load_state(result.last_path)
+        model = TwoStageModel(*micro_arch(), seed=5)
+        prefixes = ("param", "adam/m", "adam/v", "ema")
+        shapes = {f"{prefix}/{p.name}": p.shape for prefix in prefixes for p in model.params()}
+        assert {key: array.shape for key, array in arrays.items()} == shapes
+        opt, ema = adam_and_ema(model)
+        train_mod._restore(result.last_path, arrays, train_mod._state_table(opt, ema))
+        for prefix, restored in zip(prefixes, (opt.flat.data, opt.m, opt.v, ema.shadow)):
+            saved = [arrays[f"{prefix}/{p.name}"].ravel() for p in model.params()]
+            np.testing.assert_array_equal(restored, np.concatenate(saved), err_msg=prefix)
 
     def test_crop_shorter_than_a_dparn_frame_refused_before_out_dir(self, tmp_path,
                                                                    micro_corpus):
@@ -278,6 +313,7 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(micro_train_config(), arcn, bad_dparn, SCHED, micro_corpus,
                 micro_corpus, tmp_path / "bad", resume_from=result.last_path)
+        assert not (tmp_path / "bad").exists()
 
 
 @pytest.fixture(scope="module")
@@ -401,12 +437,12 @@ class TestStepProcesses:
             log.unlink()
             if run == "step":
                 diffusion.train_step(model, Batch(hr=(hr,), inp=(hr,), ids=("a",), sample_rate=16000),
-                                     Adam(model.params()), Ema(model.params()),
-                                     np.random.default_rng(5), UpsamplingRatio(2))
+                                     *adam_and_ema(model), np.random.default_rng(5),
+                                     UpsamplingRatio(2))
             else:
                 reverse_infer(Waveform(np.resize(hr, 8000), 8000), model,
                               replace(SCHED, inference_steps=1), UpsamplingRatio(2),
-                              rng=np.random.default_rng(5))
+                              "chebyshev", np.random.default_rng(5))
             rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
             assert max(parts for *_, parts in rows) == 2, run
 
