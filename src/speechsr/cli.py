@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrogram", help="CSV magnitude matrix of a WAV")
     p.add_argument("--in", dest="wav_in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-ms", type=float, default=32.0)
-    p.add_argument("--hop-ms", type=float, default=8.0)
+    p.add_argument("--frame-ms", type=float, default=32.0, help="hopped by a quarter")
 
     return parser
 
@@ -168,7 +167,7 @@ def _cmd_dump_schedule(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     w = read_wav(args.wav_in)
-    spec = stft(w, FrameConfig(frame_ms=args.frame_ms, hop_ms=args.hop_ms))
+    spec = stft(w, FrameConfig(frame_ms=args.frame_ms))
     mags = spec.magnitude()
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -107,14 +107,14 @@ def _utterance_loss(model: TwoStageModel, hr: np.ndarray, inp: np.ndarray,
                     ratio: UpsamplingRatio, sample_rate: int, k: int, z: np.ndarray):
     """Loss graph for one utterance at integer diffusion step k."""
     t = k / TOTAL_STEPS
-    frame_len, hop = model.arcn.frame_geometry(sample_rate)
+    frame_len = model.arcn.frame_geometry(sample_rate)
     s_pred = model.dparn.forward(Tensor(inp))
     x_t = forward_sample(hr, inp, t, z)
     s_hat = model.arcn.forward(x_t, s_pred, inp, ratio, t * TOTAL_STEPS, sample_rate)
-    pre_re, pre_im = ops.stft_pair(s_pred, frame_len, hop)
-    ref_re, ref_im = ops.stft_pair(Tensor(hr), frame_len, hop)
+    pre_re, pre_im = ops.stft_pair(s_pred, frame_len)
+    ref_re, ref_im = ops.stft_pair(Tensor(hr), frame_len)
     l_pred = loss_pred(pre_re, pre_im, ref_re, ref_im)
-    l_time, l_freq, l_diff = loss_tf(s_hat, hr, frame_len, hop)
+    l_time, l_freq, l_diff = loss_tf(s_hat, hr, frame_len)
     lam = lambda_weight(t)
     total = ops.add(l_pred, ops.mul(l_diff, lam))
     return total, LossReport.build(l_pred.item(), l_time.item(), l_freq.item(), lam)

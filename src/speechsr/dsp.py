@@ -3,14 +3,15 @@
 The package's one STFT lives here: the rfft kernels ``stft_values`` and
 ``istft_values`` serve the metrics (``stft``/``istft``) and the engine's
 differentiable ``stft_pair``/``istft_pair``. All arithmetic is 64-bit. The
-STFT uses a periodic Hann window; with the default hop of a quarter frame
-the squared-window overlap-add sum is exactly constant over every real
-sample, so analysis followed by ``synthesis_gain``-normalized overlap-add
+STFT uses a periodic Hann window and hops a quarter frame (:func:`stft_hop`),
+so the squared-window overlap-add sum is exactly constant over every real
+sample, and analysis followed by ``synthesis_gain``-normalized overlap-add
 reconstructs the input to FFT rounding error.
 
 Framing pads ``frame_len - hop`` zeros on each side of the signal before
 slicing so that every input sample is covered by a full complement of
-windows; synthesis truncates back to a requested length.
+windows; synthesis truncates back to a requested length. The framing kernels
+take a hop, because DPARN also frames with a hop of half its frame.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class Spectrogram:
 
     values: np.ndarray
     frame_len: int
-    hop: int
     sample_rate: int
 
     def __post_init__(self):
@@ -78,38 +78,35 @@ class Spectrogram:
         return np.abs(self.values)
 
 
+def stft_hop(frame_len: int) -> int:
+    """The hop of every STFT here: a quarter of ``frame_len``, which must be whole."""
+    hop, rest = divmod(frame_len, 4)
+    if rest or hop < 1:
+        raise ValueError(f"a {frame_len}-sample STFT frame has no whole quarter (the hop)")
+    return hop
+
+
 @dataclass(frozen=True)
 class FrameConfig:
-    """STFT framing in milliseconds; defaults give 512/128 samples at 16 kHz."""
+    """STFT frame length in milliseconds (512 samples at 16 kHz), hopped by a quarter."""
 
     frame_ms: float = 32.0
-    hop_ms: float = 8.0
 
     def __post_init__(self):
-        for name in ("frame_ms", "hop_ms"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.frame_ms) and self.frame_ms > 0):
+            raise ValueError(f"frame_ms must be finite and positive, got {self.frame_ms}")
 
     def frame_len(self, sample_rate: int) -> int:
         n = self.frame_ms * sample_rate / 1000.0
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ValueError(f"frame_ms {self.frame_ms} is not an integer sample count at {sample_rate} Hz")
-        return int(round(n))
-
-    def hop(self, sample_rate: int) -> int:
-        n = self.hop_ms * sample_rate / 1000.0
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError(f"hop_ms {self.hop_ms} is not an integer sample count at {sample_rate} Hz")
-        hop = int(round(n))
-        frame = self.frame_len(sample_rate)
-        if hop >= frame:
-            raise ValueError(f"hop_ms {self.hop_ms} gives hop {hop}, which must be smaller"
-                             f" than frame {frame}")
-        if frame % hop != 0:
-            raise ValueError(f"hop_ms {self.hop_ms} gives hop {hop}, which must divide"
-                             f" frame {frame}")
-        return hop
+        n = int(round(n))
+        try:
+            stft_hop(n)
+        except ValueError:
+            raise ValueError(f"frame_ms {self.frame_ms} gives {n} samples at {sample_rate} Hz,"
+                             " whose quarter (the hop) is not whole") from None
+        return n
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -163,9 +160,9 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def stft_values(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+def stft_values(x: np.ndarray, frame_len: int) -> np.ndarray:
     """Hann-windowed rfft of the :func:`frame_signal` frames: (T, frame_len // 2 + 1)."""
-    frames = frame_signal(x, frame_len, hop)
+    frames = frame_signal(x, frame_len, stft_hop(frame_len))
     frames *= hann_window(frame_len)
     return np.fft.rfft(frames, axis=1)
 
@@ -185,8 +182,9 @@ def synthesis_gain(n_frames: int, frame_len: int, hop: int, target_len: int) -> 
     return 1.0 / wsum
 
 
-def istft_values(values: np.ndarray, frame_len: int, hop: int, target_len: int) -> np.ndarray:
+def istft_values(values: np.ndarray, frame_len: int, target_len: int) -> np.ndarray:
     """Windowed irfft overlap-add of (T, bins) values, normalized to ``target_len`` samples."""
+    hop = stft_hop(frame_len)
     gain = synthesis_gain(values.shape[0], frame_len, hop, target_len)
     frames = np.fft.irfft(values, n=frame_len, axis=1)
     frames *= hann_window(frame_len)
@@ -199,8 +197,7 @@ def stft(w: Waveform, cfg: FrameConfig = FrameConfig()) -> Spectrogram:
     if len(w) < 1:
         raise ValueError("cannot take the STFT of an empty waveform")
     frame_len = cfg.frame_len(w.sample_rate)
-    hop = cfg.hop(w.sample_rate)
-    return Spectrogram(stft_values(w.samples, frame_len, hop), frame_len, hop, w.sample_rate)
+    return Spectrogram(stft_values(w.samples, frame_len), frame_len, w.sample_rate)
 
 
 def istft(s: Spectrogram, target_len: int) -> Waveform:
@@ -209,7 +206,7 @@ def istft(s: Spectrogram, target_len: int) -> Waveform:
     ``target_len`` selects the leading samples of the reconstruction; it must
     not exceed the span the frames can synthesize.
     """
-    return Waveform(istft_values(s.values, s.frame_len, s.hop, target_len), s.sample_rate)
+    return Waveform(istft_values(s.values, s.frame_len, target_len), s.sample_rate)
 
 
 def normalize(w: Waveform) -> tuple[Waveform, float, float]:

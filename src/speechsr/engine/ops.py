@@ -61,8 +61,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..dsp import (frame_signal, hann_window, istft_values, overlap_add, stft_values,
-                   synthesis_gain)
+from ..dsp import (frame_signal, hann_window, istft_values, overlap_add, stft_hop,
+                   stft_values, synthesis_gain)
 from .tensor import as_tensor, make_result, records, unbroadcast
 
 # Query rows per attention block. One-thread timings at T = 2,003 frames were
@@ -1041,12 +1041,13 @@ def _bin_multiplicity(frame_len: int) -> np.ndarray:
     return np.where((k == 0) | (2 * k == frame_len), 1.0, 2.0)
 
 
-def stft_pair(x, frame_len: int, hop: int):
-    """Differentiable STFT of a 1-D tensor -> (real, imag), each (T, F)."""
+def stft_pair(x, frame_len: int):
+    """Differentiable STFT of a 1-D tensor -> (real, imag), each (T, F), hop frame_len // 4."""
     x = as_tensor(x)
     n = x.shape[0]
+    hop = stft_hop(frame_len)
     pad = frame_len - hop
-    values = stft_values(x.data, frame_len, hop)
+    values = stft_values(x.data, frame_len)
     scale = frame_len * hann_window(frame_len)
     mult = _bin_multiplicity(frame_len)
 
@@ -1059,19 +1060,20 @@ def stft_pair(x, frame_len: int, hop: int):
     return re, im
 
 
-def istft_pair(re, im, frame_len: int, hop: int, target_len: int):
-    """Differentiable inverse of :func:`stft_pair`, truncated to target_len.
+def istft_pair(re, im, frame_len: int, target_len: int):
+    """Differentiable inverse of :func:`stft_pair` (same hop), truncated to target_len.
 
     Like ``np.fft.irfft``, bins missing above ``re.shape[1]`` count as zero.
     """
     re, im = as_tensor(re), as_tensor(im)
     n_frames, n_bins = re.shape
-    data = istft_values(re.data + 1j * im.data, frame_len, hop, target_len)
+    hop = stft_hop(frame_len)
+    data = istft_values(re.data + 1j * im.data, frame_len, target_len)
     tail = n_frames * hop - (frame_len - hop) - target_len
 
     def vjp(g):
         g = g * synthesis_gain(n_frames, frame_len, hop, target_len)
-        spec = stft_values(np.pad(g, (0, tail)), frame_len, hop)
+        spec = stft_values(np.pad(g, (0, tail)), frame_len)
         spec *= _bin_multiplicity(frame_len) / frame_len
         return spec.real[:, :n_bins], spec.imag[:, :n_bins]
 

@@ -312,8 +312,8 @@ class Arcn(Module):
         # Small head: training starts near the residual identity s_inp.
         self.out_conv = Conv2d("arcn.out_conv", c, 2, k, k, rng, init_scale=0.05)
 
-    def frame_geometry(self, sample_rate: int) -> tuple[int, int]:
-        """(frame_len, frame_len // 4) at ``sample_rate``; ARCN sees ``frame_len // 2`` bins."""
+    def frame_geometry(self, sample_rate: int) -> int:
+        """The STFT frame length at ``sample_rate``; ARCN sees ``frame_len // 2`` bins."""
         cfg = self.cfg
         frame_len = FrameConfig(cfg.frame_ms).frame_len(sample_rate)
         if (frame_len // 2) % (2 ** cfg.encoder_blocks) != 0:
@@ -321,10 +321,7 @@ class Arcn(Module):
                 f"frame_ms {cfg.frame_ms} gives {frame_len // 2} bins at {sample_rate} Hz,"
                 f" which 2^encoder_blocks = {2 ** cfg.encoder_blocks} does not divide"
             )
-        if frame_len % 4 != 0:
-            raise ValueError(f"frame_ms {cfg.frame_ms} gives {frame_len} samples at"
-                             f" {sample_rate} Hz, whose quarter (the hop) is not whole")
-        return frame_len, frame_len // 4
+        return frame_len
 
     def lossmap_pyramid(self, ratio: UpsamplingRatio, bins: int) -> list[np.ndarray]:
         """Lossmap rows, one per scale: ones mark bins above the low-rate Nyquist.
@@ -347,11 +344,11 @@ class Arcn(Module):
             raise ValueError(
                 f"length mismatch: {x_t.shape[0]}, {s_pred.shape[0]}, {s_inp.shape[0]}"
             )
-        frame_len, hop = self.frame_geometry(sample_rate)
+        frame_len = self.frame_geometry(sample_rate)
         f_net = frame_len // 2
         chans = []
         for wav in (x_t, s_pred, s_inp):
-            re, im = ops.stft_pair(wav, frame_len, hop)
+            re, im = ops.stft_pair(wav, frame_len)
             chans.append(re[:, :f_net].reshape(1, -1, f_net))
             chans.append(im[:, :f_net].reshape(1, -1, f_net))
         x = ops.concat(chans, axis=0)
@@ -378,7 +375,7 @@ class Arcn(Module):
                 skips.append(h)
         out = self.out_conv(h)
         # The Nyquist bin, which the network does not model, is synthesized as zero.
-        residual = ops.istft_pair(out[0], out[1], frame_len, hop, n)
+        residual = ops.istft_pair(out[0], out[1], frame_len, n)
         return ops.add(s_inp, residual)
 
 

@@ -76,8 +76,8 @@ def loss_pred(sp_re, sp_im, s_re, s_im) -> Tensor:
     return ops.mean_(cells.reshape(-1))
 
 
-def loss_tf(s_hat, s_ref, frame_len: int, hop: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Time L1 and STFT-magnitude L1, mixed as alpha*time + (1-alpha)*freq.
+def loss_tf(s_hat, s_ref, frame_len: int) -> tuple[Tensor, Tensor, Tensor]:
+    """Time L1 and quarter-hop STFT-magnitude L1, mixed as alpha*time + (1-alpha)*freq.
 
     Returns (l_time, l_freq, l_diff).
     """
@@ -85,8 +85,8 @@ def loss_tf(s_hat, s_ref, frame_len: int, hop: int) -> tuple[Tensor, Tensor, Ten
     if s_hat.shape != s_ref.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s_ref.shape}")
     l_time = ops.mean_(ops.abs_(ops.sub(s_hat, s_ref)))
-    hre, him = ops.stft_pair(s_hat, frame_len, hop)
-    rre, rim = ops.stft_pair(s_ref, frame_len, hop)
+    hre, him = ops.stft_pair(s_hat, frame_len)
+    rre, rim = ops.stft_pair(s_ref, frame_len)
     cells = ops.abs_(ops.sub(ops.complex_magnitude(hre, him),
                              ops.complex_magnitude(rre, rim)))
     l_freq = ops.mean_(cells.reshape(-1))

@@ -25,7 +25,7 @@ from .config import Arch, TrainConfig, from_dict
 from .data import Batcher, Manifest, preprocess, read_wav, validation_items
 from .diffusion import (TOTAL_STEPS, NoiseSchedule, StepWorkers, reverse_infer, train_step,
                         validation_loss)
-from .dsp import FrameConfig, Waveform, n_frames_for, stft
+from .dsp import FrameConfig, Waveform, n_frames_for, stft, stft_hop
 from .engine import (Adam, Ema, FlatParams, load_state, malloc_settings, ops, save_state,
                      thread_counts)
 from .errors import ConfigError, NumericsError
@@ -33,7 +33,7 @@ from .networks import Arcn, ArcnConfig, DparnConfig, TwoStageModel
 from .objectives import LossReport, MetricReport, band_energy_error, lsd, sisnr
 from .resample import UpsamplingRatio, simulate_lr
 
-METRIC_STFT = FrameConfig()  # 32 ms / 8 ms analysis for reported metrics
+METRIC_STFT = FrameConfig()  # 32 ms frames, hopped by a quarter, for reported metrics
 
 
 @dataclass
@@ -128,6 +128,7 @@ class CheckpointMeta:
     train_config: TrainConfig
     schedule: NoiseSchedule
     epoch: int
+    batches_done: int  # of epoch ``epoch + 1``, trained before a mid-epoch diagnostic (else 0)
     global_step: int
     scheduler: PlateauScheduler
     rng_state: dict
@@ -203,8 +204,8 @@ def _step_processes(arcn: Arcn, cfg: TrainConfig) -> int:
     Elsewhere, and without ``os.fork``, 1: the step runs inline, and a
     larger crop keeps one utterance graph in memory at a time, not one per CPU.
     """
-    frame_len, hop = arcn.frame_geometry(cfg.sample_rate)
-    frames = n_frames_for(int(round(cfg.crop_seconds * cfg.sample_rate)), frame_len, hop)
+    frame_len = arcn.frame_geometry(cfg.sample_rate)
+    frames = n_frames_for(round(cfg.crop_seconds * cfg.sample_rate), frame_len, stft_hop(frame_len))
     largest = arcn.cfg.base_channels * frames * (frame_len // 2) * 8
     if (not hasattr(os, "fork") or largest > ops.CONV_BLOCK_BYTES
             or frames > ops.ATTENTION_BLOCK):
@@ -262,7 +263,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     opt, ema = Adam(flat, lr=cfg.learning_rate), Ema(flat, decay=cfg.ema_decay)
     scheduler = PlateauScheduler(lr=cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB47C4]))
-    start_epoch = global_step = 0
+    start_epoch = global_step = done = 0
 
     arch = Arch(arcn_cfg, dparn_cfg)
     processes = _step_processes(model.arcn, cfg)
@@ -274,7 +275,9 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
         _restore(resume_from, arrays, _state_table(opt, ema))
         scheduler = meta.scheduler
         rng.bit_generator.state = meta.rng_state
-        start_epoch = meta.epoch
+        start_epoch, done = meta.epoch, meta.batches_done
+        if not 0 <= done <= len(batcher):
+            raise ConfigError(f"{resume_from}: batches_done {done} outside [0, {len(batcher)}]")
         global_step = opt.step_count = meta.global_step
 
     out = Path(out_dir)
@@ -294,13 +297,11 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
     t_start = time.monotonic()
     stop = False
 
-    def save(path, epoch):
-        meta = CheckpointMeta(__version__, arch, cfg, sched, epoch, global_step,
+    def save(path, epoch, batches_done=0):
+        meta = CheckpointMeta(__version__, arch, cfg, sched, epoch, batches_done, global_step,
                               scheduler, rng.bit_generator.state)
         save_state(path, asdict(meta), _flatten(_state_table(opt, ema)))
 
-    # The first epoch's steps that a diagnostic saved mid-epoch holds (else 0).
-    done = min(max(global_step - start_epoch * len(batcher), 0), len(batcher))
     workers = StepWorkers(model, flat, processes - 1)
     try:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
@@ -308,6 +309,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
             for batch in islice(batcher.epoch(rng), len(batcher) - done):
                 result = train_step(model, batch, opt, ema, rng, ratio, workers=workers)
                 global_step += 1
+                done += 1
                 step_totals.append(result.report.total)
                 runlog.step(global_step, epoch, result.report, result.clip_scale)
                 if cfg.max_steps and global_step >= cfg.max_steps:
@@ -332,7 +334,7 @@ def fit(cfg: TrainConfig, arcn_cfg: ArcnConfig, dparn_cfg: DparnConfig,
                 break
             done = 0
     except NumericsError:
-        save(out / "diagnostic.ckpt", epoch - 1)  # the last epoch completed
+        save(out / "diagnostic.ckpt", epoch - 1, done)  # the last epoch completed
         raise
     finally:
         workers.close()
@@ -364,13 +366,15 @@ def evaluate_model(model, manifest: Manifest, ratio: UpsamplingRatio,
 
     ``repaint_kind`` is the filter family the model was trained with; the
     repainting chain must keep using it even under mismatched evaluation.
+    Every entry is read and checked (:func:`_load_audio`) before any is inferred.
     The baseline column scores the cubic-spline interpolation itself. The
     band energy error is taken above the low-rate Nyquist frequency.
     """
     f_lo = 0.5 * sample_rate / ratio.ratio
+    audio = _load_audio("eval", manifest, sample_rate, model.dparn.cfg.frame_size)
     rows = []
     for i, entry in enumerate(manifest.entries):
-        hr = preprocess(read_wav(entry.path), sample_rate)
+        hr = Waveform(audio[entry.utt_id], sample_rate)
         s_lr, s_inp = simulate_lr(hr, ratio, eval_kind)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1, i]))
         try:

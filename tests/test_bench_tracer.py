@@ -85,6 +85,9 @@ def test_fit_and_evaluate_run_under_the_bench_tracer(tmp_path):
     assert out["batch_samples"] > 0
     assert out["metrics"]["data.pad_share"] == 0.0
     assert out["metrics"]["optim.adam_step.s"] > 0.0
+    for name in ("ops.stft_pair.calls", "ops.istft_pair.calls", "objectives.loss_pred.s",
+                 "objectives.loss_tf.s"):
+        assert out["metrics"][name] > 0, name
 
 
 def test_evaluate_model_runs_under_the_bench_probes(tmp_path):

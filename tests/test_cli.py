@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speechsr import train as train_mod
 from speechsr.cli import build_parser, main
 from speechsr.config import TrainConfig
 from speechsr.data import (Manifest, ManifestEntry, read_manifest, read_wav, write_manifest,
                            write_wav)
-from speechsr.dsp import Waveform
+from speechsr.dsp import FrameConfig, Waveform, stft
 from speechsr.engine import load_state, malloc_settings, save_state, thread_counts
 from speechsr.engine.checkpoint import FORMAT_VERSION, MAGIC
 from speechsr.errors import ConfigError
@@ -96,6 +97,20 @@ class TestSynthAndSchedule:
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert len(rows[0]) == 257  # header: one column per bin at 512-sample frames
+
+    def test_spectrogram_at_another_frame_hops_a_quarter_of_it(self, cli_corpus, tmp_path):
+        """``--frame-ms 8`` gives 128-sample frames, hopped by 32; the option that
+        set the hop is gone, so passing it is a usage error."""
+        wav, out = cli_corpus / "utt0000.wav", tmp_path / "spec.csv"
+        assert main(["spectrogram", "--in", str(wav), "--out", str(out),
+                     "--frame-ms", "8"]) == 0
+        with open(out) as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(header) == 65
+        expected = stft(read_wav(wav), FrameConfig(8.0)).magnitude()
+        np.testing.assert_array_equal(np.array(rows, dtype=float), expected)
+        assert main(["spectrogram", "--in", str(wav), "--out", str(out),
+                     "--hop-ms", "2"]) == 1
 
 
 class TestSimulate:
@@ -231,6 +246,27 @@ class TestEvaluateCli:
         for row_a, row_b in zip(tables[0][1:], tables[1][1:]):
             assert row_a[3] == row_b[3]
             assert row_a[4] == row_b[4]
+
+
+    @pytest.mark.parametrize("rate, n", [(16000, 100), (22050, 11025)], ids=["short", "rate"])
+    def test_unusable_entry_refused_by_name_before_any_inference(
+            self, cli_run, cli_corpus, tmp_path, capsys, monkeypatch, rate, n):
+        """An entry shorter than one DPARN frame, or at a rate that is not a
+        multiple of the checkpoint's, exits 2 naming the entry and its file
+        before any utterance is inferred or a report is written."""
+        odd = tmp_path / "odd.wav"
+        write_wav(odd, Waveform(0.1 * np.random.default_rng(3).standard_normal(n), rate))
+        entries = read_manifest(cli_corpus / "manifest.tsv").entries[:1]
+        write_manifest(tmp_path / "odd.tsv",
+                       Manifest(entries + (ManifestEntry("odd_entry", str(odd), rate, n),)))
+        inferred = []
+        monkeypatch.setattr(train_mod, "reverse_infer", lambda *a, **k: inferred.append(a))
+        report = tmp_path / "r.csv"
+        assert main(["evaluate", "--ckpt", str(cli_run / "best.ckpt"),
+                     "--manifest", str(tmp_path / "odd.tsv"), "--ratio", "2",
+                     "--report", str(report)]) == 2
+        assert f"eval manifest entry 'odd_entry' ({odd}" in capsys.readouterr().err
+        assert inferred == [] and not report.exists()
 
 
 class TestExitCodes:
@@ -534,6 +570,8 @@ META_DAMAGE = [
     ("scheduler.patience", 3, "scheduler.patience"),
     ("arch.arcn.bottleneck_blocks", 1, "arch.arcn.bottleneck_blocks"),
     ("arch.dparn.num_blocks", 2, "arch.dparn.num_blocks"),
+    # the key that checkpoints written before it counted a diagnostic's batches lack
+    ("batches_done", _DELETE, "batches_done"),
 ]
 
 

@@ -51,8 +51,9 @@ class TestStft:
         w = dsp.Waveform(x, 16000)
         s = dsp.stft(w)
         frame_idx = 10
-        pad = s.frame_len - s.hop
-        start = frame_idx * s.hop - pad
+        hop = dsp.stft_hop(s.frame_len)
+        pad = s.frame_len - hop
+        start = frame_idx * hop - pad
         sl = x[start:start + s.frame_len]
         ref = np.fft.rfft(sl * dsp.hann_window(s.frame_len))
         np.testing.assert_allclose(s.values[frame_idx], ref, atol=1e-10)
@@ -62,7 +63,7 @@ class TestStft:
         x = np.zeros(2048)
         x[0] = 1.0
         s = dsp.stft(dsp.Waveform(x, 16000))
-        pad = s.frame_len - s.hop
+        pad = s.frame_len - dsp.stft_hop(s.frame_len)
         expected = dsp.hann_window(s.frame_len)[pad]
         np.testing.assert_allclose(s.magnitude()[0], expected, rtol=1e-12)
 
@@ -87,7 +88,8 @@ class TestStft:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(4096)
         s = dsp.stft(dsp.Waveform(x, 16000))
-        frames = dsp.frame_signal(x, s.frame_len, s.hop) * dsp.hann_window(s.frame_len)
+        frames = dsp.frame_signal(x, s.frame_len, dsp.stft_hop(s.frame_len))
+        frames *= dsp.hann_window(s.frame_len)
         frame_energy = np.sum(frames**2)
         mags2 = np.abs(s.values) ** 2
         weights = np.full(s.n_bins, 2.0)
@@ -106,7 +108,7 @@ class TestIstft:
         assert rel < 1e-6
 
     def test_zero_spectrogram(self):
-        s = dsp.Spectrogram(np.zeros((10, 257), dtype=complex), 512, 128, 16000)
+        s = dsp.Spectrogram(np.zeros((10, 257), dtype=complex), 512, 16000)
         y = dsp.istft(s, 800)
         assert np.all(y.samples == 0)
         assert len(y) == 800
@@ -177,3 +179,14 @@ class TestWaveformType:
     def test_frame_config_noninteger_rejected(self):
         with pytest.raises(ValueError):
             dsp.FrameConfig(frame_ms=33.3).frame_len(16000)
+
+    def test_frame_config_refuses_a_frame_without_a_whole_quarter(self):
+        """9 samples at 16 kHz: the STFT hop, a quarter frame, would be 2.25 samples."""
+        with pytest.raises(ValueError, match=r"^frame_ms 0\.5625 gives 9 samples at 16000 Hz,"
+                                             r" whose quarter \(the hop\) is not whole$"):
+            dsp.FrameConfig(0.5625).frame_len(16000)
+
+    @pytest.mark.parametrize("frame_len", [0, 2, 9, 130])
+    def test_stft_hop_refuses_a_frame_without_a_whole_quarter(self, frame_len):
+        with pytest.raises(ValueError, match=f"a {frame_len}-sample STFT frame has no whole"):
+            dsp.stft_hop(frame_len)

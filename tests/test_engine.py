@@ -139,8 +139,8 @@ RETENTION_CASES = {
                                                                  groups=2), False),
     "frame_rows": ((32,), lambda x: ops.frame_rows(x, 8, 4), False),
     "overlap_add_rows": ((5, 8), lambda x: ops.overlap_add_rows(x, 4, 12), False),
-    "stft_pair": ((64,), lambda x: ops.stft_pair(x, 16, 4), False),
-    "istft_pair": ((7, 9), lambda x: ops.istft_pair(x, x, 16, 4, 16), False),
+    "stft_pair": ((64,), lambda x: ops.stft_pair(x, 16), False),
+    "istft_pair": ((7, 9), lambda x: ops.istft_pair(x, x, 16, 16), False),
     "mul": ((3, 4), lambda x: ops.mul(x, _param((3, 4))), True),
     "linear": ((3, 4), lambda x: ops.linear(x, _param((2, 4)), np.zeros(2)), True),
     "pointwise_channels": ((3, 2, 4), lambda x: ops.pointwise_channels(x, _param((2, 3)),
@@ -828,8 +828,8 @@ class TestFramingOps:
     def test_istft_roundtrip_through_engine(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal(3000)
-        re, im = ops.stft_pair(Tensor(x), 128, 32)
-        y = ops.istft_pair(re, im, 128, 32, 3000)
+        re, im = ops.stft_pair(Tensor(x), 128)
+        y = ops.istft_pair(re, im, 128, 3000)
         assert np.abs(y.data - x).max() < 1e-10
 
     def test_stft_gradients_match_fd(self):
@@ -837,15 +837,16 @@ class TestFramingOps:
         xin = Parameter("x", rng.standard_normal(300))
 
         def build():
-            re, im = ops.stft_pair(xin, 64, 16)
+            re, im = ops.stft_pair(xin, 64)
             mag2 = ops.add(ops.mul(re, re), ops.mul(im, im))
-            y = ops.istft_pair(re, im, 64, 16, 300)
+            y = ops.istft_pair(re, im, 64, 300)
             return ops.add(ops.sum_(mag2), ops.sum_(ops.abs_(y)))
 
         fd_gradient_check(build, [xin], rng)
 
 
-# (frame_ms, hop_ms) at 16 kHz and the (frame_len, hop) they give.
+# (frame_ms, hop_ms) at 16 kHz and the (frame_len, hop) they give; each hop is
+# a quarter frame, the one hop every STFT takes (dsp.stft_hop).
 FRAMINGS = [((4.0, 1.0), (64, 16)), ((8.0, 2.0), (128, 32)), ((32.0, 8.0), (512, 128))]
 
 
@@ -853,14 +854,15 @@ class TestStftPair:
     @pytest.mark.parametrize("ms, samples", FRAMINGS)
     def test_equals_metric_stft_bitwise(self, ms, samples):
         x = np.random.default_rng(30).standard_normal(2000)
-        re, im = ops.stft_pair(Tensor(x), *samples)
-        ref = dsp.stft(dsp.Waveform(x, 16000), dsp.FrameConfig(*ms)).values
+        re, im = ops.stft_pair(Tensor(x), samples[0])
+        ref = dsp.stft(dsp.Waveform(x, 16000), dsp.FrameConfig(ms[0])).values
+        assert dsp.stft_hop(samples[0]) == samples[1] == ms[1] * 16
         np.testing.assert_array_equal(re.data, ref.real)
         np.testing.assert_array_equal(im.data, ref.imag)
 
     def test_matches_explicit_dft_matrix(self):
         x = np.random.default_rng(31).standard_normal(3000)
-        re, im = ops.stft_pair(Tensor(x), 512, 128)
+        re, im = ops.stft_pair(Tensor(x), 512)
         ref = stft_matrix_oracle(x, 512, 128)
         assert np.abs(re.data - ref.real).max() <= 1e-10
         assert np.abs(im.data - ref.imag).max() <= 1e-10
@@ -870,7 +872,8 @@ class TestStftPair:
         """<S x, g> == <x, S^T g> with S the (real, imag) STFT."""
         rng = np.random.default_rng(32)
         x = Parameter("x", rng.standard_normal(1500))
-        re, im = ops.stft_pair(x, frame_len, hop)
+        re, im = ops.stft_pair(x, frame_len)
+        assert re.shape[0] == dsp.n_frames_for(1500, frame_len, hop)
         gr, gi = rng.standard_normal(re.shape), rng.standard_normal(im.shape)
         ops.add(ops.sum_(ops.mul(re, Tensor(gr))), ops.sum_(ops.mul(im, Tensor(gi)))).backward()
         lhs = np.sum(re.data * gr) + np.sum(im.data * gi)
@@ -885,7 +888,7 @@ class TestStftPair:
         target_len = n_frames * hop - (frame_len - hop) - short
         re = Parameter("re", rng.standard_normal((n_frames, frame_len // 2 + 1)))
         im = Parameter("im", rng.standard_normal((n_frames, frame_len // 2 + 1)))
-        out = ops.istft_pair(re, im, frame_len, hop, target_len)
+        out = ops.istft_pair(re, im, frame_len, target_len)
         y = rng.standard_normal(target_len)
         ops.sum_(ops.mul(out, Tensor(y))).backward()
         rhs = np.sum(re.grad * re.data) + np.sum(im.grad * im.data)
@@ -898,23 +901,23 @@ class TestStftPair:
         y = rng.standard_normal(280)
         zero = Tensor(np.zeros((12, 1)))
         padded = ops.istft_pair(ops.concat([re, zero], axis=1), ops.concat([im, zero], axis=1),
-                                128, 32, 280)
+                                128, 280)
         ops.sum_(ops.mul(padded, Tensor(y))).backward()
         grads = re.grad, im.grad
         re.grad = im.grad = None
-        cropped = ops.istft_pair(re, im, 128, 32, 280)
+        cropped = ops.istft_pair(re, im, 128, 280)
         ops.sum_(ops.mul(cropped, Tensor(y))).backward()
         np.testing.assert_array_equal(cropped.data, padded.data)
         np.testing.assert_array_equal(re.grad, grads[0])
         np.testing.assert_array_equal(im.grad, grads[1])
 
     def test_istft_pair_rejects_target_beyond_span_like_istft(self):
-        spec = dsp.stft(dsp.Waveform(np.ones(300), 16000), dsp.FrameConfig(8.0, 2.0))
+        spec = dsp.stft(dsp.Waveform(np.ones(300), 16000), dsp.FrameConfig(8.0))
         span = spec.values.shape[0] * 32 - 96
         with pytest.raises(ValueError) as metric:
             dsp.istft(spec, span + 1)
         with pytest.raises(ValueError) as engine:
-            ops.istft_pair(spec.values.real, spec.values.imag, 128, 32, span + 1)
+            ops.istft_pair(spec.values.real, spec.values.imag, 128, span + 1)
         assert str(engine.value) == str(metric.value)
         assert f"[0, {span}]" in str(engine.value)
 

@@ -358,7 +358,8 @@ class TestConfigValidation:
             net.frame_geometry(16000)
 
     def test_hop_must_be_a_whole_quarter_frame(self):
-        """9 samples at 16 kHz give 4 bins, which 2^2 divides, but a 2.25-sample hop."""
+        """9 samples at 16 kHz give 4 bins, which 2^2 divides, but a 2.25-sample
+        hop, which the frame's ``FrameConfig`` refuses."""
         net = Arcn(tiny_arcn_config(encoder_blocks=2, frame_ms=0.5625), np.random.default_rng(0))
         with pytest.raises(ValueError, match="frame_ms 0.5625 gives 9 samples") as info:
             net.frame_geometry(16000)

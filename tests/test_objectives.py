@@ -76,7 +76,7 @@ class TestLossPred:
 class TestLossTf:
     def test_identical_zero(self):
         x = np.random.default_rng(5).standard_normal(600)
-        l_time, l_freq, l_diff = loss_tf(x, x, 128, 32)
+        l_time, l_freq, l_diff = loss_tf(x, x, 128)
         assert l_time.item() == 0.0
         assert l_freq.item() == 0.0
         assert l_diff.item() == 0.0
@@ -84,17 +84,17 @@ class TestLossTf:
     def test_constant_offset_time_term(self):
         rng = np.random.default_rng(6)
         s = rng.standard_normal(500)
-        l_time, _, _ = loss_tf(s + 0.25, s, 128, 32)
+        l_time, _, _ = loss_tf(s + 0.25, s, 128)
         np.testing.assert_allclose(l_time.item(), 0.25, rtol=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         s = rng.standard_normal(700)
         s_hat = s + 0.1 * rng.standard_normal(700)
-        l_time, l_freq, l_diff = loss_tf(s_hat, s, 128, 32)
+        l_time, l_freq, l_diff = loss_tf(s_hat, s, 128)
         ref_time = np.mean(np.abs(s_hat - s))
-        spec_h = dsp.stft(dsp.Waveform(s_hat, 16000), dsp.FrameConfig(8.0, 2.0))
-        spec_s = dsp.stft(dsp.Waveform(s, 16000), dsp.FrameConfig(8.0, 2.0))
+        spec_h = dsp.stft(dsp.Waveform(s_hat, 16000), dsp.FrameConfig(8.0))
+        spec_s = dsp.stft(dsp.Waveform(s, 16000), dsp.FrameConfig(8.0))
         ref_freq = np.mean(np.abs(spec_h.magnitude() - spec_s.magnitude()))
         assert abs(l_time.item() - ref_time) < 1e-12
         assert abs(l_freq.item() - ref_freq) < 1e-10
@@ -104,7 +104,7 @@ class TestLossTf:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            loss_tf(np.zeros(10), np.zeros(11), 128, 32)
+            loss_tf(np.zeros(10), np.zeros(11), 128)
 
 
 class TestLambdaWeight:
@@ -188,7 +188,7 @@ class TestLsd:
 
 def _spectrogram(values):
     """16-sample frames at 16 kHz: nine bins centred every 1 kHz."""
-    return dsp.Spectrogram(values, frame_len=16, hop=4, sample_rate=16000)
+    return dsp.Spectrogram(values, frame_len=16, sample_rate=16000)
 
 
 class TestBandEnergyError:

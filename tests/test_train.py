@@ -280,6 +280,64 @@ class TestFit:
             assert [row[0] for row in csv.reader(fh)] == ["epoch", "1", "2"]
         assert (resumed.total_steps, len(resumed.val_trace)) == (len(steps), 2)
 
+    def test_resume_from_diagnostic_after_a_max_steps_stop(self, tmp_path, monkeypatch):
+        """A ``max_steps`` stop mid-epoch 2 leaves ``global_step`` behind
+        ``epoch * len(batcher)``; a resume from it then fails at its second
+        step, in epoch 3, and the diagnostic records the one batch of epoch 3
+        it trained, so a resume from the diagnostic trains epoch 3's last
+        batch alone: steps 1-5, each logged once."""
+        corpus = synth_corpus(tmp_path / "corpus", 4, 0.5, seed=3)
+        arcn, dparn = micro_arch()
+        out = tmp_path / "run"
+        fit(micro_train_config(epochs=3, max_steps=3), arcn, dparn, SCHED, corpus, corpus, out)
+        real_step, calls = train_mod.train_step, []
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericsError("poisoned step")
+            return real_step(*args, **kwargs)
+
+        cfg = micro_train_config(epochs=3)
+        monkeypatch.setattr(train_mod, "train_step", fail_second)
+        with pytest.raises(NumericsError):
+            fit(cfg, arcn, dparn, SCHED, corpus, corpus, out, resume_from=out / "last.ckpt")
+        monkeypatch.undo()
+        meta = load_state(out / "diagnostic.ckpt")[0]
+        assert (meta["epoch"], meta["batches_done"], meta["global_step"]) == (2, 1, 4)
+        resumed = fit(cfg, arcn, dparn, SCHED, corpus, corpus, out,
+                      resume_from=out / "diagnostic.ckpt")
+        with open(out / "runlog_steps.csv", newline="") as fh:
+            assert [row[:2] for row in csv.reader(fh)][1:] == [
+                [str(step), str(epoch)] for step, epoch in
+                zip(range(1, 6), (1, 1, 2, 3, 3))]
+        assert resumed.total_steps == 5
+
+    def test_resume_refuses_more_done_batches_than_an_epoch_has(self, tmp_path, monkeypatch):
+        """A diagnostic saved after two of three batches (6 utterances, B=2) has
+        more batches done than an epoch holds at B=6: the resume exits as a
+        data error naming the field, before ``run_meta.json`` is rewritten."""
+        corpus = synth_corpus(tmp_path / "corpus", 6, 0.5, seed=3)
+        arcn, dparn = micro_arch()
+        out = tmp_path / "run"
+        real_step, calls = train_mod.train_step, []
+
+        def fail_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericsError("poisoned step")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "train_step", fail_third)
+        with pytest.raises(NumericsError):
+            fit(micro_train_config(), arcn, dparn, SCHED, corpus, corpus, out)
+        monkeypatch.undo()
+        run_meta = (out / "run_meta.json").read_text()
+        with pytest.raises(ConfigError, match=r"batches_done 2 outside \[0, 1\]"):
+            fit(micro_train_config(batch_size=6), arcn, dparn, SCHED, corpus, corpus, out,
+                resume_from=out / "diagnostic.ckpt")
+        assert (out / "run_meta.json").read_text() == run_meta
+
     def test_checkpoint_holds_each_parameter_under_each_prefix(self, micro_run):
         """A checkpoint holds exactly ``param/``, ``adam/m/``, ``adam/v/`` and
         ``ema/`` times every parameter name, each in its parameter's shape;
